@@ -293,11 +293,12 @@ func runBenchHarness(path, rev, baselinePath string, sc corpus.Scale, verbose bo
 		fmt.Printf("note: baseline %s predates %d workload(s) — %s — which therefore ran ungated; regenerate the baseline to gate them\n",
 			baselinePath, len(missing), strings.Join(missing, ", "))
 	}
-	if base.SchemaVersion < benchharness.SchemaVersion {
-		fmt.Printf("note: baseline %s has schema v%d (current v%d); skipping simulated-seconds drift and bytes_held checks, comparing wall-clock only — regenerate the baseline to restore them\n",
-			baselinePath, base.SchemaVersion, benchharness.SchemaVersion)
+	bad, err := benchharness.Compare(base, rep, 0.20)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pmihp-bench: %s: %v\n", baselinePath, err)
+		return 1
 	}
-	if bad := benchharness.Compare(base, rep, 0.20); len(bad) > 0 {
+	if len(bad) > 0 {
 		fmt.Fprintln(os.Stderr, "pmihp-bench: regressions vs", baselinePath)
 		for _, line := range bad {
 			fmt.Fprintln(os.Stderr, "  "+line)

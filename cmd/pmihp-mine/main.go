@@ -120,7 +120,7 @@ func run(args []string, out io.Writer) error {
 		nRules       = fs.Int("rules", 10, "association rules to print (0 to skip)")
 		minConf      = fs.Float64("minconf", 0.75, "minimum rule confidence")
 		rulesOut     = fs.String("rules-out", "", "export the full rule set (at -minconf) as JSON to this file, for pmihp-serve")
-		stream       = fs.Bool("stream", false, "replay the corpus as a live day stream through the incremental windowed miner")
+		stream       = fs.Bool("stream", false, "replay the corpus as a live day stream through the windowed miner")
 		streamWindow = fs.Int("stream-window", 3, "sliding window width in days for -stream (0 = unbounded)")
 		streamBatch  = fs.Int("stream-batch-days", 1, "days ingested per -stream step")
 		streamDecay  = fs.Float64("stream-decay", 0, "exponential day-decay weight in (0, 1] for -stream (0 = off)")

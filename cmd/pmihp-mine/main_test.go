@@ -121,7 +121,7 @@ func TestRunClusterMode(t *testing.T) {
 	}
 }
 
-// TestRunStream replays a preset corpus through the incremental windowed
+// TestRunStream replays a preset corpus through the windowed
 // miner with the per-step equivalence gate on, a checkpoint, and a
 // scripted crash-and-resume, and checks the JSON report parses back with
 // every step verified equivalent.

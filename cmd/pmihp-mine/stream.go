@@ -25,7 +25,7 @@ type streamFlags struct {
 	minConf    float64
 }
 
-// runStream replays the corpus through the incremental windowed miner
+// runStream replays the corpus through the windowed miner
 // (internal/streammine), one batch of days per step, optionally proving
 // every step byte-identical to a from-scratch mine, publishing each
 // generation to a serve daemon, and writing the JSON report.

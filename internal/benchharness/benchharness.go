@@ -53,8 +53,8 @@ type Result struct {
 }
 
 // SchemaVersion is the report format version. Version 2 added bytes_held
-// and the schema_version field itself; baselines written before it lack
-// both, so comparisons against them check wall-clock only.
+// and the schema_version field itself; Compare rejects baselines written
+// before it.
 const SchemaVersion = 2
 
 // Report is a full harness run.
@@ -315,16 +315,18 @@ const simTol = 1e-9
 // Compare reports the workloads of cur that regressed against base: ns/op
 // or bytes_held worse by more than tolFrac (e.g. 0.20 for 20%), or simulated
 // seconds that differ beyond float accumulation noise (the cost model must
-// be stable). Workloads missing from either report are skipped. When the
-// baseline predates the current schema (see SchemaVersion) its sim_seconds
-// and bytes_held fields are unreliable or absent, so only wall-clock is
-// checked — callers should surface that the drift checks were skipped.
-func Compare(base, cur *Report, tolFrac float64) []string {
+// be stable). Workloads missing from either report are skipped. A
+// baseline older than SchemaVersion lacks or misreports sim_seconds and
+// bytes_held, so it is an error rather than a weaker comparison.
+func Compare(base, cur *Report, tolFrac float64) ([]string, error) {
+	if base.SchemaVersion < SchemaVersion {
+		return nil, fmt.Errorf("benchharness: baseline has schema version %d, want %d; regenerate it with pmihp-bench -benchjson",
+			base.SchemaVersion, SchemaVersion)
+	}
 	byName := make(map[string]Result, len(base.Workloads))
 	for _, w := range base.Workloads {
 		byName[w.Name] = w
 	}
-	schemaOK := base.SchemaVersion >= SchemaVersion
 	var bad []string
 	for _, w := range cur.Workloads {
 		b, ok := byName[w.Name]
@@ -335,9 +337,6 @@ func Compare(base, cur *Report, tolFrac float64) []string {
 			bad = append(bad, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%%)",
 				w.Name, w.NsPerOp, b.NsPerOp, 100*(w.NsPerOp/b.NsPerOp-1)))
 		}
-		if !schemaOK {
-			continue
-		}
 		if b.BytesHeld > 0 && float64(w.BytesHeld) > float64(b.BytesHeld)*(1+tolFrac) {
 			bad = append(bad, fmt.Sprintf("%s: %d bytes held vs baseline %d (+%.1f%%)",
 				w.Name, w.BytesHeld, b.BytesHeld, 100*(float64(w.BytesHeld)/float64(b.BytesHeld)-1)))
@@ -347,5 +346,5 @@ func Compare(base, cur *Report, tolFrac float64) []string {
 				w.Name, w.SimSeconds, b.SimSeconds))
 		}
 	}
-	return bad
+	return bad, nil
 }

@@ -1,11 +1,8 @@
 package rules
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"io"
-	"strconv"
-	"strings"
 
 	"pmihp/internal/itemset"
 )
@@ -41,29 +38,6 @@ func WriteJSON(w io.Writer, rs []Rule, name func(itemset.Item) string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-// WriteCSV writes the rules as CSV with a header row; itemset sides are
-// space-joined word lists.
-func WriteCSV(w io.Writer, rs []Rule, name func(itemset.Item) string) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"antecedent", "consequent", "support", "confidence", "lift"}); err != nil {
-		return err
-	}
-	for _, r := range rs {
-		rec := []string{
-			strings.Join(words(r.Antecedent, name), " "),
-			strings.Join(words(r.Consequent, name), " "),
-			strconv.Itoa(r.Support),
-			strconv.FormatFloat(r.Confidence, 'f', 4, 64),
-			strconv.FormatFloat(r.Lift, 'f', 4, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func words(s itemset.Itemset, name func(itemset.Item) string) []string {

@@ -2,9 +2,7 @@ package rules
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -166,23 +164,5 @@ func TestWriteJSON(t *testing.T) {
 		if d["confidence"].(float64) < 0.75 {
 			t.Fatalf("confidence lost: %v", d)
 		}
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	rs := Generate(fixture(), 4, 0.75)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, rs, func(it itemset.Item) string { return fmt.Sprintf("w%d", it) }); err != nil {
-		t.Fatal(err)
-	}
-	records, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != len(rs)+1 {
-		t.Fatalf("csv rows = %d, want %d", len(records), len(rs)+1)
-	}
-	if records[0][0] != "antecedent" {
-		t.Fatalf("header = %v", records[0])
 	}
 }

@@ -55,34 +55,6 @@ func (idx *Index) Postings(word string) []txdb.TID {
 // DocFreq returns the number of documents containing the word.
 func (idx *Index) DocFreq(word string) int { return len(idx.Postings(word)) }
 
-// SearchAll returns the TIDs of documents containing every query word
-// (conjunctive boolean search), in ascending order.
-func (idx *Index) SearchAll(words ...string) []txdb.TID {
-	if len(words) == 0 {
-		return nil
-	}
-	lists := make([][]txdb.TID, 0, len(words))
-	for _, w := range words {
-		p := idx.Postings(w)
-		if p == nil {
-			return nil
-		}
-		lists = append(lists, p)
-	}
-	// Intersect starting from the rarest term.
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-	acc := lists[0]
-	for _, l := range lists[1:] {
-		acc = intersect(acc, l)
-		if len(acc) == 0 {
-			break
-		}
-	}
-	out := make([]txdb.TID, len(acc))
-	copy(out, acc)
-	return out
-}
-
 // SearchAny returns the TIDs of documents containing at least one query
 // word (disjunctive search), in ascending order.
 func (idx *Index) SearchAny(words ...string) []txdb.TID {

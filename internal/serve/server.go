@@ -108,7 +108,9 @@ func NewServer(cfg Config) *Server {
 // then retires the previous one. New queries see the new generation
 // immediately; queries already pinned to the old one finish against it,
 // and the old generation reports drained once the last of them releases
-// it. Zero queries are dropped by a swap.
+// it. Zero queries are dropped by a swap. Retired generations that have
+// drained are forgotten here, so a server that is swapped but never
+// scraped holds only the ones still in use.
 func (s *Server) Swap(ws []rules.WordRule, source string) (*Generation, error) {
 	ix, err := BuildIndex(ws)
 	if err != nil {
@@ -128,6 +130,7 @@ func (s *Server) Swap(ws []rules.WordRule, source string) (*Generation, error) {
 		old.retire()
 		s.oldMu.Lock()
 		s.oldGens = append(s.oldGens, old)
+		s.pruneOld()
 		s.oldMu.Unlock()
 	}
 	s.swaps.Add(1)
@@ -158,6 +161,13 @@ func (s *Server) Generation() *Generation { return s.gen.Load() }
 func (s *Server) UndrainedOld() int {
 	s.oldMu.Lock()
 	defer s.oldMu.Unlock()
+	s.pruneOld()
+	return len(s.oldGens)
+}
+
+// pruneOld drops drained generations from the retired list, clearing the
+// vacated slots so their indexes become garbage. Callers hold oldMu.
+func (s *Server) pruneOld() {
 	live := s.oldGens[:0]
 	for _, g := range s.oldGens {
 		if !g.drainedNow() {
@@ -168,7 +178,6 @@ func (s *Server) UndrainedOld() int {
 		s.oldGens[i] = nil
 	}
 	s.oldGens = live
-	return len(live)
 }
 
 // CacheStats sums the replica cache and singleflight counters.

@@ -54,6 +54,43 @@ func TestGenerationDrainProtocol(t *testing.T) {
 	}
 }
 
+// TestSwapPrunesRetiredGenerations pins that Swap itself forgets drained
+// generations, so a server that is swapped but never scraped does not
+// keep every retired index: after many unqueried swaps none is retained,
+// and a generation pinned by an in-flight query stays retained exactly
+// until that query releases it.
+func TestSwapPrunesRetiredGenerations(t *testing.T) {
+	s := loadedServer(t, Config{Replicas: 1})
+	ws := fixture(t).ws
+	retained := func() []*Generation {
+		s.oldMu.Lock()
+		defer s.oldMu.Unlock()
+		return append([]*Generation(nil), s.oldGens...)
+	}
+	swap := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := s.Swap(ws, fmt.Sprintf("swap %d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	swap(10)
+	if old := retained(); len(old) != 0 {
+		t.Fatalf("%d retired generations retained after 10 unqueried swaps", len(old))
+	}
+	pinned := acquireFrom(&s.replicas[0].gen)
+	swap(3)
+	if old := retained(); len(old) != 1 || old[0] != pinned {
+		t.Fatalf("retained %d generations, want only the pinned one", len(old))
+	}
+	pinned.release()
+	swap(1)
+	if old := retained(); len(old) != 0 {
+		t.Fatalf("%d retired generations retained after the pin released", len(old))
+	}
+}
+
 // TestHotSwapUnderConcurrentLoad is the swap gate: a storm of concurrent
 // queries across repeated generation swaps must drop zero queries (every
 // response 200 with a well-formed body and a plausible generation id),

@@ -1,12 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses for reporting: central moments, medians, speedup and
-// efficiency series.
+// harness uses for reporting: means, speedup and efficiency series.
 package stats
-
-import (
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
@@ -18,34 +12,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Median returns the median of xs (0 for an empty slice).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	mid := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[mid]
-	}
-	return (c[mid-1] + c[mid]) / 2
 }
 
 // Speedup returns base/t for each t, the speedup series of Figure 7.

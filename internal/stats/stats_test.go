@@ -16,36 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if !almost(StdDev([]float64{2, 2, 2}), 0) {
-		t.Fatal("constant series has nonzero stddev")
-	}
-	if !almost(StdDev([]float64{1, 3}), 1) {
-		t.Fatalf("StdDev = %g", StdDev([]float64{1, 3}))
-	}
-	if StdDev([]float64{5}) != 0 {
-		t.Fatal("singleton stddev")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if !almost(Median([]float64{3, 1, 2}), 2) {
-		t.Fatal("odd median")
-	}
-	if !almost(Median([]float64{4, 1, 2, 3}), 2.5) {
-		t.Fatal("even median")
-	}
-	if Median(nil) != 0 {
-		t.Fatal("Median(nil)")
-	}
-	// Input must not be reordered.
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 {
-		t.Fatal("Median mutated input")
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	got := Speedup(80, []float64{80, 48.5, 21.3, 0})
 	if !almost(got[0], 1) || !almost(got[1], 80/48.5) || got[3] != 0 {

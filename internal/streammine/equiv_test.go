@@ -20,12 +20,13 @@ import (
 	"pmihp/internal/txdb"
 )
 
-// The equivalence harness: every test here holds the incremental miner to
+// The equivalence harness: every test here holds the windowed miner to
 // byte-identity with a from-scratch mine of the same window — itemsets,
 // counts, order, and (for the serving path) rendered expansions. The
-// unweighted gate runs against core.MinePMIHP, a fully independent
-// implementation; the decay gate runs against MineWindowFromScratch, which
-// rebuilds every per-day summary fresh with no retained state.
+// unweighted gate runs against core.MinePMIHP (and, for fuzzed batches,
+// mining.BruteForce, which shares no counting code with core); the decay
+// gate runs against weightedReference, a naive level-wise miner with no
+// core kernels.
 
 // replayScenario is one window-size × batch-shape × decay configuration.
 type replayScenario struct {
@@ -62,7 +63,7 @@ func scenarios() []replayScenario {
 }
 
 // TestReplayEquivalence drives every scenario through the replay harness
-// with the per-step gate on: after each ingest the incremental frequent
+// with the per-step gate on: after each ingest the miner's frequent
 // sets must be byte-identical to a from-scratch mine of the window, and a
 // crash-and-resume through the PMCK checkpoint must not perturb a single
 // byte.
@@ -129,7 +130,7 @@ func TestReplayEquivalence(t *testing.T) {
 }
 
 // TestServedExpansionEquivalence closes the loop through the serving
-// layer: at every step the rules mined incrementally are installed as a
+// layer: at every step the rules the miner produced are installed as a
 // serving generation, and the served expansions must equal — as JSON
 // bytes — what the offline search.Expander produces from a from-scratch
 // mine of the same window.
@@ -235,7 +236,9 @@ func mustJSON(t *testing.T, v any) []byte {
 // TestFuzzedBatchSequences feeds deterministic pseudo-random batch
 // sequences — varying batch sizes, day gaps, same-day continuation
 // batches, empty batches, vocabulary growth — through the miner and holds
-// every step to the from-scratch gate, in both plain and decay modes.
+// every step to the from-scratch gate, in both plain and decay modes. The
+// miner and the plain gate both run core's local miner, so plain mode is
+// also held to mining.BruteForce of the window.
 func TestFuzzedBatchSequences(t *testing.T) {
 	for _, mode := range []struct {
 		name  string
@@ -245,12 +248,13 @@ func TestFuzzedBatchSequences(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(42))
-			miner, err := New(20, Config{WindowDays: 4, Decay: mode.decay,
-				Opts: mining.Options{MinSupCount: 2, MaxK: 4}})
+			opts := mining.Options{MinSupCount: 2, MaxK: 4}
+			miner, err := New(20, Config{WindowDays: 4, Decay: mode.decay, Opts: opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			day := 0
+			var txDays []int // the day of every transaction appended so far
 			for step := 0; step < 40; step++ {
 				day += []int{0, 0, 1, 1, 1, 2, 5}[rng.Intn(7)]
 				n := rng.Intn(7)
@@ -272,8 +276,37 @@ func TestFuzzedBatchSequences(t *testing.T) {
 				if err := miner.Ingest(batch); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
+				for range batch {
+					txDays = append(txDays, day)
+				}
+				// The gate mines whatever WindowDB returns, so pin the
+				// window itself: the days (lastDay-3 .. lastDay). A step
+				// re-reads its whole window; an empty batch reads nothing.
+				inWindow, windowDays := 0, map[int]bool{}
+				for _, d := range txDays {
+					if d > txDays[len(txDays)-1]-4 {
+						inWindow++
+						windowDays[d] = true
+					}
+				}
+				scanned := inWindow
+				if n == 0 {
+					scanned = 0
+				}
+				st := miner.LastStats()
+				if got := miner.WindowDB().Len(); got != inWindow || st.WindowTx != inWindow ||
+					st.WindowDayCount != len(windowDays) || st.NewTx != n || st.ScannedTx != scanned {
+					t.Fatalf("step %d: window holds %d tx, stats %+v; want window %d tx / %d days, new %d, scanned %d",
+						step, got, st, inWindow, len(windowDays), n, scanned)
+				}
 				if err := VerifyStep(miner, 3); err != nil {
 					t.Fatalf("step %d (day %d, +%d tx): %v", step, day, n, err)
+				}
+				if mode.decay == 0 {
+					want := mining.BruteForce(miner.WindowDB(), opts).Frequent
+					if err := diffRendered("frequent", RenderCounted(miner.Frequent()), RenderCounted(want)); err != nil {
+						t.Fatalf("step %d (day %d, +%d tx) vs BruteForce: %v", step, day, n, err)
+					}
 				}
 			}
 			if miner.Store().NumItems() <= 20 {
@@ -416,29 +449,5 @@ func TestDecayOneMatchesPlainSets(t *testing.T) {
 				t.Fatalf("day %d: %v weight %v != count %d", day, e.Set, e.Weight, e.Count)
 			}
 		}
-	}
-}
-
-// TestIncrementalWorkBounded asserts the point of retaining summaries:
-// across a whole replay the k≥3 cache-fill scans touch strictly fewer
-// transactions than re-scanning every window at every step would (passes
-// 1 and 2 never scan at all, by construction).
-func TestIncrementalWorkBounded(t *testing.T) {
-	docs := corpus.MustGenerate(corpus.CorpusB(corpus.Small))
-	report, err := Replay(docs, ReplayConfig{
-		WindowDays:  0, // unbounded window: the worst case for a re-scanner
-		Opts:        mining.Options{MinSupCount: 3, MaxK: 3},
-		VerifyNodes: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanned, window := 0, 0
-	for _, sr := range report.Steps {
-		scanned += sr.ScannedTx
-		window += sr.WindowTx
-	}
-	if scanned >= window {
-		t.Fatalf("scanned %d of %d window transactions; retained counts saved nothing", scanned, window)
 	}
 }

@@ -9,22 +9,12 @@ import (
 	"strings"
 
 	"pmihp/internal/rules"
-	"pmihp/internal/serve"
 )
 
-// Publishers: the glue between the re-mine loop and the serving layer.
-// Each returns a ReplayConfig.Publish hook that installs a step's rule
-// set as a new serving generation — in process for tests and embedded
-// deployments, over HTTP for a running pmihp-serve daemon.
-
-// NewServerPublisher feeds each step's rules to an in-process
-// serve.Server via Swap, the same path POST /admin/swap takes.
-func NewServerPublisher(s *serve.Server) func(step int, ws []rules.WordRule) error {
-	return func(step int, ws []rules.WordRule) error {
-		_, err := s.Swap(ws, fmt.Sprintf("stream step %d", step))
-		return err
-	}
-}
+// The glue between the re-mine loop and the serving layer: a
+// ReplayConfig.Publish hook that installs each step's rule set as a new
+// serving generation of a running pmihp-serve daemon. An embedded
+// deployment passes its own hook that calls serve.Server.Swap.
 
 // NewSwapPublisher POSTs each step's rules to a serve daemon's
 // /admin/swap endpoint. base is the daemon's base URL (e.g.

@@ -3,6 +3,8 @@ package streammine
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,10 +16,10 @@ import (
 	"pmihp/internal/txdb"
 )
 
-// The replay harness: feed a day-partitioned document corpus through an
-// incremental Miner batch by batch, as if the archive were arriving live,
-// and after every step optionally prove the incremental results
-// byte-identical to a from-scratch mine of the same window. This is both
+// The replay harness: feed a day-partitioned document corpus through a
+// Miner batch by batch, as if the archive were arriving live, and after
+// every step optionally prove the miner's results byte-identical to an
+// independent from-scratch mine of the same window. This is both
 // the `pmihp-mine -stream` execution path and the engine under the
 // equivalence test suite and the stream-smoke CI job.
 
@@ -38,8 +40,8 @@ type ReplayConfig struct {
 
 	// VerifyNodes enables the equivalence gate: after every step the
 	// window is re-mined from scratch — core.MinePMIHP with this many
-	// nodes when decay is off, MineWindowFromScratch when on — and the
-	// results must match byte for byte. 0 disables the gate.
+	// nodes when decay is off, the naive weighted reference when on —
+	// and the results must match byte for byte. 0 disables the gate.
 	VerifyNodes int
 
 	// CheckpointPath, when set, persists the miner's state after every
@@ -57,7 +59,7 @@ type ReplayConfig struct {
 
 	// Publish, when set, receives each step's rule set (word form,
 	// canonical order) — wire it to a serve.Server swap or an HTTP
-	// /admin/swap POST (see NewServerPublisher, NewSwapPublisher).
+	// /admin/swap POST (see NewSwapPublisher).
 	// Steps whose window licenses no rules are not published: the
 	// serving layer rejects empty generations, and the previous
 	// generation staying live is the right answer for a quiet window.
@@ -93,7 +95,7 @@ type Report struct {
 	AllEquivalent bool         `json:"allEquivalent"`
 }
 
-// Replay streams docs through an incremental miner. The vocabulary is
+// Replay streams docs through a windowed miner. The vocabulary is
 // built upfront over the whole corpus, exactly as the batch pipeline
 // does: item ids stay assigned in lexical word order, which is the
 // invariant that keeps id-order and word-order rule sorts in agreement
@@ -202,17 +204,14 @@ func Replay(docs []text.Document, cfg ReplayConfig) (*Report, error) {
 }
 
 // VerifyStep proves the miner's current results byte-identical to a
-// from-scratch mine of the same window: core.MinePMIHP (an independent
-// implementation, run over nodes partitions) when decay is off, the
-// from-scratch weighted reference when on. It returns an attributed error
-// naming the first diverging line.
+// from-scratch mine of the same window: core.MinePMIHP (run over nodes
+// partitions) when decay is off, the naive weighted reference
+// (weightedReference) when on. It returns an attributed error naming the
+// first diverging line.
 func VerifyStep(m *Miner, nodes int) error {
 	win := m.WindowDB()
 	if m.cfg.weightedMode() {
-		_, want, err := MineWindowFromScratch(win, m.cfg)
-		if err != nil {
-			return err
-		}
+		want := weightedReference(win, m.cfg)
 		return diffRendered("weighted frequent", RenderWeighted(m.WeightedFrequent()), RenderWeighted(want))
 	}
 	if win.Len() == 0 {
@@ -229,6 +228,64 @@ func VerifyStep(m *Miner, nodes int) error {
 		return err
 	}
 	return diffRendered("frequent", RenderCounted(m.Frequent()), RenderCounted(res.Result.Frequent))
+}
+
+// weightedReference is the oracle the weighted path is gated on: a naive
+// level-wise miner over the window that shares no counting code with the
+// Miner — no retained state and no core kernels. Candidates come from
+// mining.AprioriGen; each candidate's per-day counts come from scanning
+// that day's transactions, and its weighted support is Σ count_d·weight_d
+// added in ascending day order, the arithmetic Config.Decay documents.
+func weightedReference(win *txdb.DB, cfg Config) []Weighted {
+	days := win.DayViews()
+	if len(days) == 0 {
+		return nil
+	}
+	last := days[len(days)-1].DayOf(0)
+	weights := make([]float64, len(days))
+	total := 0.0
+	for i, day := range days {
+		weights[i] = math.Pow(cfg.Decay, float64(last-day.DayOf(0)))
+		total += float64(day.Len()) * weights[i]
+	}
+	minW := cfg.Opts.MinSupFrac * total
+	if cfg.Opts.MinSupCount > 0 {
+		minW = float64(cfg.Opts.MinSupCount)
+	}
+	var out []Weighted
+	// keep weighs each candidate and returns the qualifying ones.
+	keep := func(cands []itemset.Itemset) []itemset.Itemset {
+		var next []itemset.Itemset
+		for _, set := range cands {
+			count, weight := 0, 0.0
+			for i, day := range days {
+				c := 0
+				for t := 0; t < day.Len(); t++ {
+					if set.SubsetOf(day.ItemsOf(t)) {
+						c++
+					}
+				}
+				count += c
+				weight += float64(c) * weights[i]
+			}
+			if count > 0 && weight >= minW {
+				out = append(out, Weighted{Set: set, Count: count, Weight: weight})
+				next = append(next, set)
+			}
+		}
+		return next
+	}
+	singles := make([]itemset.Itemset, win.NumItems())
+	for it := range singles {
+		singles[it] = itemset.Itemset{itemset.Item(it)}
+	}
+	prev := keep(singles)
+	for k := 2; len(prev) > 1 && (cfg.Opts.MaxK == 0 || k <= cfg.Opts.MaxK); k++ {
+		cands, _, _ := mining.AprioriGen(prev, itemset.SetOf(prev...))
+		prev = keep(cands)
+	}
+	slices.SortFunc(out, CompareWeighted)
+	return out
 }
 
 // RenderCounted renders a frequent list one line per set ("{1, 2} 5\n"),
@@ -269,7 +326,7 @@ func diffRendered(what string, got, want []byte) error {
 			w = wl[i]
 		}
 		if g != w {
-			return fmt.Errorf("%s diverges at line %d: incremental %q, from-scratch %q", what, i+1, g, w)
+			return fmt.Errorf("%s diverges at line %d: miner %q, from-scratch %q", what, i+1, g, w)
 		}
 	}
 	return fmt.Errorf("%s diverges (%d vs %d bytes)", what, len(got), len(want))

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"pmihp/internal/itemset"
 	"pmihp/internal/transport"
@@ -16,23 +15,24 @@ import (
 // payload; this file owns that payload's encoding. Like the PMCK codec it
 // wraps, the encoding is canonical: a payload that decodes successfully
 // re-encodes to the exact bytes it came from (the invariant FuzzStreamState
-// holds it to), so maps are written with sorted keys and the decoder
-// rejects any deviation from sorted order rather than silently accepting a
-// second spelling of the same state.
+// holds it to), so the decoder rejects any deviation from canonical order
+// (ascending items, result lists in their canonical sort) rather than
+// silently accepting a second spelling of the same state.
 //
 // A checkpoint captures the window, not the log: only the window's
 // transactions are encoded (eviction compacts on save), together with the
-// first window TID so the restored store reissues the original TIDs, the
-// per-day retained counts and candidate caches, and the current frequent
-// sets. Restore rebuilds a Miner whose observable state — views, counts,
-// results — is identical to the uninterrupted run's.
+// first window TID so the restored store reissues the original TIDs, and
+// the current frequent sets. Decoding is a bounded parse that never
+// re-mines, so a hostile payload cannot buy unbounded work. Restore
+// rebuilds a Miner whose observable state — views, counts, results — is
+// identical to the uninterrupted run's.
 
 // streamStateMagic and streamStateVersion frame the payload inside the
 // PMCK Stream field; the version is bumped independently of the PMCK
-// version.
+// version. Version 2 dropped version 1's per-day count summaries.
 const (
 	streamStateMagic   = "PMS1"
-	streamStateVersion = 1
+	streamStateVersion = 2
 )
 
 // EncodeState returns the canonical encoding of the miner's window state.
@@ -40,8 +40,8 @@ const (
 // dimensions beyond the wire's 32-bit ranges.
 func (m *Miner) EncodeState() ([]byte, error) {
 	view := m.WindowDB()
-	if len(m.days) > 0 && m.days[0].day < 0 {
-		return nil, fmt.Errorf("streammine: cannot checkpoint negative day %d", m.days[0].day)
+	if view.Len() > 0 && view.DayOf(0) < 0 {
+		return nil, fmt.Errorf("streammine: cannot checkpoint negative day %d", view.DayOf(0))
 	}
 	if m.cfg.Opts.MinSupCount > math.MaxUint32 || m.cfg.Opts.MaxK > math.MaxUint32 {
 		return nil, fmt.Errorf("streammine: checkpoint thresholds out of range")
@@ -64,47 +64,6 @@ func (m *Miner) EncodeState() ([]byte, error) {
 		b = sappendU32(b, uint32(len(items)))
 		for _, it := range items {
 			b = sappendU32(b, uint32(it))
-		}
-	}
-	b = sappendU32(b, uint32(len(m.days)))
-	for _, ds := range m.days {
-		b = sappendU32(b, uint32(ds.day))
-		nItems := 0
-		for _, c := range ds.items {
-			if c != 0 {
-				nItems++
-			}
-		}
-		b = sappendU32(b, uint32(nItems))
-		for it, c := range ds.items {
-			if c != 0 {
-				b = sappendU32(b, uint32(it))
-				b = sappendU32(b, uint32(c))
-			}
-		}
-		pairKeys := make([]uint64, 0, len(ds.pairs))
-		for key := range ds.pairs {
-			pairKeys = append(pairKeys, key)
-		}
-		sort.Slice(pairKeys, func(i, j int) bool { return pairKeys[i] < pairKeys[j] })
-		b = sappendU32(b, uint32(len(pairKeys)))
-		for _, key := range pairKeys {
-			b = sappendU64(b, key)
-			b = sappendU32(b, uint32(ds.pairs[key]))
-		}
-		highKeys := make([]string, 0, len(ds.higher))
-		for key := range ds.higher {
-			highKeys = append(highKeys, key)
-		}
-		sort.Strings(highKeys)
-		b = sappendU32(b, uint32(len(highKeys)))
-		for _, key := range highKeys {
-			set := itemset.FromKey(key)
-			b = sappendU32(b, uint32(len(set)))
-			for _, it := range set {
-				b = sappendU32(b, uint32(it))
-			}
-			b = sappendU32(b, uint32(ds.higher[key]))
 		}
 	}
 	if m.cfg.weightedMode() {
@@ -171,102 +130,16 @@ func DecodeState(b []byte) (*Miner, error) {
 		set := r.set(numItems, fmt.Sprintf("tx %d", i))
 		txs = append(txs, txdb.Transaction{Day: day, Items: set})
 	}
-	store := txdb.NewAppendAt(numItems, firstTID)
+	m := &Miner{cfg: cfg, store: txdb.NewAppendAt(numItems, firstTID), steps: steps}
 	if r.err == nil {
-		if err := store.Append(txs); err != nil {
+		if err := m.store.Append(txs); err != nil {
 			return nil, err
 		}
-		if store.NumItems() != numItems {
+		if m.store.NumItems() != numItems {
 			r.fail("item id beyond the %d-item vocabulary", numItems)
 		}
-	}
-
-	nDays := r.count(16)
-	days := make([]*daySummary, 0, nDays)
-	for i := 0; i < nDays && r.err == nil; i++ {
-		day := int(r.u32())
-		if len(days) > 0 && day <= days[len(days)-1].day {
-			r.fail("day summaries out of order at day %d", day)
-			break
-		}
-		lo, hi := store.DayBounds(day)
-		if lo == hi {
-			r.fail("summary for day %d with no transactions", day)
-			break
-		}
-		ds := newDaySummary(day, lo)
-		ds.hi = hi
-		ds.items = make([]int, numItems)
-		nItems := r.count(8)
-		prevItem := -1
-		for j := 0; j < nItems && r.err == nil; j++ {
-			it := int(r.u32())
-			c := int(r.u32())
-			if it <= prevItem || it >= numItems {
-				r.fail("day %d item counts not strictly ascending in range", day)
-				break
-			}
-			if c <= 0 || c > ds.count() {
-				r.fail("day %d item %d count %d outside (0, %d]", day, it, c, ds.count())
-				break
-			}
-			prevItem = it
-			ds.items[it] = c
-		}
-		nPairs := r.count(12)
-		prevPair := uint64(0)
-		for j := 0; j < nPairs && r.err == nil; j++ {
-			key := r.u64()
-			c := int(r.u32())
-			a, bb := splitPair(key)
-			if j > 0 && key <= prevPair {
-				r.fail("day %d pair counts not strictly ascending", day)
-				break
-			}
-			if a >= bb || int(bb) >= numItems {
-				r.fail("day %d malformed pair key %#x", day, key)
-				break
-			}
-			if c <= 0 || c > ds.count() {
-				r.fail("day %d pair count %d outside (0, %d]", day, c, ds.count())
-				break
-			}
-			prevPair = key
-			ds.pairs[key] = c
-		}
-		nHigher := r.count(8)
-		prevKey := ""
-		for j := 0; j < nHigher && r.err == nil; j++ {
-			set := r.set(numItems, fmt.Sprintf("day %d candidate %d", day, j))
-			if r.err != nil {
-				break
-			}
-			if len(set) < 3 {
-				r.fail("day %d cached candidate of size %d (cache holds k≥3 only)", day, len(set))
-				break
-			}
-			c := int(r.u32())
-			if c < 0 || c > ds.count() {
-				r.fail("day %d candidate count %d outside [0, %d]", day, c, ds.count())
-				break
-			}
-			key := set.Key()
-			if key <= prevKey && j > 0 {
-				r.fail("day %d candidate cache not strictly ascending", day)
-				break
-			}
-			prevKey = key
-			ds.higher[key] = c
-		}
-		days = append(days, ds)
-	}
-	if r.err == nil {
-		covered := 0
-		for _, ds := range days {
-			covered += ds.count()
-		}
-		if covered != store.Len() {
-			r.fail("summaries cover %d of %d transactions", covered, store.Len())
+		if win := m.WindowDB().Len(); win != m.store.Len() {
+			r.fail("%d of %d transactions fall before the window", m.store.Len()-win, m.store.Len())
 		}
 	}
 
@@ -284,8 +157,8 @@ func DecodeState(b []byte) (*Miner, error) {
 			break
 		}
 		c := int(r.u32())
-		if c <= 0 || c > store.Len() {
-			r.fail("frequent set %d count %d outside (0, %d]", i, c, store.Len())
+		if c <= 0 || c > m.store.Len() {
+			r.fail("frequent set %d count %d outside (0, %d]", i, c, m.store.Len())
 			break
 		}
 		if wmode {
@@ -319,9 +192,8 @@ func DecodeState(b []byte) (*Miner, error) {
 	if err := r.done(); err != nil {
 		return nil, err
 	}
-	m := &Miner{cfg: cfg, store: store, days: days, frequent: frequent, weighted: weighted, steps: steps}
-	stats := IngestStats{WindowTx: store.Len(), WindowDayCount: len(days)}
-	m.last = stats
+	m.frequent, m.weighted = frequent, weighted
+	m.last = IngestStats{WindowTx: m.store.Len(), WindowDayCount: len(m.store.View().DayViews())}
 	return m, nil
 }
 
@@ -336,44 +208,31 @@ func countedLess(a, b itemset.Counted) bool {
 	return itemset.Compare(a.Set, b.Set) < 0
 }
 
-// Checkpoint wraps the miner's state in a cluster checkpoint at
-// StageStream. sessionID plays the role ClusterID plays for cluster
-// checkpoints: a stream lineage identifier the operator chooses.
-func (m *Miner) Checkpoint(sessionID uint64) (transport.Checkpoint, error) {
+// SaveCheckpoint atomically persists the miner's state to path as a
+// cluster checkpoint at StageStream (transport.WriteCheckpointFile's
+// temp-and-rename discipline). sessionID plays the role ClusterID plays
+// for cluster checkpoints: a stream lineage identifier the operator
+// chooses.
+func (m *Miner) SaveCheckpoint(path string, sessionID uint64) error {
 	state, err := m.EncodeState()
 	if err != nil {
-		return transport.Checkpoint{}, err
+		return err
 	}
-	return transport.Checkpoint{
+	return transport.WriteCheckpointFile(path, transport.Checkpoint{
 		ClusterID: sessionID,
 		Nodes:     1,
 		Stage:     transport.StageStream,
 		Stream:    state,
-	}, nil
+	})
 }
 
-// SaveCheckpoint atomically persists the miner's state to path in PMCK
-// form (transport.WriteCheckpointFile's temp-and-rename discipline).
-func (m *Miner) SaveCheckpoint(path string, sessionID uint64) error {
-	c, err := m.Checkpoint(sessionID)
-	if err != nil {
-		return err
-	}
-	return transport.WriteCheckpointFile(path, c)
-}
-
-// LoadCheckpoint restores a miner from a PMCK stream checkpoint file.
+// LoadCheckpoint restores a miner from a PMCK checkpoint file, which must
+// be at StageStream.
 func LoadCheckpoint(path string) (*Miner, error) {
 	c, err := transport.ReadCheckpointFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return FromCheckpoint(c)
-}
-
-// FromCheckpoint restores a miner from a decoded cluster checkpoint,
-// which must be at StageStream.
-func FromCheckpoint(c transport.Checkpoint) (*Miner, error) {
 	if c.Stage != transport.StageStream {
 		return nil, fmt.Errorf("streammine: checkpoint at stage %s, want %s",
 			transport.StageName(c.Stage), transport.StageName(transport.StageStream))
@@ -386,7 +245,6 @@ func FromCheckpoint(c transport.Checkpoint) (*Miner, error) {
 // own unexported.
 
 func sappendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func sappendU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
 func sappendF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
@@ -423,14 +281,12 @@ func (r *stateReader) u32() uint32 {
 	return 0
 }
 
-func (r *stateReader) u64() uint64 {
+func (r *stateReader) f64() float64 {
 	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
 	return 0
 }
-
-func (r *stateReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // count reads an element count and sanity-checks it against the bytes
 // remaining (each element needs at least elemSize bytes), so a corrupt

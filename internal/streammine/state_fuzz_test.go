@@ -2,6 +2,8 @@ package streammine
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -10,8 +12,8 @@ import (
 )
 
 // fuzzSeedState builds a real miner state to seed the fuzzer with: a few
-// days of transactions dense enough to populate pair maps, k≥3 candidate
-// caches, and (for decay > 0) the weighted result list.
+// days of transactions dense enough to mine k≥3 frequent sets and (for
+// decay > 0) the weighted result list.
 func fuzzSeedState(tb testing.TB, decay float64) []byte {
 	tb.Helper()
 	m, err := New(6, Config{WindowDays: 3, Decay: decay,
@@ -43,9 +45,9 @@ func fuzzSeedState(tb testing.TB, decay float64) []byte {
 // FuzzStreamState holds the stream-state codec to the PMCK codec's bar:
 // arbitrary input never panics, and any payload that decodes successfully
 // re-encodes to the exact bytes it came from — one canonical encoding per
-// miner state. Because the decoder validates sorted map order, count
-// bounds, and summary/transaction agreement, a payload that passes is
-// also a structurally coherent miner.
+// miner state. Because the decoder validates canonical order, count
+// bounds, and that every transaction lies in the window, a payload that
+// passes is also a structurally coherent miner.
 func FuzzStreamState(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(streamStateMagic))
@@ -104,6 +106,20 @@ func TestStateRejectsCorruption(t *testing.T) {
 		copy(bad, "NOPE")
 		if _, err := DecodeState(bad); err == nil {
 			t.Fatalf("decay %v: wrong magic decoded without error", decay)
+		}
+		// Narrowing the window to one day leaves the seed's earlier days
+		// outside it; EncodeState never writes such a payload.
+		narrow := append([]byte{}, enc...)
+		binary.LittleEndian.PutUint32(narrow[len(streamStateMagic)+1:], 1)
+		if _, err := DecodeState(narrow); err == nil || !strings.Contains(err.Error(), "before the window") {
+			t.Fatalf("decay %v: transactions outside the window: %v", decay, err)
+		}
+		// A version-1 payload carried per-day summaries this build no
+		// longer reads; it must fail the version check, not half-decode.
+		v1 := append([]byte{}, enc...)
+		v1[len(streamStateMagic)] = 1
+		if _, err := DecodeState(v1); err == nil || !strings.Contains(err.Error(), "unsupported state version 1") {
+			t.Fatalf("decay %v: version-1 payload: %v", decay, err)
 		}
 	}
 }

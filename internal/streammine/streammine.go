@@ -1,29 +1,20 @@
-// Package streammine mines association rules incrementally over a live
-// document stream. It keeps the paper's batch pipeline as the reference
-// semantics: at every point in time the miner's frequent sets are exactly
-// what core.MinePMIHP would compute from scratch over the current window —
-// byte-identical itemsets, counts, and order — but the incremental path
-// gets there without re-scanning transactions it has already seen.
+// Package streammine mines association rules over a sliding window of a
+// live document stream. It keeps the paper's batch pipeline as the
+// reference semantics: at every point in time the miner's frequent sets
+// are exactly what core.MinePMIHP would compute from scratch over the
+// current window — byte-identical itemsets, counts, and order.
 //
-// The structure it exploits is the day-group contiguity of the CSR store
-// (txdb.AppendDB): a stream appends whole days at the tail, and a sliding
-// window of the most recent W days drops whole days at the front. The
-// miner therefore retains one summary per day:
+// It gets there by doing exactly that. Batches append to the growable CSR
+// store (txdb.AppendDB), whose day-group contiguity makes the window of
+// the most recent W days one zero-copy suffix view, and every ingest
+// re-mines that view with core.MineMIHP. Eviction is moving the window
+// start; the append-only store keeps the bytes (see txdb.AppendDB).
 //
-//   - a complete per-item support vector (pass 1 never scans),
-//   - a complete pair co-occurrence map (pass 2 never scans),
-//   - a demand-filled cache of k≥3 candidate counts, where a cached zero
-//     means "counted, absent" — so a candidate pass scans only the days
-//     that have never counted that candidate (in steady state, exactly
-//     the newly ingested transactions).
-//
-// Window advances merge the retained summaries with the freshly built
-// ones; eviction is dropping a summary (the append-only store keeps the
-// bytes, see txdb.AppendDB). An optional exponential day-decay weighting
-// (Config.Decay) replaces the integer support threshold with a weighted
-// one; the arithmetic is fixed — per-day integer counts times the day
-// weight, accumulated in ascending day order — so the weighted results
-// are bit-identical to MineWindowFromScratch on the same window.
+// An optional exponential day-decay weighting (Config.Decay) replaces the
+// integer support threshold with a weighted one. The arithmetic is fixed
+// — per-day integer counts times the day weight, accumulated in ascending
+// day order — so the weighted results are bit-identical to the naive
+// weighted reference the equivalence gate (VerifyStep) runs.
 package streammine
 
 import (
@@ -31,12 +22,13 @@ import (
 	"math"
 	"slices"
 
+	"pmihp/internal/core"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
 	"pmihp/internal/txdb"
 )
 
-// Config configures an incremental miner.
+// Config configures a windowed miner.
 type Config struct {
 	// WindowDays is the sliding window width W in days: after every
 	// ingest the window covers days (lastDay-W+1 .. lastDay). 0 means
@@ -96,84 +88,23 @@ func CompareWeighted(a, b Weighted) int {
 	return itemset.Compare(a.Set, b.Set)
 }
 
-// daySummary is the retained mining state of one day: its transaction run
-// in the store, complete item and pair counts, and the demand-filled k≥3
-// candidate cache. A cache entry of zero is meaningful — it records that
-// the candidate was counted over this day and found absent, so later
-// passes need not rescan.
-type daySummary struct {
-	day    int
-	lo, hi int // transaction index run in the owning view
-	items  []int
-	pairs  map[uint64]int
-	higher map[string]int
-}
-
-func newDaySummary(day, lo int) *daySummary {
-	return &daySummary{day: day, lo: lo, hi: lo, pairs: map[uint64]int{}, higher: map[string]int{}}
-}
-
-func (ds *daySummary) count() int { return ds.hi - ds.lo }
-
-// pairKey packs an ordered item pair (a < b) into a map key.
-func pairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
-
-func splitPair(key uint64) (a, b itemset.Item) {
-	return itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)
-}
-
-// addRange absorbs transactions [lo, hi) of view into the summary,
-// updating the complete item/pair counts and keeping every cached k≥3
-// count exact over the extended run (a day can receive several batches).
-func (ds *daySummary) addRange(view *txdb.DB, lo, hi int) {
-	for t := lo; t < hi; t++ {
-		items := view.ItemsOf(t)
-		for i, a := range items {
-			ia := int(a)
-			for len(ds.items) <= ia {
-				ds.items = append(ds.items, 0)
-			}
-			ds.items[ia]++
-			for _, b := range items[i+1:] {
-				ds.pairs[pairKey(a, b)]++
-			}
-		}
-	}
-	for key := range ds.higher {
-		set := itemset.FromKey(key)
-		n := 0
-		for t := lo; t < hi; t++ {
-			if set.SubsetOf(view.ItemsOf(t)) {
-				n++
-			}
-		}
-		if n != 0 {
-			ds.higher[key] += n
-		}
-	}
-	ds.hi = hi
-}
-
-// IngestStats describes the incremental work of the latest Ingest.
+// IngestStats describes the work of the latest Ingest.
 type IngestStats struct {
 	// NewTx is the number of transactions the batch appended.
 	NewTx int
-	// ScannedTx is the number of window transactions the re-mine scanned
-	// while demand-filling k≥3 candidate caches (pass 1 and 2 never
-	// scan). In steady state this stays near NewTx; it grows only when a
-	// threshold shift surfaces candidates old days have never counted.
+	// ScannedTx is the number of window transactions the re-mine read:
+	// the whole window after a non-empty batch, 0 after an empty one.
 	ScannedTx int
 	// WindowTx and WindowDayCount describe the window after the advance.
 	WindowTx       int
 	WindowDayCount int
 }
 
-// Miner is the incremental windowed miner. It is not safe for concurrent
-// use; wrap it in the replay loop (Replay) or your own single goroutine.
+// Miner is the windowed miner. It is not safe for concurrent use; wrap it
+// in the replay loop (Replay) or your own single goroutine.
 type Miner struct {
 	cfg      Config
 	store    *txdb.AppendDB
-	days     []*daySummary
 	frequent []itemset.Counted
 	weighted []Weighted
 	steps    int
@@ -189,9 +120,6 @@ func New(numItems int, cfg Config) (*Miner, error) {
 	return &Miner{cfg: cfg, store: txdb.NewAppend(numItems)}, nil
 }
 
-// Config returns the miner's configuration.
-func (m *Miner) Config() Config { return m.cfg }
-
 // Steps returns the number of completed Ingest calls.
 func (m *Miner) Steps() int { return m.steps }
 
@@ -201,22 +129,20 @@ func (m *Miner) LastStats() IngestStats { return m.last }
 // Store exposes the backing append-only store (read-side methods only).
 func (m *Miner) Store() *txdb.AppendDB { return m.store }
 
-// WindowStart returns the first day of the current window; ok is false
-// while the store is empty.
-func (m *Miner) WindowStart() (day int, ok bool) {
-	if len(m.days) == 0 {
-		return 0, false
-	}
-	return m.days[0].day, true
-}
-
 // WindowDB returns a zero-copy view of the window's transactions — the
 // database a from-scratch miner would be handed. Empty store: empty view.
 func (m *Miner) WindowDB() *txdb.DB {
-	if len(m.days) == 0 {
-		return m.store.View()
+	all := m.store.View()
+	if m.cfg.WindowDays <= 0 || all.Len() == 0 {
+		return all
 	}
-	return m.store.SinceDay(m.days[0].day)
+	// Comparing in int before SinceDay's int32 search keeps a window
+	// wider than the stored day range from wrapping.
+	start := all.DayOf(all.Len()-1) - m.cfg.WindowDays + 1
+	if start <= all.DayOf(0) {
+		return all
+	}
+	return m.store.SinceDay(start)
 }
 
 // Frequent returns the frequent itemsets of the current window with their
@@ -229,295 +155,84 @@ func (m *Miner) Frequent() []itemset.Counted { return m.frequent }
 
 // WeightedFrequent returns the decay-weighted result (nil when Decay is
 // 0): every itemset whose weighted support met the weighted threshold,
-// ordered by CompareWeighted. Bit-identical to MineWindowFromScratch on
-// WindowDB.
+// ordered by CompareWeighted.
 func (m *Miner) WeightedFrequent() []Weighted { return m.weighted }
 
 // Ingest appends a batch of transactions (non-decreasing days continuing
-// the store's last day — txdb.AppendDB's contract), advances the window,
-// and re-mines. The batch is rejected whole on an ordering violation and
-// the miner's state is unchanged. An empty batch is a no-op advance: the
-// window and results are recomputed but nothing is scanned.
+// the store's last day — txdb.AppendDB's contract), moves the window to
+// end at the last day, and re-mines it. The batch is rejected whole on an
+// ordering violation and the miner's state is unchanged. An empty batch
+// leaves the window and results untouched.
 func (m *Miner) Ingest(batch []txdb.Transaction) error {
 	lo := m.store.Len()
 	if err := m.store.Append(batch); err != nil {
 		return err
 	}
-	m.absorb(lo)
-	m.evict()
-	m.remine()
-	m.last.NewTx = m.store.Len() - lo
 	m.steps++
+	if m.store.Len() == lo {
+		m.last.NewTx, m.last.ScannedTx = 0, 0
+		return nil
+	}
+	win := m.WindowDB()
+	days := win.DayViews()
+	m.last = IngestStats{NewTx: m.store.Len() - lo, ScannedTx: win.Len(), WindowTx: win.Len(), WindowDayCount: len(days)}
+	if m.cfg.weightedMode() {
+		return m.remineWeighted(win, days)
+	}
+	res, err := core.MineMIHP(win, m.cfg.Opts)
+	if err != nil {
+		return fmt.Errorf("streammine: re-mining the window: %w", err)
+	}
+	m.frequent = res.Frequent
 	return nil
 }
 
-// absorb builds or extends day summaries for the transactions appended at
-// index lo and beyond.
-func (m *Miner) absorb(lo int) {
-	view := m.store.View()
-	for i := lo; i < view.Len(); {
-		day := view.DayOf(i)
-		j := i + 1
-		for j < view.Len() && view.DayOf(j) == day {
-			j++
-		}
-		var ds *daySummary
-		if n := len(m.days); n > 0 && m.days[n-1].day == day {
-			ds = m.days[n-1]
-		} else {
-			ds = newDaySummary(day, i)
-			m.days = append(m.days, ds)
-		}
-		ds.addRange(view, i, j)
-		i = j
+// remineWeighted mines the window under decay: core mines every set whose
+// raw count could reach the weighted threshold, then each of them is
+// recounted day by day and kept when its weighted sum qualifies.
+func (m *Miner) remineWeighted(win *txdb.DB, days []*txdb.DB) error {
+	last := days[len(days)-1].DayOf(0)
+	weights := make([]float64, len(days))
+	total := 0.0
+	for i, day := range days {
+		weights[i] = math.Pow(m.cfg.Decay, float64(last-day.DayOf(0)))
+		total += float64(day.Len()) * weights[i]
 	}
-}
-
-// evict drops the day summaries that fell out of the window. The window
-// always contains the store's last day, so a later batch extending that
-// day still finds its summary.
-func (m *Miner) evict() {
-	if m.cfg.WindowDays <= 0 || len(m.days) == 0 {
-		return
+	minW := m.cfg.Opts.MinSupFrac * total
+	if m.cfg.Opts.MinSupCount > 0 {
+		minW = float64(m.cfg.Opts.MinSupCount)
 	}
-	start := m.days[len(m.days)-1].day - m.cfg.WindowDays + 1
-	k := 0
-	for k < len(m.days) && m.days[k].day < start {
-		k++
+	// Every day weight is at most 1 and the counts are integers far below
+	// 2^53, so fl(Σ c_d·w_d) ≤ Σ c_d: a set whose weighted support reaches
+	// minW has a raw count of at least ⌈minW⌉, and mining the raw counts
+	// at that threshold yields a superset of the weighted result. Raw
+	// counts never exceed the window, so the cap only keeps the
+	// conversion in range.
+	opts := m.cfg.Opts
+	opts.MinSupFrac = 0
+	opts.MinSupCount = int(min(math.Ceil(minW), float64(win.Len()+1)))
+	res, err := core.MineMIHP(win, opts)
+	if err != nil {
+		return fmt.Errorf("streammine: re-mining the window: %w", err)
 	}
-	m.days = m.days[k:]
-}
-
-// remine recomputes the frequent sets of the current window from the
-// retained summaries.
-func (m *Miner) remine() {
-	frequent, weighted, scanned := mineDays(m.store.View(), m.days, m.cfg)
-	m.frequent, m.weighted = frequent, weighted
-	windowTx := 0
-	for _, ds := range m.days {
-		windowTx += ds.count()
+	sets := make([]itemset.Itemset, len(res.Frequent))
+	for i, c := range res.Frequent {
+		sets[i] = c.Set
 	}
-	m.last = IngestStats{ScannedTx: scanned, WindowTx: windowTx, WindowDayCount: len(m.days)}
-}
-
-// MineWindowFromScratch mines a window database with no retained state:
-// fresh per-day summaries, candidate caches filled from empty. It returns
-// the same (frequent, weighted) pair an incremental Miner holds after
-// ingesting the window — the reference the equivalence harness compares
-// the decay-weighted path against (the unweighted path is gated on
-// core.MinePMIHP directly, a fully independent implementation).
-func MineWindowFromScratch(db *txdb.DB, cfg Config) (frequent []itemset.Counted, weighted []Weighted, err error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	var days []*daySummary
-	for i := 0; i < db.Len(); {
-		day := db.DayOf(i)
-		j := i + 1
-		for j < db.Len() && db.DayOf(j) == day {
-			j++
-		}
-		ds := newDaySummary(day, i)
-		ds.addRange(db, i, j)
-		days = append(days, ds)
-		i = j
-	}
-	frequent, weighted, _ = mineDays(db, days, cfg)
-	return frequent, weighted, nil
-}
-
-// mineDays is the level-wise core shared by the incremental and
-// from-scratch paths: it mines the union of the given day summaries,
-// scanning view only to demand-fill k≥3 candidate caches. Per-day counts
-// merge as integer sums; weighted supports accumulate per key in
-// ascending day order, which (with math.Pow being a pure function) makes
-// the float results bit-identical however the summaries were built.
-func mineDays(view *txdb.DB, days []*daySummary, cfg Config) (frequent []itemset.Counted, weighted []Weighted, scanned int) {
-	n := 0
-	for _, ds := range days {
-		n += ds.count()
-	}
-	if n == 0 {
-		return nil, nil, 0
-	}
-	numItems := view.NumItems()
-	wmode := cfg.weightedMode()
-	last := days[len(days)-1].day
-	dayWeights := make([]float64, len(days))
-	totalW := 0.0
-	for i, ds := range days {
-		dayWeights[i] = 1
-		if wmode {
-			dayWeights[i] = math.Pow(cfg.Decay, float64(last-ds.day))
-		}
-		totalW += float64(ds.count()) * dayWeights[i]
-	}
-	minCount := cfg.Opts.MinCount(n)
-	minW := 0.0
-	if wmode {
-		if cfg.Opts.MinSupCount > 0 {
-			minW = float64(cfg.Opts.MinSupCount)
-		} else {
-			minW = cfg.Opts.MinSupFrac * totalW
+	sums := make([]float64, len(sets))
+	for i, day := range days {
+		counts := core.NewPollCounter(day, opts.Workers(), opts.DenseThreshold).CountBatch(sets, &res.Metrics)
+		for j, c := range counts {
+			sums[j] += float64(c) * weights[i]
 		}
 	}
-	meets := func(count int, w float64) bool {
-		if wmode {
-			return w >= minW
-		}
-		return count >= minCount
-	}
-	keep := func(lvl []Weighted) []itemset.Itemset {
-		sets := make([]itemset.Itemset, len(lvl))
-		for i, e := range lvl {
-			sets[i] = e.Set
-			frequent = append(frequent, itemset.Counted{Set: e.Set, Count: e.Count})
-			if wmode {
-				weighted = append(weighted, e)
-			}
-		}
-		return sets
-	}
-
-	// Pass 1: merge the retained item vectors — no transaction scan.
-	itemCounts := make([]int, numItems)
-	itemW := make([]float64, numItems)
-	for i, ds := range days {
-		w := dayWeights[i]
-		for it, c := range ds.items {
-			if c == 0 {
-				continue
-			}
-			itemCounts[it] += c
-			if wmode {
-				itemW[it] += float64(c) * w
-			}
+	m.frequent, m.weighted = nil, nil
+	for j, c := range res.Frequent {
+		if sums[j] >= minW {
+			m.frequent = append(m.frequent, c)
+			m.weighted = append(m.weighted, Weighted{Set: c.Set, Count: c.Count, Weight: sums[j]})
 		}
 	}
-	var lvl1 []Weighted
-	for it := 0; it < numItems; it++ {
-		if itemCounts[it] == 0 || !meets(itemCounts[it], itemW[it]) {
-			continue
-		}
-		lvl1 = append(lvl1, Weighted{Set: itemset.Itemset{itemset.Item(it)}, Count: itemCounts[it], Weight: itemW[it]})
-	}
-	prev := keep(lvl1)
-	freqItem := make([]bool, numItems)
-	for _, e := range lvl1 {
-		freqItem[e.Set[0]] = true
-	}
-
-	// Pass 2: merge the retained pair maps — no transaction scan. Keys
-	// iterate in map order, but each key accumulates across days in
-	// ascending day order, so the weighted sums are deterministic.
-	if len(prev) > 1 && (cfg.Opts.MaxK == 0 || cfg.Opts.MaxK >= 2) {
-		pairCounts := map[uint64]int{}
-		pairW := map[uint64]float64{}
-		for i, ds := range days {
-			w := dayWeights[i]
-			for key, c := range ds.pairs {
-				a, b := splitPair(key)
-				if !freqItem[a] || !freqItem[b] {
-					continue
-				}
-				pairCounts[key] += c
-				if wmode {
-					pairW[key] += float64(c) * w
-				}
-			}
-		}
-		var lvl2 []Weighted
-		for key, c := range pairCounts {
-			if !meets(c, pairW[key]) {
-				continue
-			}
-			a, b := splitPair(key)
-			lvl2 = append(lvl2, Weighted{Set: itemset.Itemset{a, b}, Count: c, Weight: pairW[key]})
-		}
-		slices.SortFunc(lvl2, func(a, b Weighted) int { return itemset.Compare(a.Set, b.Set) })
-		prev = keep(lvl2)
-	} else {
-		prev = nil
-	}
-
-	// Passes k≥3: Apriori join + closure over the previous level, then
-	// demand-fill each day's candidate cache. Only days missing a
-	// candidate are scanned — in steady state, just the new day.
-	for k := 3; len(prev) > 1 && (cfg.Opts.MaxK == 0 || k <= cfg.Opts.MaxK); k++ {
-		prevSet := itemset.SetOf(prev...)
-		seen := itemset.NewSet()
-		var cands []itemset.Itemset
-		for i := 0; i < len(prev); i++ {
-			for j := i + 1; j < len(prev); j++ {
-				cand, ok := itemset.Join(prev[i], prev[j])
-				if !ok || seen.Has(cand) {
-					continue
-				}
-				seen.Add(cand)
-				allFreq := true
-				cand.EachSubset(func(sub itemset.Itemset) bool {
-					if !prevSet.Has(sub) {
-						allFreq = false
-						return false
-					}
-					return true
-				})
-				if allFreq {
-					cands = append(cands, cand)
-				}
-			}
-		}
-		if len(cands) == 0 {
-			break
-		}
-		itemset.Sort(cands)
-		for _, ds := range days {
-			var missing []itemset.Itemset
-			var keys []string
-			for _, cand := range cands {
-				key := cand.Key()
-				if _, known := ds.higher[key]; !known {
-					missing = append(missing, cand)
-					keys = append(keys, key)
-				}
-			}
-			if len(missing) == 0 {
-				continue
-			}
-			counts := make([]int, len(missing))
-			for t := ds.lo; t < ds.hi; t++ {
-				items := view.ItemsOf(t)
-				for ci, cand := range missing {
-					if cand.SubsetOf(items) {
-						counts[ci]++
-					}
-				}
-			}
-			scanned += ds.count()
-			for ci, key := range keys {
-				ds.higher[key] = counts[ci] // zeros too: a cache hit means "known"
-			}
-		}
-		var lvl []Weighted
-		for _, cand := range cands {
-			key := cand.Key()
-			tot := 0
-			wtot := 0.0
-			for i, ds := range days {
-				c := ds.higher[key]
-				tot += c
-				if wmode {
-					wtot += float64(c) * dayWeights[i]
-				}
-			}
-			if meets(tot, wtot) {
-				lvl = append(lvl, Weighted{Set: cand, Count: tot, Weight: wtot})
-			}
-		}
-		prev = keep(lvl)
-	}
-
-	itemset.SortCounted(frequent)
-	slices.SortFunc(weighted, CompareWeighted)
-	return frequent, weighted, scanned
+	slices.SortFunc(m.weighted, CompareWeighted)
+	return nil
 }

@@ -38,9 +38,6 @@ func (l *Local) BuildMasks() {
 	}
 }
 
-// HasMasks reports whether BuildMasks has been called.
-func (l *Local) HasMasks() bool { return l.masksBuilt }
-
 // Mask returns the occupancy mask of an item (nil when masks are not built
 // or the item has no row).
 func (l *Local) Mask(it itemset.Item) []uint64 {

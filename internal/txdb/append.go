@@ -53,15 +53,6 @@ func (a *AppendDB) Len() int { return a.db.Len() }
 // NumItems returns the current vocabulary size (grows with appends).
 func (a *AppendDB) NumItems() int { return a.db.numItems }
 
-// LastDay returns the day of the most recent transaction, or ok=false for
-// an empty store.
-func (a *AppendDB) LastDay() (day int, ok bool) {
-	if a.db.Len() == 0 {
-		return 0, false
-	}
-	return int(a.lastDay), true
-}
-
 // NextTID returns the TID the next appended transaction will receive.
 func (a *AppendDB) NextTID() TID { return a.tidBase + TID(a.db.Len()) }
 
@@ -135,13 +126,6 @@ func (a *AppendDB) SinceDay(day int) *DB {
 	}
 }
 
-// DayBounds returns the transaction index range [lo, hi) of the given day
-// (lo == hi when the day has no transactions). Contiguity makes the run
-// unique.
-func (a *AppendDB) DayBounds(day int) (lo, hi int) {
-	return a.searchDay(int32(day)), a.searchDay(int32(day) + 1)
-}
-
 // searchDay returns the index of the first transaction with Day >= day.
 func (a *AppendDB) searchDay(day int32) int {
 	lo, hi := 0, a.db.Len()
@@ -154,18 +138,6 @@ func (a *AppendDB) searchDay(day int32) int {
 		}
 	}
 	return lo
-}
-
-// Days returns the distinct committed days in ascending order.
-func (a *AppendDB) Days() []int {
-	var out []int
-	for i := 0; i < a.db.Len(); i++ {
-		d := int(a.db.days[i])
-		if len(out) == 0 || out[len(out)-1] != d {
-			out = append(out, d)
-		}
-	}
-	return out
 }
 
 // MemBytes reports the resident size of the committed arrays, by the same

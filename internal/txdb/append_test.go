@@ -37,14 +37,14 @@ func checkDayInvariants(t *testing.T, a *AppendDB, firstTID TID) {
 	if v.Len() > 0 && changes != len(seen)-1 {
 		t.Fatalf("%d day changes for %d distinct days: a day is split", changes, len(seen))
 	}
-	if got := a.Days(); len(got) != len(seen) {
-		t.Fatalf("Days() reports %d days, store holds %d", len(got), len(seen))
+	if got := v.DayViews(); len(got) != len(seen) {
+		t.Fatalf("DayViews() reports %d days, store holds %d", len(got), len(seen))
 	}
 }
 
 // TestAppendProperties drives deterministic pseudo-random batch sequences
 // through AppendDB and checks, after every append: ordering invariants,
-// faithful item storage, DayBounds/SinceDay agreement with a linear scan,
+// faithful item storage, DayViews/SinceDay agreement with a linear scan,
 // vocabulary growth, and that earlier views are immutable snapshots.
 func TestAppendProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -100,8 +100,9 @@ func TestAppendProperties(t *testing.T) {
 			if a.NumItems() != maxItem+1 {
 				t.Fatalf("NumItems %d, want %d", a.NumItems(), maxItem+1)
 			}
-			for _, d := range a.Days() {
-				lo, hi := a.DayBounds(d)
+			lo := 0
+			for _, dv := range v.DayViews() {
+				d, hi := dv.DayOf(0), lo+dv.Len()
 				wantLo, wantHi := -1, -1
 				for i, tx := range all {
 					if tx.Day == d {
@@ -111,8 +112,8 @@ func TestAppendProperties(t *testing.T) {
 						wantHi = i + 1
 					}
 				}
-				if lo != wantLo || hi != wantHi {
-					t.Fatalf("DayBounds(%d) = [%d, %d), scan says [%d, %d)", d, lo, hi, wantLo, wantHi)
+				if lo != wantLo || hi != wantHi || dv.TIDOf(0) != TID(wantLo) {
+					t.Fatalf("day %d view = [%d, %d), scan says [%d, %d)", d, lo, hi, wantLo, wantHi)
 				}
 				since := a.SinceDay(d)
 				if since.Len() != len(all)-wantLo {
@@ -121,6 +122,7 @@ func TestAppendProperties(t *testing.T) {
 				if since.Len() > 0 && since.TIDOf(0) != TID(wantLo) {
 					t.Fatalf("SinceDay(%d) starts at TID %d, want %d", d, since.TIDOf(0), wantLo)
 				}
+				lo = hi
 			}
 			snaps = append(snaps, snap{view: v, items: func() [][]itemset.Item {
 				out := make([][]itemset.Item, v.Len())

@@ -38,6 +38,18 @@ func (d *DB) dayGroups() []dayGroup {
 	return groups
 }
 
+// DayViews returns one zero-copy view per day of the database, in day
+// order. Day-group contiguity makes each day a single run, so a view
+// costs three slice headers.
+func (d *DB) DayViews() []*DB {
+	groups := d.dayGroups()
+	views := make([]*DB, len(groups))
+	for i, g := range groups {
+		views[i] = d.view(g.lo, g.hi)
+	}
+	return views
+}
+
 // assemble builds per-node databases from day-group assignments, preserving
 // chronological order within each node. Each node's CSR arrays are gathered
 // with one bulk copy per day group (groups are contiguous transaction
