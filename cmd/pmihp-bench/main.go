@@ -15,8 +15,8 @@
 // Go benchmark driver and writes ns/op, allocs/op, bytes held, and simulated
 // seconds per figure as JSON. With -baseline it exits nonzero when any
 // workload's wall-clock or held memory regresses by more than 20% or any
-// simulated time drifts; baselines written before the current report schema
-// are compared on wall-clock only, with a notice.
+// simulated time drifts. A baseline written before the current report
+// schema is an error, not a weaker comparison: regenerate it.
 //
 // The -serve-load mode drives a running pmihp-serve daemon with concurrent
 // clients issuing Zipf-distributed /expand queries, a cold-cache phase and

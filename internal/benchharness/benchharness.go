@@ -306,16 +306,19 @@ func MissingFromBase(base, cur *Report) []string {
 	return missing
 }
 
-// simTol is the relative tolerance for comparing simulated seconds. Node
-// clocks are float accumulators fed in the asynchronous fabric's service
-// order, so repeated runs can differ by a few ULPs; any genuine cost-model
-// change moves the totals by many orders of magnitude more than this.
+// simTol is the relative tolerance for comparing simulated seconds with a
+// baseline. On one host simulated clocks are bit-exact — they count whole
+// picoseconds and every charge rounds once — so a run reproduces a baseline
+// written there exactly. The tolerance exists only for a baseline written
+// on another host, whose compiler may round a charge's float cost-model
+// arithmetic differently in the last bit (a fused multiply-add, say); any
+// genuine cost-model change moves the totals by many orders of magnitude
+// more than this.
 const simTol = 1e-9
 
 // Compare reports the workloads of cur that regressed against base: ns/op
 // or bytes_held worse by more than tolFrac (e.g. 0.20 for 20%), or simulated
-// seconds that differ beyond float accumulation noise (the cost model must
-// be stable). Workloads missing from either report are skipped. A
+// seconds that differ by more than simTol (the cost model must be stable). Workloads missing from either report are skipped. A
 // baseline older than SchemaVersion lacks or misreports sim_seconds and
 // bytes_held, so it is an error rather than a weaker comparison.
 func Compare(base, cur *Report, tolFrac float64) ([]string, error) {

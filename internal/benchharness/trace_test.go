@@ -1,6 +1,7 @@
 package benchharness
 
 import (
+	"net"
 	"testing"
 
 	"pmihp/internal/core"
@@ -61,17 +62,35 @@ func TestVerifyTrace(t *testing.T) {
 	})
 
 	t.Run("distmine", func(t *testing.T) {
+		// An 8-daemon loopback cluster measures its wire time. Its result
+		// carries only the wire totals, so the trace's passes and candidates
+		// are held to the simulator's run on the same inputs: one protocol,
+		// the same counts.
 		rec := obs.New(obs.Config{Keep: true})
-		o := opts
-		o.Obs = rec
-		r, err := distmine.MineInProcess(db, 8, o)
+		addrs := make([]string, 8)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ln.Close() })
+			go distmine.NewDaemon(distmine.DaemonOptions{Obs: rec}).Serve(ln)
+			addrs[i] = ln.Addr().String()
+		}
+		r, err := distmine.MineCluster(db, distmine.ClusterConfig{Addrs: addrs}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if r.Metrics.WireSeconds <= 0 {
-			t.Fatalf("in-process cluster run measured no wire time: %+v", r.Metrics)
+			t.Fatalf("cluster run measured no wire time: %+v", r.Metrics)
 		}
-		if bad := VerifyTrace(rec.Events(), &r.Metrics); len(bad) != 0 {
+		sim, err := core.MinePMIHP(db, core.PMIHPConfig{Nodes: 8}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sim.Result.Metrics
+		m.WireSeconds = r.Metrics.WireSeconds
+		if bad := VerifyTrace(rec.Events(), &m); len(bad) != 0 {
 			t.Fatalf("trace does not replay to the run's metrics:\n%v", bad)
 		}
 	})

@@ -14,8 +14,10 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"pmihp/internal/mining"
 )
@@ -37,41 +39,42 @@ func (p NetParams) MsgSec(bytes int64) float64 {
 	return p.LatencySec + float64(bytes)/p.BytesPerSec
 }
 
-// Clock is a node's simulated clock. It is safe for concurrent use (a
-// node's poll server and miner advance it from different goroutines).
+// Clock is a node's simulated clock. It counts whole picoseconds, so
+// charges sum exactly in any order: a node's poll service and its miner
+// advance it from different goroutines, and the total never depends on
+// which ran first. It is safe for concurrent use.
 type Clock struct {
-	mu  sync.Mutex
-	sec float64
+	ps atomic.Int64
 }
+
+// psPerSecond and psPerUnit convert seconds and cost-model work units to
+// clock ticks; a work unit is exactly psPerUnit picoseconds.
+const (
+	psPerSecond = 1_000_000_000_000
+	psPerUnit   = psPerSecond / mining.UnitsPerSecond
+)
+
+// toPS rounds a modeled duration to whole picoseconds, once per charge.
+func toPS(s float64) int64 { return int64(math.Round(s * psPerSecond)) }
+
+func seconds(ps int64) float64 { return float64(ps) / psPerSecond }
 
 // AdvanceWork advances the clock by the simulated duration of the given
 // cost-model work units.
-func (c *Clock) AdvanceWork(units int64) {
-	c.AdvanceSec(float64(units) / mining.UnitsPerSecond)
-}
+func (c *Clock) AdvanceWork(units int64) { c.ps.Add(units * psPerUnit) }
 
-// AdvanceSec advances the clock by s simulated seconds.
-func (c *Clock) AdvanceSec(s float64) {
-	c.mu.Lock()
-	c.sec += s
-	c.mu.Unlock()
-}
-
-// RaiseTo lifts the clock to at least s (barrier semantics).
-func (c *Clock) RaiseTo(s float64) {
-	c.mu.Lock()
-	if c.sec < s {
-		c.sec = s
+// raiseTo lifts the clock to at least ps (barrier semantics).
+func (c *Clock) raiseTo(ps int64) {
+	for {
+		cur := c.ps.Load()
+		if cur >= ps || c.ps.CompareAndSwap(cur, ps) {
+			return
+		}
 	}
-	c.mu.Unlock()
 }
 
-// Now returns the current simulated time.
-func (c *Clock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sec
-}
+// Now returns the current simulated time in seconds.
+func (c *Clock) Now() float64 { return seconds(c.ps.Load()) }
 
 // NodeStats tallies the traffic a node originates.
 type NodeStats struct {
@@ -118,9 +121,6 @@ func New(n int, net NetParams) *Fabric {
 // N returns the node count.
 func (f *Fabric) N() int { return f.n }
 
-// Net returns the interconnect parameters.
-func (f *Fabric) Net() NetParams { return f.net }
-
 // Clock returns node i's clock.
 func (f *Fabric) Clock(i int) *Clock { return f.clocks[i] }
 
@@ -131,33 +131,30 @@ func (f *Fabric) Stats(i int) *NodeStats { return f.stats[i] }
 // traffic advance by the transfer cost, and the receiver's clock advances by
 // the same cost (receive-side processing).
 func (f *Fabric) ChargeSend(from, to int, bytes int64) {
-	t := f.net.MsgSec(bytes)
-	f.clocks[from].AdvanceSec(t)
-	f.clocks[to].AdvanceSec(t)
+	t := toPS(f.net.MsgSec(bytes))
+	f.clocks[from].ps.Add(t)
+	f.clocks[to].ps.Add(t)
 	f.stats[from].add(1, bytes)
 }
 
 // Barrier raises every clock to the current maximum and returns it —
 // the synchronization point between parallel phases.
 func (f *Fabric) Barrier() float64 {
-	max := 0.0
+	max := f.maxPS()
 	for _, c := range f.clocks {
-		if t := c.Now(); t > max {
-			max = t
-		}
+		c.raiseTo(max)
 	}
-	for _, c := range f.clocks {
-		c.RaiseTo(max)
-	}
-	return max
+	return seconds(max)
 }
 
 // MaxClock returns the largest node clock — the total execution time of a
 // parallel run.
-func (f *Fabric) MaxClock() float64 {
-	max := 0.0
+func (f *Fabric) MaxClock() float64 { return seconds(f.maxPS()) }
+
+func (f *Fabric) maxPS() int64 {
+	max := int64(0)
 	for _, c := range f.clocks {
-		if t := c.Now(); t > max {
+		if t := c.ps.Load(); t > max {
 			max = t
 		}
 	}
@@ -199,10 +196,7 @@ func (f *Fabric) AllGather(perNodeBytes int64) float64 {
 			f.stats[i].add(1, blockBytes)
 		}
 	}
-	for _, c := range f.clocks {
-		c.AdvanceSec(elapsed)
-	}
-	return elapsed
+	return f.advanceAll(elapsed)
 }
 
 // AllReduce performs the cost accounting of a hypercube all-reduce of a
@@ -219,8 +213,15 @@ func (f *Fabric) AllReduce(vectorBytes int64) float64 {
 			f.stats[i].add(1, vectorBytes)
 		}
 	}
+	return f.advanceAll(elapsed)
+}
+
+// advanceAll charges a collective's elapsed time, rounded once, to every
+// clock and returns the charged duration.
+func (f *Fabric) advanceAll(elapsed float64) float64 {
+	t := toPS(elapsed)
 	for _, c := range f.clocks {
-		c.AdvanceSec(elapsed)
+		c.ps.Add(t)
 	}
-	return elapsed
+	return seconds(t)
 }

@@ -47,29 +47,60 @@ func TestCubePartner(t *testing.T) {
 	}
 }
 
+// TestClockConcurrentAdvance: concurrent charges sum exactly — the clock
+// counts whole picoseconds, so the total cannot depend on the order the
+// goroutines happened to run in.
 func TestClockConcurrentAdvance(t *testing.T) {
 	var c Clock
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				c.AdvanceSec(0.001)
+				c.AdvanceWork(int64(1 + i + j%7))
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
-	if math.Abs(c.Now()-8.0) > 1e-6 {
-		t.Fatalf("clock = %g, want 8", c.Now())
+	want := 0.0
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 1000; j++ {
+			want += float64(1+i+j%7) / mining.UnitsPerSecond
+		}
 	}
-	c.RaiseTo(5)
-	if c.Now() < 8 {
-		t.Fatal("RaiseTo lowered the clock")
+	var serial Clock
+	for i := 7; i >= 0; i-- {
+		for j := 999; j >= 0; j-- {
+			serial.AdvanceWork(int64(1 + i + j%7))
+		}
 	}
-	c.RaiseTo(100)
-	if c.Now() != 100 {
-		t.Fatalf("RaiseTo = %g", c.Now())
+	if c.Now() != serial.Now() {
+		t.Fatalf("concurrent clock %v != serial clock %v", c.Now(), serial.Now())
+	}
+	if math.Abs(c.Now()-want) > 1e-9 {
+		t.Fatalf("clock = %v, want %v", c.Now(), want)
+	}
+}
+
+// TestChargesCommute: message charges round once each, so any order of the
+// same charges — across nodes and interleaved with work — ends on the same
+// picosecond.
+func TestChargesCommute(t *testing.T) {
+	sizes := []int64{17, 4096, 3, 250_000, 1, 999_983}
+	run := func(order []int) float64 {
+		f := New(2, FastEthernet)
+		for _, i := range order {
+			f.ChargeSend(i%2, 1-i%2, sizes[i])
+			f.Clock(i % 2).AdvanceWork(sizes[i] % 1000)
+		}
+		return f.Barrier()
+	}
+	want := run([]int{0, 1, 2, 3, 4, 5})
+	for _, order := range [][]int{{5, 4, 3, 2, 1, 0}, {2, 5, 0, 3, 1, 4}} {
+		if got := run(order); got != want {
+			t.Fatalf("order %v: %v s, want %v s", order, got, want)
+		}
 	}
 }
 
@@ -100,8 +131,8 @@ func TestChargeSendAccounting(t *testing.T) {
 
 func TestBarrier(t *testing.T) {
 	f := New(3, FastEthernet)
-	f.Clock(0).AdvanceSec(1)
-	f.Clock(2).AdvanceSec(5)
+	f.Clock(0).AdvanceWork(1 * mining.UnitsPerSecond)
+	f.Clock(2).AdvanceWork(5 * mining.UnitsPerSecond)
 	max := f.Barrier()
 	if max != 5 {
 		t.Fatalf("Barrier = %g", max)
@@ -149,7 +180,7 @@ func TestAllReduceCost(t *testing.T) {
 
 func TestAllGatherSynchronizesFirst(t *testing.T) {
 	f := New(2, FastEthernet)
-	f.Clock(1).AdvanceSec(3)
+	f.Clock(1).AdvanceWork(3 * mining.UnitsPerSecond)
 	f.AllGather(100)
 	if f.Clock(0).Now() < 3 {
 		t.Fatal("AllGather did not synchronize the slow node")
@@ -193,26 +224,6 @@ func TestAllGatherTimeTopologies(t *testing.T) {
 	// Exact ring value.
 	if got := AllGatherTime(Ring, 8, 1000, net); math.Abs(got-7*net.MsgSec(1000)) > 1e-12 {
 		t.Fatalf("ring(8) = %g", got)
-	}
-}
-
-func TestAllGatherWithChargesStats(t *testing.T) {
-	net := NetParams{LatencySec: 0.001, BytesPerSec: 1e6}
-	f := New(4, net)
-	elapsed := f.AllGatherWith(Star, 100)
-	if elapsed <= 0 {
-		t.Fatal("no elapsed time")
-	}
-	// The hub originates far more bytes than a spoke.
-	_, hub := f.Stats(0).Snapshot()
-	_, spoke := f.Stats(1).Snapshot()
-	if hub <= spoke {
-		t.Fatalf("hub bytes %d not above spoke %d", hub, spoke)
-	}
-	for i := 0; i < 4; i++ {
-		if f.Clock(i).Now() != elapsed {
-			t.Fatal("clocks not advanced uniformly")
-		}
 	}
 }
 

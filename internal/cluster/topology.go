@@ -35,7 +35,6 @@ func (t Topology) String() string {
 
 // AllGatherTime returns the modeled elapsed time of an all-gather in which
 // every one of n nodes contributes perNodeBytes, under the given topology.
-// It is a pure cost function; AllGatherWith applies it to a fabric.
 func AllGatherTime(t Topology, n int, perNodeBytes int64, net NetParams) float64 {
 	if n <= 1 {
 		return 0
@@ -58,42 +57,4 @@ func AllGatherTime(t Topology, n int, perNodeBytes int64, net NetParams) float64
 		}
 		return elapsed
 	}
-}
-
-// AllGatherWith performs the cost accounting of an all-gather under the
-// given topology: clocks synchronize (it is a collective), advance by the
-// modeled time, and per-node traffic grows by the bytes each node sends.
-func (f *Fabric) AllGatherWith(t Topology, perNodeBytes int64) float64 {
-	if f.n == 1 {
-		return 0
-	}
-	f.Barrier()
-	elapsed := AllGatherTime(t, f.n, perNodeBytes, f.net)
-	for i := 0; i < f.n; i++ {
-		sent := int64(0)
-		msgs := 0
-		switch t {
-		case Ring:
-			sent = perNodeBytes * int64(f.n-1)
-			msgs = f.n - 1
-		case Star:
-			if i == 0 {
-				sent = perNodeBytes * int64(f.n) * int64(f.n-1)
-				msgs = f.n - 1
-			} else {
-				sent = perNodeBytes
-				msgs = 1
-			}
-		default:
-			for d := 0; d < CubeSteps(f.n); d++ {
-				sent += perNodeBytes * int64(1<<d)
-				msgs++
-			}
-		}
-		f.stats[i].add(msgs, sent)
-	}
-	for _, c := range f.clocks {
-		c.AdvanceSec(elapsed)
-	}
-	return elapsed
 }

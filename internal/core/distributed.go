@@ -5,63 +5,12 @@ import (
 
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
-	"pmihp/internal/tht"
 	"pmihp/internal/txdb"
 )
 
-// Exported seams for the multi-process runtime (internal/distmine).
-// A distributed node runs exactly the building blocks of MinePMIHP —
-// the same local miner, the same poll counting, the same F1 and merge
-// construction — with the in-process exchanges replaced by a transport.
-// Keeping these as shared functions is what makes the byte-identity
-// guarantee of the cluster runtime hold by construction rather than by
-// parallel maintenance.
-
-// LocalMineConfig configures one node's local MIHP passes against an
-// externally assembled global THT cascade.
-type LocalMineConfig struct {
-	// Self is this node's segment index in the cascade.
-	Self int
-	// LocalMin is the node-local frequency threshold; GlobalPrune is the
-	// threshold the cascaded THT bound must reach (the global minimum).
-	LocalMin    int
-	GlobalPrune int
-	// Global is the cascaded THT view, segment Self being this node's own.
-	Global *tht.Global
-	// FreqItems lists the globally frequent items, ascending;
-	// Partitions is Partition(FreqItems, opts.PartitionSize).
-	FreqItems  []itemset.Item
-	Partitions [][]itemset.Item
-	// Emit receives every locally frequent k-itemset (k >= 2) with its
-	// local support count. OnPass, when non-nil, runs after every
-	// counting pass.
-	Emit   func(set itemset.Itemset, count int)
-	OnPass func()
-}
-
-// RunLocalMiner executes the node's partition passes, feeding locally
-// frequent itemsets to cfg.Emit. It is the exact miner MinePMIHP runs
-// in-process.
-func RunLocalMiner(db *txdb.DB, opts mining.Options, cfg LocalMineConfig, m *mining.Metrics) {
-	lm := &localMiner{
-		db:         db,
-		opts:       opts,
-		minLocal:   cfg.LocalMin,
-		minPrune:   cfg.GlobalPrune,
-		global:     cfg.Global,
-		self:       cfg.Self,
-		freqItems:  cfg.FreqItems,
-		partitions: cfg.Partitions,
-		metrics:    m,
-		emit:       cfg.Emit,
-		onPass:     cfg.OnPass,
-	}
-	lm.run()
-}
-
 // PollCounter answers peers' support-count polls from an inverted
-// posting file over the node's original (untrimmed) local database —
-// the same counting path MinePMIHP's poll servers use. The posting file
+// posting file over the node's original (untrimmed) local database — the
+// node protocol's poll service (RunNode). The posting file
 // is built lazily at the first count, so nodes that are never polled
 // pay nothing. Not safe for concurrent use; the transport serializes
 // poll service.
@@ -86,13 +35,40 @@ func (p *PollCounter) Count(set itemset.Itemset, m *mining.Metrics) int {
 	return p.inv.count(set, m)
 }
 
-// CountBatch counts a whole poll batch, sharding the itemsets across the
-// counter's workers with per-shard scratch — the same kernel the in-process
-// poll servers run. Per-shard merge charges fold into m in shard order, so
-// results and simulated charges are identical to len(sets) Count calls.
-func (p *PollCounter) CountBatch(sets []itemset.Itemset, m *mining.Metrics) []int {
+// CountBatch counts a whole poll batch — in the poll reply's wire type —
+// sharding the itemsets across the counter's workers with per-shard
+// scratch. Per-shard merge charges fold into m in shard order, so results
+// and simulated charges are identical to len(sets) Count calls.
+func (p *PollCounter) CountBatch(sets []itemset.Itemset, m *mining.Metrics) []int32 {
 	p.ensure(m)
 	return countBatchSharded(p.inv, sets, p.workers, m)
+}
+
+// countBatchSharded intersects a batch of itemsets against the inverted
+// file on the chunk-queue scheduler, each worker with private scratch.
+// Each itemset's count and merge charge are independent of the others and
+// land in its own slot, and per-worker charge tallies accumulate across
+// claimed chunks and merge as sums, so the serial charges are reproduced
+// exactly at any worker count.
+func countBatchSharded(inv *postings, sets []itemset.Itemset, workers int, m *mining.Metrics) []int32 {
+	counts := make([]int32, len(sets))
+	nShards := mining.NumShards(len(sets), workers)
+	inv.ensureScratch(nShards)
+	shardOps := make([]int64, nShards)
+	mining.RunShards(len(sets), workers, func(s, lo, hi int) {
+		sc := inv.scratchFor(s)
+		var ops int64
+		for i := lo; i < hi; i++ {
+			n, o := inv.countScratch(sets[i], sc)
+			counts[i] = int32(n)
+			ops += o
+		}
+		shardOps[s] += ops
+	})
+	for _, ops := range shardOps {
+		m.Work.Charge(ops, 1)
+	}
+	return counts
 }
 
 func (p *PollCounter) ensure(m *mining.Metrics) {
@@ -106,17 +82,26 @@ func (p *PollCounter) ensure(m *mining.Metrics) {
 // all-reduced global item counts: the membership array, the ascending
 // item list, and the counted form that seeds the merged result.
 func FrequentItems(globalCounts []int, globalMin int) (freq []bool, f1 []itemset.Item, f1Counted []itemset.Counted) {
+	freq, f1 = frequentItems(globalCounts, globalMin)
+	f1Counted = make([]itemset.Counted, len(f1))
+	for i, it := range f1 {
+		// A capacity-capped view of f1: one backing array for every set.
+		f1Counted[i] = itemset.Counted{Set: f1[i : i+1 : i+1], Count: globalCounts[it]}
+	}
+	return freq, f1, f1Counted
+}
+
+// frequentItems is FrequentItems without the counted form, which only
+// the final merge needs.
+func frequentItems(globalCounts []int, globalMin int) (freq []bool, f1 []itemset.Item) {
 	freq = make([]bool, len(globalCounts))
 	for it, c := range globalCounts {
 		if c >= globalMin {
 			freq[it] = true
 			f1 = append(f1, itemset.Item(it))
-			f1Counted = append(f1Counted, itemset.Counted{
-				Set: itemset.Itemset{itemset.Item(it)}, Count: c,
-			})
 		}
 	}
-	return freq, f1, f1Counted
+	return freq, f1
 }
 
 // MergeFound combines the nodes' globally frequent itemsets with the

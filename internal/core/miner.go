@@ -61,10 +61,11 @@ type localMiner struct {
 	// support count.
 	emit func(set itemset.Itemset, count int)
 
-	// onPass, when non-nil, is called after every counting pass (PMIHP uses
-	// it to flush accumulated global-candidate batches and to fold work into
-	// the node clock).
-	onPass func()
+	// onPass, when non-nil, is called after every counting pass (a PMIHP
+	// node flushes accumulated global-candidate batches there); returning
+	// false halts the mining.
+	onPass func() bool
+	halted bool
 
 	// notePair, when non-nil, receives the packed key of every candidate
 	// 2-itemset this miner counts (the E9 experiment measures how many
@@ -208,7 +209,7 @@ func (lm *localMiner) run() {
 	// (F_k in the pseudo-code, initialized once and extended per partition).
 	accum := make(map[int]*itemset.Set)
 
-	for m := len(lm.partitions) - 1; m >= 0; m-- {
+	for m := len(lm.partitions) - 1; m >= 0 && !lm.halted; m-- {
 		lm.curPart = m
 		lm.minePartition(lm.partitions[m], accum)
 	}
@@ -282,7 +283,7 @@ func (lm *localMiner) minePartition(part []itemset.Item, accum map[int]*itemset.
 	work := lm.partitionWork(part[0])
 	prevM := lm.pass2(part, work, accum)
 
-	for k := 3; len(prevM) >= 1 && (lm.opts.MaxK == 0 || k <= lm.opts.MaxK); k++ {
+	for k := 3; !lm.halted && len(prevM) >= 1 && (lm.opts.MaxK == 0 || k <= lm.opts.MaxK); k++ {
 		probe := lm.beginPass()
 		var cands []itemset.Itemset
 		var potential, prunedSub int
@@ -342,9 +343,14 @@ func (lm *localMiner) minePartition(part []itemset.Item, accum map[int]*itemset.
 		}
 		itemset.Sort(prevM)
 		lm.endPass(&probe, k, len(cands))
-		if lm.onPass != nil {
-			lm.onPass()
-		}
+		lm.afterPass()
+	}
+}
+
+// afterPass runs the onPass hook, halting the mining when it says so.
+func (lm *localMiner) afterPass() {
+	if lm.onPass != nil && !lm.onPass() {
+		lm.halted = true
 	}
 }
 
@@ -501,9 +507,7 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 	lm.keys = keys
 	itemset.Sort(frequent)
 	lm.endPass(&probe, 2, len(keys))
-	if lm.onPass != nil {
-		lm.onPass()
-	}
+	lm.afterPass()
 	return frequent
 }
 

@@ -7,8 +7,7 @@ import (
 	"pmihp/internal/cluster"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
-	"pmihp/internal/obs"
-	"pmihp/internal/tht"
+	"pmihp/internal/transport"
 	"pmihp/internal/txdb"
 )
 
@@ -16,9 +15,9 @@ import (
 type PollMode int
 
 const (
-	// Interleaved is the paper's normal operation: a node polls its peers as
-	// soon as GlobalCandidateBatch candidates accumulate, overlapping global
-	// support counting with local mining.
+	// Interleaved is the paper's normal operation: a node polls its peers
+	// after any counting pass that leaves GlobalCandidateBatch candidates
+	// queued, overlapping global support counting with local mining.
 	Interleaved PollMode = iota
 	// Deferred postpones all polling until every node has finished local
 	// mining, synchronizing first — the reconfiguration the paper uses to
@@ -31,9 +30,6 @@ type PMIHPConfig struct {
 	// Nodes is the number of simulated processing nodes (the paper uses
 	// 1, 2, 4 and 8 on a logical binary n-cube).
 	Nodes int
-
-	// Net is the interconnect model; the zero value selects FastEthernet.
-	Net cluster.NetParams
 
 	// Mode selects interleaved (default) or deferred global counting.
 	Mode PollMode
@@ -132,266 +128,92 @@ func (r *ParallelResult) AvgCandidates(k int) float64 {
 	return float64(sum) / float64(len(r.Nodes))
 }
 
-// pollRequest asks a peer for the local support counts of a batch of
-// same-size itemsets. pos carries the requester's batch positions so the
-// reply can be folded in without a lookup.
-type pollRequest struct {
-	from  int
-	k     int
-	sets  []itemset.Itemset
-	pos   []int
-	state *batchState
-}
-
-// batchState tracks one flushed batch at the requester until every expected
-// reply has arrived.
-type batchState struct {
-	node      *pmihpNode
-	sets      []itemset.Itemset
-	totals    []int
-	remaining int // outstanding replies
-}
-
-// pmihpNode is the per-node state of a parallel run.
-type pmihpNode struct {
-	id       int
-	db       *txdb.DB
-	opts     mining.Options
-	localMin int
-	glMin    int
-	cfg      PMIHPConfig
-	fabric   *cluster.Fabric
-	global   *tht.Global
-	inboxes  []chan *pollRequest
-
-	miner   mining.Metrics // local-mining accounting
-	server  mining.Metrics // poll-service accounting
-	lastWrk int64          // clock-sync watermark for miner.Work
-
-	// inverted is the node's posting file, built at the first poll it
-	// serves (see postings.go).
-	inverted *postings
-
-	// peersBuf is flush's reusable peer-selection scratch.
-	peersBuf []int
-
-	// queue of locally frequent itemsets awaiting global resolution.
-	queueSets   []itemset.Itemset
-	queueCounts []int
-
-	// found accumulates this node's globally frequent itemsets; guarded by
-	// mu because batch finalization runs on the answering servers.
-	mu    sync.Mutex
-	found []itemset.Counted
-
-	pending sync.WaitGroup // outstanding poll replies
-}
-
 // MinePMIHP runs the parallel MIHP algorithm over the database split
 // across cfg.Nodes simulated processing nodes — chronologically by equal
 // document counts by default, or by estimated counting work when
-// opts.Partitioner selects it (cfg.Split, when set, overrides both).
+// opts.Partitioner selects it (cfg.Split, when set, overrides both). Each
+// node runs the node protocol (RunNode) on its own goroutine over an
+// in-process exchange whose collectives and polls charge one simulated
+// Fast Ethernet fabric, and every node's clock also advances by the work
+// that node charges. The nodes' Found lists are merged once, here.
 func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResult, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("core: PMIHP needs at least one node, got %d", cfg.Nodes)
 	}
-	opts = opts.WithDefaults()
-	if cfg.Net == (cluster.NetParams{}) {
-		cfg.Net = cluster.FastEthernet
-	}
 	n := cfg.Nodes
-	globalMin := opts.MinCount(db.Len())
+	p := NewNodeParams(db, opts)
+	p.Mode, p.ApproxDirectCounts = cfg.Mode, cfg.ApproxDirectCounts
+	// The intra-node worker pool divides across the simulated nodes, which
+	// already run concurrently: oversubscribing n nodes × full pool would
+	// thrash real cores without changing any simulated quantity.
+	p.Opts.IntraNodeWorkers = max(p.Opts.Workers()/n, 1)
 	split := cfg.Split
 	if split == nil {
-		split = (*txdb.DB).SplitChronological
-		if opts.Partitioner == mining.PartitionByWork {
-			split = (*txdb.DB).SplitByWork
-		}
+		split = p.Opts.Partitioner.Split
 	}
 	parts := split(db, n)
 	if len(parts) != n {
 		return nil, fmt.Errorf("core: splitter returned %d parts for %d nodes", len(parts), n)
 	}
-	fabric := cluster.New(n, cfg.Net)
-	out := &ParallelResult{}
 
-	// The intra-node worker pool divides across the simulated nodes, which
-	// already run concurrently: oversubscribing n nodes × full pool would
-	// thrash real cores without changing any simulated quantity.
-	perNode := opts.Workers() / n
-	if perNode < 1 {
-		perNode = 1
-	}
-	opts.IntraNodeWorkers = perNode
-
-	// ---- Phase 1: local pass 1 at every node (counts + local THTs). ----
-	entries := opts.THTEntries / n
-	if entries < 4 {
-		entries = 4
-	}
-	locals := make([]*tht.Local, n)
-	nodeCounts := make([][]int, n)
+	fabric := cluster.New(n, cluster.FastEthernet)
+	xs := transport.NewChanGroup(n, fabric)
+	outcomes := make([]*NodeOutcome, n)
+	var failed sync.Once
+	var failure error
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range xs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			local, counts := tht.BuildLocalShards(parts[i], entries, perNode)
-			locals[i], nodeCounts[i] = local, counts
-			items := parts[i].TotalItems()
-			var w mining.Work
-			w.Charge(int64(items), mining.CostScanItem+mining.CostTHTSlot)
-			fabric.Clock(i).AdvanceWork(w.Units)
+			var err error
+			outcomes[i], err = RunNode(xs[i], parts[i], p, NodeHooks{clock: fabric.Clock(i), tally: cfg.Tally})
+			if err != nil {
+				// The first failure is the cause; closing the group releases
+				// the peers waiting for this node.
+				failed.Do(func() { failure = fmt.Errorf("core: node %d: %w", i, err) })
+				xs[i].Close()
+			}
 		}(i)
 	}
 	wg.Wait()
-
-	// ---- Exchange: global item counts (all-reduce over the n-cube). ----
-	fabric.AllReduce(int64(4 * db.NumItems()))
-	globalCounts := make([]int, db.NumItems())
-	for i := 0; i < n; i++ {
-		for it, c := range nodeCounts[i] {
-			globalCounts[it] += c
-		}
-	}
-	freq, f1, f1Counted := FrequentItems(globalCounts, globalMin)
-
-	// ---- Exchange: local THTs (all-gather), keeping frequent items. ----
-	maxTHTBytes := int64(0)
-	for i := 0; i < n; i++ {
-		locals[i].Retain(func(it itemset.Item) bool { return freq[it] })
-		locals[i].BuildMasks()
-		if b := int64(locals[i].Bytes()); b > maxTHTBytes {
-			maxTHTBytes = b
-		}
-	}
-	out.THTExchangeSeconds = fabric.AllGather(maxTHTBytes)
-	if r := opts.Obs; r.Enabled() {
-		// Simulated runs span the modeled collective times, so the trace
-		// carries the same quantities in both runtimes.
-		r.RecordSpan(obs.SpanEvent{Name: "exchange:tht", Node: -1, Seconds: out.THTExchangeSeconds})
-	}
-	global := tht.NewGlobal(locals)
-
-	partitions := Partition(f1, opts.PartitionSize)
-
-	// ---- Phase 2: asynchronous local mining with classification. ----
-	nodes := make([]*pmihpNode, n)
-	inboxes := make([]chan *pollRequest, n)
-	for i := range inboxes {
-		inboxes[i] = make(chan *pollRequest, 64)
-	}
-	for i := 0; i < n; i++ {
-		nodes[i] = &pmihpNode{
-			id:       i,
-			db:       parts[i],
-			opts:     opts,
-			localMin: LocalMinCount(globalMin, parts[i].Len(), db.Len()),
-			glMin:    globalMin,
-			cfg:      cfg,
-			fabric:   fabric,
-			global:   global,
-			inboxes:  inboxes,
-			miner:    mining.NewMetrics("pmihp-miner"),
-			server:   mining.NewMetrics("pmihp-server"),
-		}
+	if failure != nil {
+		return nil, failure
 	}
 
-	// Poll servers: one per node, answering until all miners are done.
-	var serverWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		serverWG.Add(1)
-		go func(nd *pmihpNode) {
-			defer serverWG.Done()
-			nd.servePolls()
-		}(nodes[i])
-	}
-
-	// Miners.
-	var mineWG sync.WaitGroup
-	var mineDone sync.WaitGroup
-	mineDone.Add(n)
-	startPolling := make(chan struct{})
-	if cfg.Mode == Interleaved {
-		close(startPolling) // no gate
-	}
-	for i := 0; i < n; i++ {
-		mineWG.Add(1)
-		go func(nd *pmihpNode) {
-			defer mineWG.Done()
-			nd.mine(f1, partitions)
-			mineDone.Done()
-			if cfg.Mode == Deferred {
-				<-startPolling
-			}
-			nd.flush(0) // flush any remainder
-			nd.pending.Wait()
-			nd.syncClock()
-		}(nodes[i])
-	}
-
-	if cfg.Mode == Deferred {
-		// Synchronize the nodes, stamp the phase start, then release the
-		// polling phase — the paper's measurement methodology for Figure 8.
-		mineDone.Wait()
-		t0 := fabric.Barrier()
-		close(startPolling)
-		mineWG.Wait()
-		out.GlobalCountSeconds = fabric.Barrier() - t0
-	} else {
-		mineWG.Wait()
-	}
-
-	for i := range inboxes {
-		close(inboxes[i])
-	}
-	serverWG.Wait()
-
-	// ---- Final exchange: globally frequent itemset lists (all-gather). ----
-	maxListBytes := int64(0)
-	for _, nd := range nodes {
-		b := int64(0)
-		for _, c := range nd.found {
-			b += int64(4*len(c.Set) + 8)
-		}
-		if b > maxListBytes {
-			maxListBytes = b
-		}
-	}
-	out.FinalExchangeSeconds = fabric.AllGather(maxListBytes)
-	if r := opts.Obs; r.Enabled() {
-		r.RecordSpan(obs.SpanEvent{Name: "exchange:final", Node: -1, Seconds: out.FinalExchangeSeconds})
-	}
-
-	// ---- Merge (shared with the multi-process runtime). ----
+	globalMin := p.Opts.MinSupCount
+	_, _, f1Counted := FrequentItems(outcomes[0].GlobalCounts, globalMin)
 	var all []itemset.Counted
-	for _, nd := range nodes {
-		all = append(all, nd.found...)
+	for _, o := range outcomes {
+		all = append(all, o.Found...)
 	}
-	res := &mining.Result{Metrics: mining.NewMetrics("pmihp")}
-	res.Frequent = MergeFound(f1Counted, all)
-
-	out.Nodes = make([]NodeReport, n)
-	for i, nd := range nodes {
+	res := &mining.Result{Frequent: MergeFound(f1Counted, all), Metrics: mining.NewMetrics("pmihp")}
+	out := &ParallelResult{Result: res, Nodes: make([]NodeReport, n), TotalSeconds: fabric.MaxClock()}
+	_, out.THTExchangeSeconds = xs[0].Collective(transport.PhaseTHT)
+	finalStart, finalSeconds := xs[0].Collective(transport.PhaseFinal)
+	out.FinalExchangeSeconds = finalSeconds
+	if cfg.Mode == Deferred {
+		// Figure 8's phase runs from the barrier after local mining to the
+		// start of the final exchange.
+		start, _ := xs[0].Collective(transport.PhaseDeferred)
+		out.GlobalCountSeconds = finalStart - start
+	}
+	for i, o := range outcomes {
 		rep := NodeReport{
 			Node:           i,
 			Docs:           parts[i].Len(),
-			LocalMin:       nd.localMin,
+			LocalMin:       LocalMinCount(globalMin, parts[i].Len(), db.Len()),
+			Metrics:        mining.NewMetrics("pmihp-node"),
 			Seconds:        fabric.Clock(i).Now(),
-			PollServeUnits: nd.server.Work.Units,
+			PollServeUnits: o.Server.Work.Units,
 		}
-		rep.Metrics = mining.NewMetrics("pmihp-node")
-		rep.Metrics.Merge(&nd.miner)
-		rep.Metrics.Merge(&nd.server)
-		msgs, bytes := fabric.Stats(i).Snapshot()
-		rep.Metrics.MessagesSent = msgs
-		rep.Metrics.BytesSent = bytes
+		rep.Metrics.Merge(&o.Miner)
+		rep.Metrics.Merge(&o.Server)
+		rep.Metrics.MessagesSent, rep.Metrics.BytesSent = fabric.Stats(i).Snapshot()
 		out.Nodes[i] = rep
 		res.Metrics.Merge(&rep.Metrics)
 	}
 	res.Metrics.Algorithm = "pmihp"
-	out.Result = res
-	out.TotalSeconds = fabric.MaxClock()
 
 	// Load-balance gauges: busy is the simulated seconds of work a node
 	// actually charged (mining plus poll service); idle is the rest of the
@@ -418,222 +240,4 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 		}
 	}
 	return out, nil
-}
-
-// mine runs the node's local MIHP passes, classifying each locally frequent
-// itemset as it is emitted.
-func (nd *pmihpNode) mine(f1 []itemset.Item, partitions [][]itemset.Item) {
-	lm := &localMiner{
-		db:         nd.db,
-		opts:       nd.opts,
-		minLocal:   nd.localMin,
-		minPrune:   nd.glMin,
-		global:     nd.global,
-		self:       nd.id,
-		freqItems:  f1,
-		partitions: partitions,
-		metrics:    &nd.miner,
-		emit:       nd.classify,
-		onPass:     nd.afterPass,
-	}
-	if nd.cfg.Tally != nil {
-		lm.notePair = func(key uint64) { nd.cfg.Tally.note(nd.id, key) }
-	}
-	lm.run()
-	nd.syncClock()
-}
-
-// classify implements section 2.4 step 5 for one locally frequent itemset.
-func (nd *pmihpNode) classify(set itemset.Itemset, count int) {
-	if count >= nd.glMin {
-		// Directly globally frequent. In exact mode it still goes through
-		// polling so the recorded support is the true global count.
-		if nd.cfg.ApproxDirectCounts {
-			nd.record(set, count)
-			return
-		}
-	} else {
-		nd.miner.GlobalCandidates++
-	}
-	nd.queueSets = append(nd.queueSets, set)
-	nd.queueCounts = append(nd.queueCounts, count)
-}
-
-// afterPass runs between counting passes: it folds new work into the node
-// clock and, in interleaved mode, flushes full batches (the paper flushes
-// "when certain number of global candidate itemsets are accumulated").
-func (nd *pmihpNode) afterPass() {
-	nd.syncClock()
-	if nd.cfg.Mode == Interleaved {
-		nd.flush(nd.opts.GlobalCandidateBatch)
-	}
-}
-
-// syncClock advances the node clock by the miner work accumulated since the
-// previous sync.
-func (nd *pmihpNode) syncClock() {
-	delta := nd.miner.Work.Units - nd.lastWrk
-	if delta > 0 {
-		nd.fabric.Clock(nd.id).AdvanceWork(delta)
-		nd.lastWrk = nd.miner.Work.Units
-	}
-}
-
-// flush sends poll requests for the queued itemsets once the queue reaches
-// threshold (0 forces a flush). Peers are selected per itemset from the
-// cascaded THT segments: "only the processing nodes that have a positive
-// TID hash count for the global candidate itemset will be polled."
-func (nd *pmihpNode) flush(threshold int) {
-	if len(nd.queueSets) == 0 || len(nd.queueSets) < threshold {
-		return
-	}
-	sets := nd.queueSets
-	counts := nd.queueCounts
-	nd.queueSets, nd.queueCounts = nil, nil
-
-	state := &batchState{node: nd, sets: sets, totals: counts}
-
-	// Group positions by (peer, k).
-	type peerK struct {
-		peer, k int
-	}
-	groups := make(map[peerK][]int)
-	slotsTotal := int64(0)
-	for pos, set := range sets {
-		peers, slots := nd.global.PollPeers(set, nd.id, nd.peersBuf)
-		nd.peersBuf = peers
-		slotsTotal += int64(slots)
-		for _, p := range peers {
-			groups[peerK{p, len(set)}] = append(groups[peerK{p, len(set)}], pos)
-		}
-	}
-	nd.miner.Work.Charge(slotsTotal, mining.CostTHTSlot)
-	nd.syncClock()
-
-	if len(groups) == 0 {
-		nd.finalizeBatch(state)
-		return
-	}
-	state.remaining = len(groups)
-	nd.pending.Add(len(groups))
-	nd.miner.PollRounds++
-	for gk, positions := range groups {
-		req := &pollRequest{from: nd.id, k: gk.k, pos: positions, state: state}
-		req.sets = make([]itemset.Itemset, len(positions))
-		bytes := int64(16)
-		for i, pos := range positions {
-			req.sets[i] = sets[pos]
-			bytes += int64(4 * gk.k)
-		}
-		nd.miner.MessagesSent++
-		nd.fabric.ChargeSend(nd.id, gk.peer, bytes)
-		nd.inboxes[gk.peer] <- req
-	}
-}
-
-// servePolls answers peers' poll requests against the node's original local
-// database (trimmed working copies are never consulted, so answers are
-// exact; the efficiency cost of serving polls is charged to this node's
-// clock, reflecting the paper's trade-off between polling and trimming).
-func (nd *pmihpNode) servePolls() {
-	for req := range nd.inboxes[nd.id] {
-		counts := nd.countBatch(req.k, req.sets)
-		replyBytes := int64(4*len(counts) + 16)
-		nd.fabric.ChargeSend(nd.id, req.from, replyBytes)
-		nd.applyReply(req, counts)
-	}
-}
-
-// countBatch counts the batch's itemsets over the local database by
-// intersecting posting lists (see postings.go), sharding the batch across
-// the node's intra-node workers. Each itemset's count and merge charge are
-// independent of the others, so per-shard work units merged in shard order
-// reproduce the serial charges exactly.
-func (nd *pmihpNode) countBatch(k int, sets []itemset.Itemset) []int {
-	m := &nd.server
-	m.AddCandidates(k, len(sets))
-	if r := nd.opts.Obs; r.Enabled() {
-		r.Poll(obs.PollEvent{Node: nd.id, K: k, Sets: len(sets)})
-	}
-	if nd.cfg.Tally != nil {
-		nd.cfg.Tally.noteBatch(nd.id, k, sets)
-	}
-	before := m.Work.Units
-	if nd.inverted == nil {
-		// Single goroutine (the node's poll server) calls countBatch, so
-		// lazy construction needs no further synchronization.
-		nd.inverted = buildPostings(nd.db, m, nd.opts.Workers(), nd.opts.DenseThreshold)
-		// The miner accounting already holds the node's database, THT
-		// segment, and working copy; the inverted file is the poll server's
-		// addition on top.
-		m.NoteHeldBytes(nd.inverted.MemBytes())
-	}
-	counts := countBatchSharded(nd.inverted, sets, nd.opts.Workers(), m)
-	nd.fabric.Clock(nd.id).AdvanceWork(m.Work.Units - before)
-	return counts
-}
-
-// countBatchSharded intersects a batch of itemsets against the inverted
-// file on the chunk-queue scheduler, each worker with private scratch.
-// Each itemset's count and merge charge are independent of the others and
-// land in its own slot, and per-worker charge tallies accumulate across
-// claimed chunks and merge as sums, so the serial charges are reproduced
-// exactly at any worker count.
-func countBatchSharded(inv *postings, sets []itemset.Itemset, workers int, m *mining.Metrics) []int {
-	counts := make([]int, len(sets))
-	nShards := mining.NumShards(len(sets), workers)
-	inv.ensureScratch(nShards)
-	shardOps := make([]int64, nShards)
-	mining.RunShards(len(sets), workers, func(s, lo, hi int) {
-		sc := inv.scratchFor(s)
-		var ops int64
-		for i := lo; i < hi; i++ {
-			n, o := inv.countScratch(sets[i], sc)
-			counts[i] = n
-			ops += o
-		}
-		shardOps[s] += ops
-	})
-	for _, ops := range shardOps {
-		m.Work.Charge(ops, 1)
-	}
-	return counts
-}
-
-// applyReply folds a peer's counts into the batch and finalizes it when the
-// last reply arrives. It runs on the answering node's server goroutine; the
-// batch state is owned by the requester and guarded by its mutex.
-func (nd *pmihpNode) applyReply(req *pollRequest, counts []int) {
-	st := req.state
-	owner := st.node
-	owner.mu.Lock()
-	for i, pos := range req.pos {
-		st.totals[pos] += counts[i]
-	}
-	st.remaining--
-	done := st.remaining == 0
-	owner.mu.Unlock()
-	if done {
-		owner.finalizeBatch(st)
-	}
-	owner.pending.Done()
-}
-
-// finalizeBatch records the batch's itemsets whose exact global support
-// reaches the global minimum.
-func (nd *pmihpNode) finalizeBatch(st *batchState) {
-	nd.mu.Lock()
-	for i, set := range st.sets {
-		if st.totals[i] >= nd.glMin {
-			nd.found = append(nd.found, itemset.Counted{Set: set, Count: st.totals[i]})
-		}
-	}
-	nd.mu.Unlock()
-}
-
-// record adds a globally frequent itemset found without polling.
-func (nd *pmihpNode) record(set itemset.Itemset, count int) {
-	nd.mu.Lock()
-	nd.found = append(nd.found, itemset.Counted{Set: set, Count: count})
-	nd.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,28 +11,114 @@ import (
 	"pmihp/internal/mining"
 )
 
+// requireSameList asserts two frequent lists are byte-identical: the
+// same itemsets with the same counts in the same order.
+func requireSameList(t *testing.T, want, got []itemset.Counted) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("frequent list length %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !want[i].Set.Equal(got[i].Set) || want[i].Count != got[i].Count {
+			t.Fatalf("entry %d: got %v/%d, want %v/%d", i, got[i].Set, got[i].Count, want[i].Set, want[i].Count)
+		}
+	}
+}
+
+// TestPMIHPMatchesMIHP: at every node count, power of two or not, PMIHP's
+// frequent list is byte-identical to the sequential miner's, under
+// fractional and absolute support, bounded and unbounded depth.
 func TestPMIHPMatchesMIHP(t *testing.T) {
 	cfg := corpus.CorpusB(corpus.Small)
 	db := smallDB(t, cfg)
-	// MaxK bounds the run as the paper's scaling experiments do ("to find
-	// frequent 3-itemsets"): at many nodes the local minimum support count
-	// reaches 1, where unbounded depth enumerates entire documents.
-	opts := mining.Options{MinSupFrac: 0.05, MaxK: 4}
-
-	seq, err := MineMIHP(db, opts)
-	if err != nil {
-		t.Fatalf("MIHP: %v", err)
+	// MaxK bounds most runs as the paper's scaling experiments do ("to
+	// find frequent 3-itemsets"): at many nodes the local minimum support
+	// count reaches 1, where unbounded depth enumerates entire documents.
+	frac := mining.Options{MinSupFrac: 0.05, MaxK: 4}
+	count := mining.Options{MinSupCount: 2, MaxK: 3}
+	for _, tc := range []struct {
+		nodes int
+		opts  []mining.Options
+	}{
+		{1, []mining.Options{frac, count}},
+		{2, []mining.Options{frac, count}},
+		{4, []mining.Options{frac}},
+		{7, []mining.Options{frac, count}},
+		{8, []mining.Options{frac, {MinSupCount: 3}}},
+	} {
+		t.Run(fmt.Sprintf("n=%d", tc.nodes), func(t *testing.T) {
+			for _, opts := range tc.opts {
+				seq, err := MineMIHP(db, opts)
+				if err != nil {
+					t.Fatalf("MIHP: %v", err)
+				}
+				par, err := MinePMIHP(db, PMIHPConfig{Nodes: tc.nodes}, opts)
+				if err != nil {
+					t.Fatalf("PMIHP(%d): %v", tc.nodes, err)
+				}
+				requireSameList(t, seq.Frequent, par.Result.Frequent)
+				if par.TotalSeconds <= 0 {
+					t.Fatalf("PMIHP(%d): no simulated time recorded", tc.nodes)
+				}
+			}
+		})
 	}
-	for _, nodes := range []int{1, 2, 4, 8} {
-		par, err := MinePMIHP(db, PMIHPConfig{Nodes: nodes}, opts)
+}
+
+// TestPMIHPInterleavedFlushes drives the interleaved path with tiny
+// GlobalCandidateBatch values, so nodes poll in the middle of their local
+// mining. The output stays byte-identical to MIHP in exact mode and
+// membership-identical with ApproxDirectCounts, some node must poll in
+// more than one round (the mid-mining flushes ran), and deferred mode
+// still polls at most once per node.
+func TestPMIHPInterleavedFlushes(t *testing.T) {
+	db := smallDB(t, corpus.CorpusB(corpus.Small))
+	for _, batch := range []int{1, 5} {
+		opts := mining.Options{MinSupCount: 2, MaxK: 3, GlobalCandidateBatch: batch}
+		seq, err := MineMIHP(db, opts)
 		if err != nil {
-			t.Fatalf("PMIHP(%d): %v", nodes, err)
+			t.Fatal(err)
 		}
-		if ok, diff := mining.SameFrequentSets(seq, par.Result); !ok {
-			t.Fatalf("PMIHP(%d) differs from MIHP: %s", nodes, diff)
-		}
-		if par.TotalSeconds <= 0 {
-			t.Fatalf("PMIHP(%d): no simulated time recorded", nodes)
+		for _, nodes := range []int{2, 7, 8} {
+			t.Run(fmt.Sprintf("batch=%d/n=%d", batch, nodes), func(t *testing.T) {
+				exact, err := MinePMIHP(db, PMIHPConfig{Nodes: nodes}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameList(t, seq.Frequent, exact.Result.Frequent)
+				rounds := 0
+				for _, n := range exact.Nodes {
+					rounds = max(rounds, n.Metrics.PollRounds)
+				}
+				if rounds < 2 {
+					t.Fatalf("no node polled more than once (max %d rounds): no mid-mining flush ran", rounds)
+				}
+
+				approx, err := MinePMIHP(db, PMIHPConfig{Nodes: nodes, ApproxDirectCounts: true}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := approx.Result.Set(); got.Len() != len(seq.Frequent) {
+					t.Fatalf("approx mode found %d itemsets, MIHP %d", got.Len(), len(seq.Frequent))
+				} else {
+					for _, c := range seq.Frequent {
+						if !got.Has(c.Set) {
+							t.Fatalf("approx mode missing %v", c.Set)
+						}
+					}
+				}
+
+				def, err := MinePMIHP(db, PMIHPConfig{Nodes: nodes, Mode: Deferred}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameList(t, seq.Frequent, def.Result.Frequent)
+				for _, n := range def.Nodes {
+					if n.Metrics.PollRounds > 1 {
+						t.Fatalf("deferred node %d polled in %d rounds", n.Node, n.Metrics.PollRounds)
+					}
+				}
+			})
 		}
 	}
 }

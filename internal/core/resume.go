@@ -13,11 +13,11 @@ import (
 // follows is byte-identical to an uninterrupted run (pinned by
 // resume_test.go).
 
-// ResumeCounts converts checkpointed global item counts back into the
+// countsFromWire converts checkpointed global item counts back into the
 // vector FrequentItems consumes, validating the item-universe width.
-func ResumeCounts(counts []uint32, numItems int) ([]int, error) {
+func countsFromWire(counts []uint32, numItems int) ([]int, error) {
 	if len(counts) != numItems {
-		return nil, fmt.Errorf("core: checkpoint carries %d item counts, want %d", len(counts), numItems)
+		return nil, fmt.Errorf("checkpoint carries %d item counts, want %d", len(counts), numItems)
 	}
 	global := make([]int, numItems)
 	for it, c := range counts {
@@ -26,12 +26,12 @@ func ResumeCounts(counts []uint32, numItems int) ([]int, error) {
 	return global, nil
 }
 
-// SegmentsFromWire rebuilds the cascaded global THT view from
+// segmentsFromWire rebuilds the cascaded global THT view from
 // checkpointed wire blobs (one per logical node, in node order). The
 // wire form carries exactly the post-Retain counter rows, and masks are
 // rebuilt locally, so the cascade bounds of the result equal those of
 // the segments the original THT exchange delivered.
-func SegmentsFromWire(blobs [][]byte) (*tht.Global, error) {
+func segmentsFromWire(blobs [][]byte) (*tht.Global, error) {
 	if len(blobs) == 0 {
 		return nil, fmt.Errorf("core: checkpoint carries no THT segments")
 	}

@@ -9,14 +9,14 @@ import (
 )
 
 func TestResumeCountsValidates(t *testing.T) {
-	got, err := ResumeCounts([]uint32{3, 0, 7}, 3)
+	got, err := countsFromWire([]uint32{3, 0, 7}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != 3 || got[1] != 0 || got[2] != 7 {
 		t.Fatalf("got %v", got)
 	}
-	if _, err := ResumeCounts([]uint32{1}, 2); err == nil {
+	if _, err := countsFromWire([]uint32{1}, 2); err == nil {
 		t.Fatal("want error for width mismatch")
 	}
 }
@@ -54,7 +54,7 @@ func TestSegmentsFromWireBoundFidelity(t *testing.T) {
 		blobs[i] = local.AppendWire(nil)
 	}
 	orig := tht.NewGlobal(locals)
-	resumed, err := SegmentsFromWire(blobs)
+	resumed, err := segmentsFromWire(blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestSegmentsFromWireBoundFidelity(t *testing.T) {
 		}
 	}
 
-	if _, err := SegmentsFromWire(nil); err == nil {
+	if _, err := segmentsFromWire(nil); err == nil {
 		t.Fatal("want error for empty blob list")
 	}
-	if _, err := SegmentsFromWire([][]byte{{1, 2, 3}}); err == nil {
+	if _, err := segmentsFromWire([][]byte{{1, 2, 3}}); err == nil {
 		t.Fatal("want error for corrupt blob")
 	}
 }

@@ -45,19 +45,6 @@ func TestPairCountToFlenInversion(t *testing.T) {
 	}
 }
 
-// sameSimSeconds tolerates a few ULPs of difference: node clocks are float
-// accumulators and the asynchronous fabric services polls in goroutine
-// arrival order, so the *order* of float additions (not the amounts) can
-// shift between runs. The seed implementation wobbles identically; exact
-// equality of the charged integer work units is asserted separately.
-func sameSimSeconds(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff <= 1e-12*(a+b)
-}
-
 // TestMinersIdenticalAcrossWorkerCounts: every sharded kernel must produce
 // the same frequent itemsets, supports, and simulated times for every
 // worker count — intra-node workers may only change wall-clock time. Run
@@ -112,12 +99,12 @@ func TestMinersIdenticalAcrossWorkerCounts(t *testing.T) {
 			if ok, diff := mining.SameFrequentSets(want.Result, got.Result); !ok {
 				t.Fatalf("workers=%d frequent sets differ: %s", workers, diff)
 			}
-			if !sameSimSeconds(want.TotalSeconds, got.TotalSeconds) {
+			if want.TotalSeconds != got.TotalSeconds {
 				t.Fatalf("workers=%d simulated %v s, serial simulated %v s",
 					workers, got.TotalSeconds, want.TotalSeconds)
 			}
 			for i := range want.Nodes {
-				if !sameSimSeconds(want.Nodes[i].Seconds, got.Nodes[i].Seconds) {
+				if want.Nodes[i].Seconds != got.Nodes[i].Seconds {
 					t.Fatalf("workers=%d node %d clock %v, serial %v",
 						workers, i, got.Nodes[i].Seconds, want.Nodes[i].Seconds)
 				}

@@ -27,7 +27,6 @@ import (
 // Config configures a Data Distribution run.
 type Config struct {
 	Nodes int
-	Net   cluster.NetParams // zero value selects FastEthernet
 }
 
 // Mine runs Data Distribution over the database split chronologically
@@ -39,13 +38,10 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		return nil, fmt.Errorf("datadist: need at least one node, got %d", cfg.Nodes)
 	}
 	opts = opts.WithDefaults()
-	if cfg.Net == (cluster.NetParams{}) {
-		cfg.Net = cluster.FastEthernet
-	}
 	n := cfg.Nodes
 	minCount := opts.MinCount(db.Len())
 	parts := db.SplitChronological(n)
-	fabric := cluster.New(n, cfg.Net)
+	fabric := cluster.New(n, cluster.FastEthernet)
 
 	// Per-node database sizes in bytes, for the data broadcast each pass.
 	// TotalItems is an O(1) CSR offset read — no transaction scan needed.

@@ -13,9 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/mining"
+	"pmihp/internal/text"
 	"pmihp/internal/transport"
+	"pmihp/internal/txdb"
 )
 
 // nodeBin is the pmihp-node binary built once by TestMain for the
@@ -43,6 +46,42 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 	}
 	os.Exit(code)
+}
+
+func buildDB(t testing.TB, cfg corpus.Config) *txdb.DB {
+	t.Helper()
+	docs, err := corpus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _ := text.ToDB(docs, nil)
+	return db
+}
+
+// requireIdentical asserts the distmine frequent list is byte-identical
+// to the in-process PMIHP reference: same itemsets, same counts, same
+// order.
+func requireIdentical(t *testing.T, ref []mining.Result, got *Result) {
+	t.Helper()
+	want := ref[0].Frequent
+	if len(got.Frequent) != len(want) {
+		t.Fatalf("frequent list length %d, want %d", len(got.Frequent), len(want))
+	}
+	for i := range want {
+		if !want[i].Set.Equal(got.Frequent[i].Set) || want[i].Count != got.Frequent[i].Count {
+			t.Fatalf("entry %d: got %v/%d, want %v/%d",
+				i, got.Frequent[i].Set, got.Frequent[i].Count, want[i].Set, want[i].Count)
+		}
+	}
+}
+
+func pmihpRef(t *testing.T, db *txdb.DB, nodes int, opts mining.Options) []mining.Result {
+	t.Helper()
+	r, err := core.MinePMIHP(db, core.PMIHPConfig{Nodes: nodes}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []mining.Result{*r.Result}
 }
 
 var fastRetry = transport.RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}

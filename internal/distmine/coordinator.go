@@ -161,8 +161,8 @@ func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (*Result, 
 		cfg.Logf = func(string, ...any) {}
 	}
 	cfg.Retry = cfg.Retry.WithDefaults()
-	p, opts := params(db, opts)
-	parts := splitParts(db, n, p.Partitioner)
+	p := core.NewNodeParams(db, opts)
+	parts := p.Opts.Partitioner.Split(db, n)
 
 	// Encode every partition once; recovery attempts re-ship the same
 	// bytes, which is what keeps reassignment byte-identical: the
@@ -320,7 +320,7 @@ type session struct {
 	// db is the whole database, retained so an elastic resize can
 	// re-split it across a new roster mid-run.
 	db        *txdb.DB
-	p         NodeParams
+	p         core.NodeParams
 	parts     []*txdb.DB
 	partBytes [][]byte
 	baseID    uint64
@@ -386,7 +386,7 @@ func (s *session) applyResize(addrs []string) error {
 	// session comes out of the barrier balanced, not re-skewed across more
 	// nodes. Placement never changes the frequent itemsets, so this is
 	// invisible in the results.
-	parts := splitParts(s.db, n, mining.PartitionByWork)
+	parts := mining.PartitionByWork.Split(s.db, n)
 	partBytes := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		var buf bytes.Buffer
@@ -729,13 +729,13 @@ func (s *session) runAttempt() (*Result, []int, error) {
 			Nodes:           int32(n),
 			TotalDocs:       int32(s.p.TotalDocs),
 			NumItems:        int32(s.p.NumItems),
-			GlobalMin:       int32(s.p.GlobalMin),
-			THTEntries:      int32(s.p.THTEntries),
-			PartitionSize:   int32(s.p.PartitionSize),
-			MaxK:            int32(s.p.MaxK),
-			Workers:         int32(s.p.Workers),
-			DenseThreshold:  s.p.DenseThreshold,
-			Partitioner:     int32(s.p.Partitioner),
+			GlobalMin:       int32(s.p.Opts.MinSupCount),
+			THTEntries:      int32(s.p.Opts.THTEntries),
+			PartitionSize:   int32(s.p.Opts.PartitionSize),
+			MaxK:            int32(s.p.Opts.MaxK),
+			Workers:         int32(s.p.Opts.IntraNodeWorkers),
+			DenseThreshold:  s.p.Opts.DenseThreshold,
+			Partitioner:     int32(s.p.Opts.Partitioner),
 			HeartbeatMillis: int32(cfg.HeartbeatInterval / time.Millisecond),
 			PeerAddrs:       peerAddrs,
 			DB:              s.partBytes[i],
@@ -962,7 +962,8 @@ func (s *session) runAttempt() (*Result, []int, error) {
 		writeFrameDeadline(c, transport.MsgShutdown, nil, cfg.IOTimeout)
 	}
 
-	// ---- Merge, exactly as the in-process miner does. ----
+	// ---- Merge the nodes' Found lists once, exactly as core.MinePMIHP
+	// does. ----
 	if len(dones[0].GlobalCounts) != s.p.NumItems {
 		return nil, nil, fmt.Errorf("distmine: node 0 reported %d global item counts, want %d",
 			len(dones[0].GlobalCounts), s.p.NumItems)
@@ -971,7 +972,7 @@ func (s *session) runAttempt() (*Result, []int, error) {
 	for it, c := range dones[0].GlobalCounts {
 		globalCounts[it] = int(c)
 	}
-	_, _, f1Counted := core.FrequentItems(globalCounts, s.p.GlobalMin)
+	_, _, f1Counted := core.FrequentItems(globalCounts, s.p.Opts.MinSupCount)
 	var all []itemset.Counted
 	for _, done := range dones {
 		all = append(all, done.Found...)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pmihp/internal/core"
 	"pmihp/internal/mining"
 	"pmihp/internal/obs"
 	"pmihp/internal/transport"
@@ -337,13 +338,12 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		}
 	}()
 
-	hooks := nodeHooks{
-		resume: resume,
-		obs:    d.opt.Obs,
-		onPass: func() { passes.Add(1) },
+	hooks := core.NodeHooks{
+		Resume: resume,
+		OnPass: func() { passes.Add(1) },
 	}
 	if init.NodeID == 0 {
-		hooks.progress = func(stage uint8, counts []uint32, segs [][]byte) {
+		hooks.Progress = func(stage uint8, counts []uint32, segs [][]byte) {
 			ck := transport.Checkpoint{
 				ClusterID:    init.ClusterID,
 				Nodes:        init.Nodes,
@@ -367,16 +367,19 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 	if d.opt.DenseThresholdOverride > 0 {
 		denseThreshold = d.opt.DenseThresholdOverride
 	}
-	outcome, err := runNode(x, db, NodeParams{
-		TotalDocs:      int(init.TotalDocs),
-		NumItems:       int(init.NumItems),
-		GlobalMin:      int(init.GlobalMin),
-		THTEntries:     int(init.THTEntries),
-		PartitionSize:  int(init.PartitionSize),
-		MaxK:           int(init.MaxK),
-		Workers:        int(init.Workers),
-		DenseThreshold: denseThreshold,
-		Partitioner:    mining.Partitioner(init.Partitioner),
+	outcome, err := core.RunNode(x, db, core.NodeParams{
+		TotalDocs: int(init.TotalDocs),
+		NumItems:  int(init.NumItems),
+		Opts: mining.Options{
+			MinSupCount:      int(init.GlobalMin),
+			THTEntries:       int(init.THTEntries),
+			PartitionSize:    int(init.PartitionSize),
+			MaxK:             int(init.MaxK),
+			IntraNodeWorkers: int(init.Workers),
+			DenseThreshold:   denseThreshold,
+			Partitioner:      mining.Partitioner(init.Partitioner),
+			Obs:              d.opt.Obs,
+		},
 	}, hooks)
 	if err != nil {
 		fail(fmt.Errorf("node %d: %w", init.NodeID, err))
@@ -395,7 +398,10 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		BusySeconds:  outcome.Miner.Work.Seconds() + outcome.Server.Work.Seconds(),
 	}
 	if init.NodeID == 0 {
-		done.GlobalCounts = u32Counts(outcome.GlobalCounts)
+		done.GlobalCounts = make([]uint32, len(outcome.GlobalCounts))
+		for it, c := range outcome.GlobalCounts {
+			done.GlobalCounts[it] = uint32(c)
+		}
 	}
 	if err := write(transport.MsgNodeDone, transport.AppendNodeDone(nil, done), d.opt.WaitTimeout); err != nil {
 		d.opt.Logf("pmihp-node: session %x: sending done: %v", init.ClusterID, err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/mining"
 	"pmihp/internal/transport"
@@ -248,7 +249,7 @@ func TestDaemonReInitSupersedesDrainingSession(t *testing.T) {
 		Logf:        t.Logf,
 	})[0]
 	db := buildDB(t, corpus.CorpusB(corpus.Small))
-	p, _ := params(db, mining.Options{MinSupCount: 2, MaxK: 3})
+	p := core.NewNodeParams(db, mining.Options{MinSupCount: 2, MaxK: 3})
 	part := encodeDB(t, db)
 	const clusterID = 0xdecafbad
 
@@ -257,12 +258,12 @@ func TestDaemonReInitSupersedesDrainingSession(t *testing.T) {
 		NodeID:          0,
 		TotalDocs:       int32(p.TotalDocs),
 		NumItems:        int32(p.NumItems),
-		GlobalMin:       int32(p.GlobalMin),
-		THTEntries:      int32(p.THTEntries),
-		PartitionSize:   int32(p.PartitionSize),
-		MaxK:            int32(p.MaxK),
+		GlobalMin:       int32(p.Opts.MinSupCount),
+		THTEntries:      int32(p.Opts.THTEntries),
+		PartitionSize:   int32(p.Opts.PartitionSize),
+		MaxK:            int32(p.Opts.MaxK),
 		Workers:         1,
-		DenseThreshold:  p.DenseThreshold,
+		DenseThreshold:  p.Opts.DenseThreshold,
 		HeartbeatMillis: 20,
 		DB:              part,
 	}

@@ -4,49 +4,14 @@ import (
 	"fmt"
 	"testing"
 
-	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/mining"
-	"pmihp/internal/text"
-	"pmihp/internal/txdb"
 )
 
-func buildDB(t testing.TB, cfg corpus.Config) *txdb.DB {
-	t.Helper()
-	docs, err := corpus.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, _ := text.ToDB(docs, nil)
-	return db
-}
-
-// requireIdentical asserts the distmine frequent list is byte-identical
-// to the in-process PMIHP reference: same itemsets, same counts, same
-// order.
-func requireIdentical(t *testing.T, ref []mining.Result, got *Result) {
-	t.Helper()
-	want := ref[0].Frequent
-	if len(got.Frequent) != len(want) {
-		t.Fatalf("frequent list length %d, want %d", len(got.Frequent), len(want))
-	}
-	for i := range want {
-		if !want[i].Set.Equal(got.Frequent[i].Set) || want[i].Count != got.Frequent[i].Count {
-			t.Fatalf("entry %d: got %v/%d, want %v/%d",
-				i, got.Frequent[i].Set, got.Frequent[i].Count, want[i].Set, want[i].Count)
-		}
-	}
-}
-
-func pmihpRef(t *testing.T, db *txdb.DB, nodes int, opts mining.Options) []mining.Result {
-	t.Helper()
-	r, err := core.MinePMIHP(db, core.PMIHPConfig{Nodes: nodes}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []mining.Result{*r.Result}
-}
-
+// TestInProcessMatchesPMIHP: the coordinator driving node daemons served
+// in this process must return core.MinePMIHP's frequent list at every
+// node count — one node, power of two or not — under absolute and
+// fractional support, bounded and unbounded depth.
 func TestInProcessMatchesPMIHP(t *testing.T) {
 	for _, tc := range []struct {
 		nodes int
@@ -59,20 +24,25 @@ func TestInProcessMatchesPMIHP(t *testing.T) {
 		{8, mining.Options{MinSupCount: 3}},
 	} {
 		t.Run(fmt.Sprintf("n=%d", tc.nodes), func(t *testing.T) {
+			addrs := startDaemons(t, tc.nodes, DaemonOptions{})
 			db := buildDB(t, corpus.CorpusB(corpus.Small))
 			ref := pmihpRef(t, db, tc.nodes, tc.opts)
-			got, err := MineInProcess(db, tc.nodes, tc.opts)
+			got, err := MineCluster(db, ClusterConfig{Addrs: addrs, Retry: fastRetry}, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireIdentical(t, ref, got)
+			if len(got.Nodes) != tc.nodes {
+				t.Fatalf("node stats: %d, want %d", len(got.Nodes), tc.nodes)
+			}
 		})
 	}
 }
 
 func TestInProcessWireStatsAccounted(t *testing.T) {
+	addrs := startDaemons(t, 4, DaemonOptions{})
 	db := buildDB(t, corpus.CorpusB(corpus.Small))
-	res, err := MineInProcess(db, 4, mining.Options{MinSupCount: 2, MaxK: 3})
+	res, err := MineCluster(db, ClusterConfig{Addrs: addrs, Retry: fastRetry}, mining.Options{MinSupCount: 2, MaxK: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +50,7 @@ func TestInProcessWireStatsAccounted(t *testing.T) {
 		t.Fatalf("wire traffic not accounted: %+v", res.Metrics)
 	}
 	if res.Metrics.WireRetries != 0 {
-		t.Fatalf("in-process exchange reported retries: %d", res.Metrics.WireRetries)
+		t.Fatalf("fault-free exchange reported retries: %d", res.Metrics.WireRetries)
 	}
 	if len(res.Nodes) != 4 {
 		t.Fatalf("node stats: %d", len(res.Nodes))

@@ -194,12 +194,16 @@ func TestFaultInjection(t *testing.T) {
 		{
 			// A wedged worker: alive at the TCP level, but its heartbeats
 			// (and eventually its report) silently vanish. Detection is by
-			// heartbeat timeout; recovery must still be byte-identical.
+			// heartbeat timeout; recovery must still be byte-identical. The
+			// silence starts at the worker's first item-count exchange
+			// frame, which every session sends before its report; a
+			// heartbeat trigger would miss a session shorter than one
+			// heartbeat interval.
 			name:  "dropped-heartbeats-4node",
 			nodes: 4,
 			plan: FaultPlan{Faults: []Fault{{
 				Observe: 2, Target: 2, Action: ActDropHeartbeats,
-				Trigger: Trigger{Purpose: transport.PurposeControl, MsgType: transport.MsgHeartbeat, Dir: DirFromWorker, Count: 1},
+				Trigger: Trigger{MsgType: transport.MsgCubeBlock, Phase: transport.PhaseItemCounts, Count: 1},
 			}}},
 			policy:     distmine.FailurePolicyReassign,
 			wantLog:    []string{"no heartbeat"},

@@ -117,32 +117,46 @@ func TestBruteForceAnchorsTheReference(t *testing.T) {
 	}
 }
 
+// TestPMIHPDeterministic: simulated seconds are bit-exact. Node clocks
+// count whole picoseconds, so poll service charged from peers' goroutines
+// in any order lands on the same totals: three runs at each of 1, 2 and 4
+// intra-node workers per node, in both polling modes, must reproduce the
+// first run's clocks exactly.
 func TestPMIHPDeterministic(t *testing.T) {
 	db := buildDB(t, corpus.CorpusB(corpus.Small))
-	opts := mining.Options{MinSupCount: 2, MaxK: 3}
-	var prev *core.ParallelResult
-	for i := 0; i < 3; i++ {
-		r, err := core.MinePMIHP(db, core.PMIHPConfig{Nodes: 4}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil {
-			if ok, diff := mining.SameFrequentSets(prev.Result, r.Result); !ok {
-				t.Fatalf("run %d differs: %s", i, diff)
-			}
-			// Clock charges commute mathematically but poll replies arrive
-			// in scheduler order, so float accumulation may differ in the
-			// last few ulps; anything beyond that is a real race.
-			if d := r.TotalSeconds - prev.TotalSeconds; d > 1e-9 || d < -1e-9 {
-				t.Fatalf("run %d simulated time %g != %g", i, r.TotalSeconds, prev.TotalSeconds)
-			}
-			for n := range r.Nodes {
-				if r.Nodes[n].Metrics.Candidates() != prev.Nodes[n].Metrics.Candidates() {
-					t.Fatalf("run %d node %d candidate accounting differs", i, n)
+	const nodes = 4
+	for _, mode := range []core.PollMode{core.Interleaved, core.Deferred} {
+		var ref *core.ParallelResult
+		for _, workers := range []int{1, 2, 4} {
+			// MinePMIHP divides the worker pool across its nodes.
+			opts := mining.Options{MinSupCount: 2, MaxK: 3, IntraNodeWorkers: workers * nodes}
+			for run := 0; run < 3; run++ {
+				r, err := core.MinePMIHP(db, core.PMIHPConfig{Nodes: nodes, Mode: mode}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = r
+					continue
+				}
+				at := fmt.Sprintf("mode %d, %d workers, run %d", mode, workers, run)
+				if ok, diff := mining.SameFrequentSets(ref.Result, r.Result); !ok {
+					t.Fatalf("%s differs: %s", at, diff)
+				}
+				if r.TotalSeconds != ref.TotalSeconds || r.GlobalCountSeconds != ref.GlobalCountSeconds {
+					t.Fatalf("%s: simulated %v s (global counting %v s), first run %v s (%v s)",
+						at, r.TotalSeconds, r.GlobalCountSeconds, ref.TotalSeconds, ref.GlobalCountSeconds)
+				}
+				for n := range r.Nodes {
+					if r.Nodes[n].Seconds != ref.Nodes[n].Seconds {
+						t.Fatalf("%s: node %d clock %v s, first run %v s", at, n, r.Nodes[n].Seconds, ref.Nodes[n].Seconds)
+					}
+					if r.Nodes[n].Metrics.Candidates() != ref.Nodes[n].Metrics.Candidates() {
+						t.Fatalf("%s: node %d candidate accounting differs", at, n)
+					}
 				}
 			}
 		}
-		prev = r
 	}
 }
 

@@ -1,6 +1,10 @@
 package mining
 
-import "fmt"
+import (
+	"fmt"
+
+	"pmihp/internal/txdb"
+)
 
 // Partitioner selects how a parallel miner splits the database across its
 // nodes. Unlike IntraNodeWorkers and DenseThreshold this is NOT a pure
@@ -53,4 +57,14 @@ func (p Partitioner) String() string {
 // validation predicate.
 func (p Partitioner) Valid() bool {
 	return p == PartitionByCount || p == PartitionByWork
+}
+
+// Split cuts db into n node partitions under the partitioner. Either way
+// every partition is a contiguous chronological range and their union is
+// db; the partitioners differ only in where the cuts fall.
+func (p Partitioner) Split(db *txdb.DB, n int) []*txdb.DB {
+	if p == PartitionByWork {
+		return db.SplitByWork(n)
+	}
+	return db.SplitChronological(n)
 }

@@ -7,26 +7,10 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-func TestMean(t *testing.T) {
-	if !almost(Mean([]float64{1, 2, 3}), 2) {
-		t.Fatal("Mean wrong")
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	got := Speedup(80, []float64{80, 48.5, 21.3, 0})
 	if !almost(got[0], 1) || !almost(got[1], 80/48.5) || got[3] != 0 {
 		t.Fatalf("Speedup = %v", got)
-	}
-}
-
-func TestEfficiency(t *testing.T) {
-	got := Efficiency([]float64{1, 1.88, 4.29}, []int{1, 2, 4})
-	if !almost(got[2], 4.29/4) {
-		t.Fatalf("Efficiency = %v", got)
 	}
 }
 

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
+	"pmihp/internal/cluster"
 	"pmihp/internal/itemset"
 )
 
@@ -26,6 +28,10 @@ const (
 	// the time the first poll arrives; this cheap extra all-gather
 	// restores that ordering.
 	PhaseResume Phase = 4
+	// PhaseDeferred is the barrier a deferred-mode node runs between local
+	// mining and candidate polling: the start of the global support
+	// counting phase Figure 8 measures.
+	PhaseDeferred Phase = 5
 )
 
 func (p Phase) String() string {
@@ -38,6 +44,8 @@ func (p Phase) String() string {
 		return "frequent-lists"
 	case PhaseResume:
 		return "resume-barrier"
+	case PhaseDeferred:
+		return "deferred-barrier"
 	}
 	return fmt.Sprintf("phase-%d", uint8(p))
 }
@@ -48,10 +56,10 @@ func (p Phase) String() string {
 type PollHandler func(k int, sets []itemset.Itemset) []int32
 
 // Exchange is the pluggable communication layer a PMIHP node runs on.
-// Two implementations exist: ChanExchange (in-process, channel-backed,
-// used by the default simulated runtime and tests) and TCPExchange
-// (real sockets between OS processes). The mining protocol in
-// internal/distmine is written against this interface only.
+// Two implementations exist: ChanExchange (in-process goroutines, the
+// simulator's interconnect behind core.MinePMIHP) and TCPExchange (real
+// sockets between OS processes, driven by internal/distmine). The node
+// protocol, core.RunNode, is written against this interface only.
 //
 // Protocol obligation: SetPollHandler must be called before entering
 // AllGather(PhaseTHT). Polls are only sent by nodes that completed that
@@ -80,26 +88,42 @@ type Exchange interface {
 // ---- in-process channel exchange ----
 
 // chanGroup is the shared state of an in-process cluster: one gather
-// rendezvous per phase and the endpoint table polls route through.
+// rendezvous per phase, the endpoint table polls route through, and the
+// simulated fabric they charge (nil: none).
 type chanGroup struct {
 	n         int
+	fabric    *cluster.Fabric
 	mu        sync.Mutex
 	gathers   map[Phase]*gatherState
 	endpoints []*ChanExchange
+	closeOnce sync.Once
+	closed    chan struct{}
 }
 
 type gatherState struct {
-	blobs   [][]byte
+	vals    []any
+	bytes   []int64
 	entered []bool
 	got     int
+	left    int // nodes that returned; the last one drops vals
 	done    chan struct{}
+	// start and elapsed are the collective's simulated start time and
+	// duration, set by the last node to arrive.
+	start, elapsed float64
 }
 
-// ChanExchange is the in-process Exchange: nodes are goroutines, a
-// gather is a shared rendezvous, and a poll is a direct (serialized)
+// ChanExchange is the in-process Exchange: nodes are goroutines sharing
+// one address space, a gather is a shared rendezvous that hands every
+// contribution over by reference, and a poll is a direct (serialized)
 // handler call. No bytes ever hit a socket; wire statistics count
-// messages and payload bytes as the TCP transport would frame them, so
-// the modeled and the measured traffic are comparable.
+// messages and payload bytes as the TCP transport would frame them.
+//
+// With a fabric the group is the simulator's interconnect. The last node
+// to reach a collective charges it once, when no poll can be in flight: a
+// barrier, then an all-gather of the largest contribution (an all-reduce
+// for PhaseItemCounts, nothing more for the PhaseResume and PhaseDeferred
+// barriers). A poll charges a 16+4k·n-byte request and a 16+4n-byte reply
+// between the two nodes' clocks.
 type ChanExchange struct {
 	id    int
 	group *chanGroup
@@ -110,12 +134,12 @@ type ChanExchange struct {
 }
 
 // NewChanGroup returns the n connected endpoints of an in-process
-// cluster.
-func NewChanGroup(n int) []*ChanExchange {
-	if n <= 0 {
-		panic(fmt.Sprintf("transport: NewChanGroup(%d)", n))
+// cluster, charging fabric (of n nodes) when it is non-nil.
+func NewChanGroup(n int, fabric *cluster.Fabric) []*ChanExchange {
+	if n <= 0 || (fabric != nil && fabric.N() != n) {
+		panic(fmt.Sprintf("transport: NewChanGroup(%d) over a mismatched fabric", n))
 	}
-	g := &chanGroup{n: n, gathers: make(map[Phase]*gatherState)}
+	g := &chanGroup{n: n, fabric: fabric, gathers: make(map[Phase]*gatherState), closed: make(chan struct{})}
 	g.endpoints = make([]*ChanExchange, n)
 	for i := range g.endpoints {
 		g.endpoints[i] = &ChanExchange{id: i, group: g}
@@ -139,17 +163,24 @@ func (e *ChanExchange) SetPollHandler(h PollHandler) {
 // Stats returns the endpoint's wire counters.
 func (e *ChanExchange) Stats() *WireStats { return &e.stats }
 
-// Close is a no-op for the in-process exchange.
-func (e *ChanExchange) Close() error { return nil }
+// Close tears down the whole in-process group: collectives still waiting
+// for a node that will never arrive fail.
+func (e *ChanExchange) Close() error {
+	g := e.group
+	g.closeOnce.Do(func() { close(g.closed) })
+	return nil
+}
 
-// AllGather deposits blob at the phase rendezvous and blocks until all
-// n endpoints arrived.
-func (e *ChanExchange) AllGather(phase Phase, blob []byte) ([][]byte, error) {
+// Share is the all-gather of nodes that share an address space: it
+// contributes v and returns every node's value, indexed by node id, by
+// reference and never serialized. bytes is the size v stands for on the
+// wire, which the wire statistics and the fabric charge.
+func (e *ChanExchange) Share(phase Phase, v any, bytes int64) ([]any, error) {
 	g := e.group
 	g.mu.Lock()
 	st := g.gathers[phase]
 	if st == nil {
-		st = &gatherState{blobs: make([][]byte, g.n), entered: make([]bool, g.n), done: make(chan struct{})}
+		st = &gatherState{vals: make([]any, g.n), bytes: make([]int64, g.n), entered: make([]bool, g.n), done: make(chan struct{})}
 		g.gathers[phase] = st
 	}
 	if st.entered[e.id] {
@@ -157,22 +188,74 @@ func (e *ChanExchange) AllGather(phase Phase, blob []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("transport: node %d entered %s all-gather twice", e.id, phase)
 	}
 	st.entered[e.id] = true
-	st.blobs[e.id] = blob
+	st.vals[e.id], st.bytes[e.id] = v, bytes
 	st.got++
-	last := st.got == g.n
-	if last {
+	if st.got == g.n {
+		st.start, st.elapsed = g.charge(phase, slices.Max(st.bytes))
 		close(st.done)
 	}
 	g.mu.Unlock()
-	<-st.done
-	// Account the traffic as the framed wire form would cost it.
-	e.stats.AddSent(1, int64(frameHeaderLen+len(blob)))
-	for i, b := range st.blobs {
+	select {
+	case <-st.done:
+	case <-g.closed:
+		return nil, fmt.Errorf("transport: node %d waiting in %s all-gather: exchange closed", e.id, phase)
+	}
+	e.stats.AddSent(1, frameHeaderLen+bytes)
+	for i, b := range st.bytes {
 		if i != e.id {
-			e.stats.AddRecv(1, int64(frameHeaderLen+len(b)))
+			e.stats.AddRecv(1, frameHeaderLen+b)
 		}
 	}
-	return st.blobs, nil
+	g.mu.Lock()
+	vals := st.vals
+	if st.left++; st.left == g.n {
+		st.vals = nil // the group outlives the run; the values need not
+	}
+	g.mu.Unlock()
+	return vals, nil
+}
+
+// charge prices a collective every node has reached on the fabric and
+// returns its simulated start and duration.
+func (g *chanGroup) charge(phase Phase, maxBytes int64) (start, elapsed float64) {
+	f := g.fabric
+	if f == nil {
+		return 0, 0
+	}
+	start = f.Barrier()
+	switch phase {
+	case PhaseItemCounts:
+		elapsed = f.AllReduce(maxBytes)
+	case PhaseResume, PhaseDeferred:
+	default:
+		elapsed = f.AllGather(maxBytes)
+	}
+	return start, elapsed
+}
+
+// Collective returns the simulated start and duration of phase's
+// collective: zeros without a fabric or before every node arrived.
+func (e *ChanExchange) Collective(phase Phase) (start, elapsed float64) {
+	g := e.group
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if st := g.gathers[phase]; st != nil && st.got == g.n {
+		return st.start, st.elapsed
+	}
+	return 0, 0
+}
+
+// AllGather shares blob and returns every node's blob.
+func (e *ChanExchange) AllGather(phase Phase, blob []byte) ([][]byte, error) {
+	vals, err := e.Share(phase, blob, int64(len(blob)))
+	if err != nil {
+		return nil, err
+	}
+	blobs := make([][]byte, len(vals))
+	for i, v := range vals {
+		blobs[i] = v.([]byte)
+	}
+	return blobs, nil
 }
 
 // Poll invokes the peer's handler directly, serialized per endpoint
@@ -194,6 +277,10 @@ func (e *ChanExchange) Poll(peer, k int, sets []itemset.Itemset) ([]int32, error
 	}
 	if len(counts) != len(sets) {
 		return nil, fmt.Errorf("transport: node %d replied %d counts for %d sets", peer, len(counts), len(sets))
+	}
+	if f := e.group.fabric; f != nil {
+		f.ChargeSend(e.id, peer, int64(16+4*k*len(sets)))
+		f.ChargeSend(peer, e.id, int64(16+4*len(counts)))
 	}
 	reqBytes := int64(frameHeaderLen + 8 + 4*k*len(sets))
 	repBytes := int64(frameHeaderLen + 4 + 4*len(counts))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pmihp/internal/cluster"
 	"pmihp/internal/itemset"
 )
 
@@ -195,7 +196,7 @@ func TestTCPRejectsWrongClusterID(t *testing.T) {
 }
 
 func TestChanExchangeAllGatherAndPoll(t *testing.T) {
-	xs := NewChanGroup(4)
+	xs := NewChanGroup(4, nil)
 	var wg sync.WaitGroup
 	outs := make([][][]byte, 4)
 	for i := range xs {
@@ -233,8 +234,68 @@ func TestChanExchangeAllGatherAndPoll(t *testing.T) {
 	}
 }
 
+// TestChanExchangeChargesFabric: a simulated group prices each collective
+// once, after every node arrived (an all-reduce for item counts, a bare
+// barrier for the deferred phase, an all-gather of the largest
+// contribution otherwise), charges both clocks for a poll, and a closed
+// group releases a node waiting for a peer that never comes.
+func TestChanExchangeChargesFabric(t *testing.T) {
+	const n = 4
+	f := cluster.New(n, cluster.FastEthernet)
+	ref := cluster.New(n, cluster.FastEthernet)
+	xs := NewChanGroup(n, f)
+	collective := func(phase Phase, bytes func(i int) int64) {
+		var wg sync.WaitGroup
+		for i := range xs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				vals, err := xs[i].Share(phase, i, bytes(i))
+				if err != nil || len(vals) != n || vals[3] != 3 {
+					t.Errorf("node %d: Share = %v, %v", i, vals, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	collective(PhaseItemCounts, func(int) int64 { return 400 })
+	if _, got := xs[1].Collective(PhaseItemCounts); got != ref.AllReduce(400) {
+		t.Fatalf("item-count all-reduce charged %v s", got)
+	}
+	collective(PhaseTHT, func(i int) int64 { return int64(100 * (i + 1)) })
+	if _, got := xs[0].Collective(PhaseTHT); got != ref.AllGather(400) {
+		t.Fatalf("THT all-gather charged %v s, not the largest contribution's", got)
+	}
+	collective(PhaseDeferred, func(int) int64 { return 1 })
+	if start, got := xs[2].Collective(PhaseDeferred); got != 0 || start != f.MaxClock() {
+		t.Fatalf("deferred barrier at %v s took %v s, want %v s and 0", start, got, f.MaxClock())
+	}
+
+	xs[2].SetPollHandler(func(k int, sets []itemset.Itemset) []int32 { return make([]int32, len(sets)) })
+	before0, before2 := f.Clock(0).Now(), f.Clock(2).Now()
+	if _, err := xs[0].Poll(2, 3, []itemset.Itemset{{1, 2, 3}, {1, 2, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	ref.ChargeSend(0, 2, 16+4*3*2)
+	ref.ChargeSend(2, 0, 16+4*2)
+	if f.Clock(0).Now()-before0 <= 0 || f.Clock(0).Now() != ref.Clock(0).Now() || f.Clock(2).Now() != ref.Clock(2).Now() {
+		t.Fatalf("poll charged clocks %v/%v s (from %v/%v), want %v/%v s",
+			f.Clock(0).Now(), f.Clock(2).Now(), before0, before2, ref.Clock(0).Now(), ref.Clock(2).Now())
+	}
+
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := xs[0].Share(PhaseFinal, nil, 0)
+		waiting <- err
+	}()
+	xs[3].Close()
+	if err := <-waiting; err == nil {
+		t.Fatal("closed group left a collective waiting without error")
+	}
+}
+
 func TestChanExchangeDoubleEntryFails(t *testing.T) {
-	xs := NewChanGroup(1)
+	xs := NewChanGroup(1, nil)
 	if _, err := xs[0].AllGather(PhaseFinal, nil); err != nil {
 		t.Fatal(err)
 	}

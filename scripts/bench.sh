@@ -5,9 +5,8 @@
 # benchmark harness, failing if any workload's wall-clock or held memory
 # (bytes_held) regresses more than 20% against the committed baseline or
 # any simulated time drifts. A baseline written before the current report
-# schema lacks bytes_held; pmihp-bench then prints a notice, skips the
-# sim-seconds drift and memory checks, and gates on wall-clock only —
-# regenerate BENCH_baseline.json to restore the full gate. Workloads added
+# schema is an error: pmihp-bench names its schema version and exits 1 —
+# regenerate BENCH_baseline.json with pmihp-bench -benchjson. Workloads added
 # since the baseline was written (e.g. E9Dense) also only get a notice:
 # they run ungated until the baseline is regenerated, so adding a
 # benchmark never fails the gate by itself.
