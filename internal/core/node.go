@@ -138,6 +138,7 @@ func (nd *node) run() error {
 	n, self := x.Nodes(), nd.self
 	glMin := p.Opts.MinSupCount
 	workers := p.Opts.Workers()
+	entries := max(p.Opts.THTEntries/n, 4) // each node's share of the THT slots
 	stage := transport.StageNone
 	if h.Resume != nil {
 		if int(h.Resume.Nodes) != n {
@@ -151,7 +152,7 @@ func (nd *node) run() error {
 	var local *tht.Local
 	var counts []int
 	if stage < transport.StageTHT {
-		local, counts = tht.BuildLocalShards(db, max(p.Opts.THTEntries/n, 4), workers)
+		local, counts = tht.BuildLocalShards(db, entries, workers)
 		if c := h.clock; c != nil {
 			// Pass-1 work advances the clock but stays out of Metrics.Work,
 			// which the busy/idle gauges read as mining plus poll service.
@@ -219,7 +220,7 @@ func (nd *node) run() error {
 		}
 	} else {
 		var err error
-		if nd.global, err = segmentsFromWire(h.Resume.THTSegments); err != nil {
+		if nd.global, err = segmentsFromWire(h.Resume.THTSegments, entries, p.NumItems); err != nil {
 			return fmt.Errorf("resuming tht segments: %w", err)
 		}
 		if _, err := nd.gather(transport.PhaseResume, 1, "resume:barrier", nil, 0, barrierBlob); err != nil {
@@ -291,11 +292,13 @@ func (nd *node) run() error {
 	return nil
 }
 
-// exchangeCounts all-reduces the pass-1 item counts.
+// exchangeCounts all-reduces the pass-1 item counts. The simulated
+// fabric prices the paper's dense vector; over a wire each node ships
+// only its non-zero counts and decodes every blob straight into the sum.
 func (nd *node) exchangeCounts(counts []int) ([]int, error) {
 	numItems := nd.p.NumItems
 	vals, err := nd.gather(transport.PhaseItemCounts, 0, "exchange:item-counts", counts, int64(4*numItems), func() []byte {
-		return transport.AppendUint32s(nil, u32Counts(counts, numItems))
+		return transport.AppendItemCounts(nil, counts)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("item-count exchange: %w", err)
@@ -308,27 +311,22 @@ func (nd *node) exchangeCounts(counts []int) ([]int, error) {
 				global[it] += c
 			}
 		case []byte:
-			w, err := transport.DecodeUint32s(v)
-			if err == nil && len(w) != numItems {
-				err = fmt.Errorf("%d item counts, want %d", len(w), numItems)
-			}
-			if err != nil {
+			if err := transport.AddItemCounts(global, v); err != nil {
 				return nil, fmt.Errorf("item counts from node %d: %w", i, err)
-			}
-			for it, c := range w {
-				global[it] += int(c)
 			}
 		}
 	}
 	if nd.h.Progress != nil && nd.shared == nil {
-		nd.h.Progress(transport.StageItemCounts, u32Counts(global, numItems), nil)
+		nd.h.Progress(transport.StageItemCounts, u32Counts(global), nil)
 	}
 	return global, nil
 }
 
 // exchangeTHT all-gathers the retained, masked local segments into the
-// cascaded global view. In-process nodes share the segments themselves;
-// over a wire each node decodes and masks its peers' segments.
+// cascaded global view. In-process nodes share the segments themselves,
+// and the simulated fabric prices their dense size; over a wire each
+// node decodes its peers' sparse segments, masks included, against the
+// session's geometry.
 func (nd *node) exchangeTHT(local *tht.Local, globalCounts []int) error {
 	vals, err := nd.gather(transport.PhaseTHT, 1, "exchange:tht", local, int64(local.Bytes()), func() []byte {
 		return local.AppendWire(nil)
@@ -348,17 +346,16 @@ func (nd *node) exchangeTHT(local *tht.Local, globalCounts []int) error {
 				segments[i] = local
 				continue
 			}
-			seg, err := tht.DecodeWire(v)
+			seg, err := tht.DecodeWire(v, local.Entries(), nd.p.NumItems)
 			if err != nil {
 				return fmt.Errorf("tht segment from node %d: %w", i, err)
 			}
-			seg.BuildMasks()
 			segments[i] = seg
 		}
 	}
 	nd.global = tht.NewGlobal(segments)
 	if nd.h.Progress != nil && blobs != nil {
-		nd.h.Progress(transport.StageTHT, u32Counts(globalCounts, nd.p.NumItems), blobs)
+		nd.h.Progress(transport.StageTHT, u32Counts(globalCounts), blobs)
 	}
 	return nil
 }
@@ -535,10 +532,9 @@ func (nd *node) poll(groups map[peerK][]int, sets []itemset.Itemset, totals []in
 // 20,000 global candidates.
 const pollChunk = 20000
 
-// u32Counts converts item counts into their wire (and checkpoint) form,
-// padded to the item universe.
-func u32Counts(counts []int, numItems int) []uint32 {
-	v := make([]uint32, numItems)
+// u32Counts converts item counts into their checkpoint form.
+func u32Counts(counts []int) []uint32 {
+	v := make([]uint32, len(counts))
 	for it, c := range counts {
 		v[it] = uint32(c)
 	}

@@ -27,21 +27,22 @@ func countsFromWire(counts []uint32, numItems int) ([]int, error) {
 }
 
 // segmentsFromWire rebuilds the cascaded global THT view from
-// checkpointed wire blobs (one per logical node, in node order). The
-// wire form carries exactly the post-Retain counter rows, and masks are
-// rebuilt locally, so the cascade bounds of the result equal those of
-// the segments the original THT exchange delivered.
-func segmentsFromWire(blobs [][]byte) (*tht.Global, error) {
+// checkpointed wire blobs (one per logical node, in node order), each
+// decoded against the session's geometry: entries slots per row, item
+// ids below numItems. The wire form carries exactly the post-Retain
+// counter rows and the decoder derives the masks from them, so the
+// cascade bounds of the result equal those of the segments the original
+// THT exchange delivered.
+func segmentsFromWire(blobs [][]byte, entries, numItems int) (*tht.Global, error) {
 	if len(blobs) == 0 {
 		return nil, fmt.Errorf("core: checkpoint carries no THT segments")
 	}
 	segments := make([]*tht.Local, len(blobs))
 	for i, b := range blobs {
-		seg, err := tht.DecodeWire(b)
+		seg, err := tht.DecodeWire(b, entries, numItems)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpointed THT segment %d: %w", i, err)
 		}
-		seg.BuildMasks()
 		segments[i] = seg
 	}
 	return tht.NewGlobal(segments), nil

@@ -54,7 +54,7 @@ func TestSegmentsFromWireBoundFidelity(t *testing.T) {
 		blobs[i] = local.AppendWire(nil)
 	}
 	orig := tht.NewGlobal(locals)
-	resumed, err := segmentsFromWire(blobs)
+	resumed, err := segmentsFromWire(blobs, entries, db.NumItems())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,13 @@ func TestSegmentsFromWireBoundFidelity(t *testing.T) {
 		}
 	}
 
-	if _, err := segmentsFromWire(nil); err == nil {
+	if _, err := segmentsFromWire(nil, entries, db.NumItems()); err == nil {
 		t.Fatal("want error for empty blob list")
 	}
-	if _, err := segmentsFromWire([][]byte{{1, 2, 3}}); err == nil {
+	if _, err := segmentsFromWire([][]byte{{1, 2, 3}}, entries, db.NumItems()); err == nil {
 		t.Fatal("want error for corrupt blob")
+	}
+	if _, err := segmentsFromWire(blobs, entries+1, db.NumItems()); err == nil {
+		t.Fatal("want error for segments of another session's geometry")
 	}
 }

@@ -282,9 +282,11 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		d.mu.Unlock()
 		d.opt.Logf("pmihp-node: session %x: node %d re-init supersedes a draining session", init.ClusterID, init.NodeID)
 		old.stop()
+		drained := time.NewTimer(time.Until(deadline))
 		select {
 		case <-old.done:
-		case <-time.After(time.Until(deadline)):
+			drained.Stop()
+		case <-drained.C:
 			x.Close()
 			fail(fmt.Errorf("cluster %x node %d: superseded session did not drain within %v", init.ClusterID, init.NodeID, d.opt.WaitTimeout))
 			return

@@ -16,28 +16,20 @@ func benchLocal(b *testing.B, entries int, masks bool) *Local {
 	return l
 }
 
-func BenchmarkPairBoundMasked(b *testing.B) {
-	l := benchLocal(b, 400, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := itemset.Item(i % 2000)
-		c := itemset.Item((i*7 + 1) % 2000)
-		if a != c {
-			l.PairBoundReachesItems(a, c, 2)
-		}
-	}
-}
+func BenchmarkPairBoundMasked(b *testing.B)   { benchPairScan(b, true) }
+func BenchmarkPairBoundMaskless(b *testing.B) { benchPairScan(b, false) }
 
-func BenchmarkPairBoundMaskless(b *testing.B) {
-	l := benchLocal(b, 400, false)
+// benchPairScan measures pass 2's pair-bound kernel on one segment.
+func benchPairScan(b *testing.B, masks bool) {
+	l := benchLocal(b, 400, masks)
+	ps := NewGlobal([]*Local{l}).NewPairScan(identityUniverse(2000))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := itemset.Item(i % 2000)
-		c := itemset.Item((i*7 + 1) % 2000)
+		a, c := i%2000, (i*7+1)%2000
 		if a != c {
-			l.PairBoundReachesItems(a, c, 2)
+			ps.Hoist(a)
+			ps.BoundReaches(c, 2)
 		}
 	}
 }

@@ -209,20 +209,6 @@ func (g *Global) PollPeers(x itemset.Itemset, self int, buf []int) (peers []int,
 	return peers, slots
 }
 
-// PairBoundReaches is the cascaded pair bound.
-func (g *Global) PairBoundReaches(a, b itemset.Item, threshold int) (reaches bool, slots int) {
-	sum, total := 0, 0
-	for _, seg := range g.segments {
-		s, n := seg.pairBoundUpTo(a, b, threshold-sum)
-		sum += s
-		total += n
-		if sum >= threshold {
-			return true, total
-		}
-	}
-	return false, total
-}
-
 // rowIndex returns the matrix row number of an item, or -1 when absent.
 func (l *Local) rowIndex(it itemset.Item) int32 {
 	if int(it) >= len(l.rowIdx) {
@@ -231,11 +217,12 @@ func (l *Local) rowIndex(it itemset.Item) int32 {
 	return l.rowIdx[it]
 }
 
-// pairBoundIdx is pairBoundUpToRows addressed by matrix row numbers, with
-// identical results and slot charges. Counter-row slices are materialized
-// only on the partial-popcount path — in the masked low-support regime most
-// pairs resolve from the two mask words alone, so the common case touches
-// no counter memory and builds no slice headers at all.
+// pairBoundIdx is boundUpTo for the pair of items at matrix rows ra and
+// rb, with identical results and slot charges. Counter-row slices are
+// materialized only on the partial-popcount path — in the masked
+// low-support regime most pairs resolve from the two mask words alone, so
+// the common case touches no counter memory and builds no slice headers
+// at all.
 func (l *Local) pairBoundIdx(ra, rb int32, stop int) (sum, cost int) {
 	if stop <= 0 || ra < 0 || rb < 0 {
 		return 0, 0
@@ -400,7 +387,7 @@ func (ps *PairScan) Seg(p int) SegScan {
 
 // BoundReaches evaluates the segment's pair bound between the hoisted item
 // and universe position bPos, with the results and slot charges of
-// PairBoundReachesRows over the same rows.
+// Local.BoundReaches over the same pair.
 func (s SegScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) {
 	sum, cost := s.l.pairBoundIdx(s.ra, s.rows[bPos], threshold)
 	return sum >= threshold, cost
@@ -408,8 +395,9 @@ func (s SegScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) {
 
 // BoundReaches evaluates the cascaded pair bound between the hoisted item
 // and universe position bPos, with the results and slot charges of
-// Global.PairBoundReaches. Single-word segments resolve in the loop body
-// without a call; wider geometries fall back to pairBoundIdx.
+// Global.BoundReaches over the same pair. Single-word segments resolve in
+// the loop body without a call; wider geometries fall back to
+// pairBoundIdx.
 func (ps *PairScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) {
 	if threshold <= 0 {
 		return true, 0
@@ -446,104 +434,4 @@ func (ps *PairScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) 
 		}
 	}
 	return false, total
-}
-
-// PairBoundReachesItems evaluates the local pair bound by item id, taking
-// the masked fast path when masks are built.
-func (l *Local) PairBoundReachesItems(a, b itemset.Item, threshold int) (reaches bool, slots int) {
-	sum, cost := l.pairBoundUpTo(a, b, threshold)
-	return sum >= threshold, cost
-}
-
-// PairBoundReachesRows is PairBoundReachesItems over pre-fetched rows and
-// masks (as returned by Row and Mask; masks nil when not built), with
-// identical results and slot charges. Pass 2 scans one item against every
-// larger frequent item, so hoisting the first item's row and mask fetches
-// out of that loop matters.
-func (l *Local) PairBoundReachesRows(rowA []uint32, ma []uint64, rowB []uint32, mb []uint64, threshold int) (reaches bool, slots int) {
-	sum, cost := l.pairBoundUpToRows(rowA, ma, rowB, mb, threshold)
-	return sum >= threshold, cost
-}
-
-// pairBoundUpTo is boundUpTo specialized for a pair, avoiding per-call
-// slice allocation in the pass-2 generation hot loop.
-func (l *Local) pairBoundUpTo(a, b itemset.Item, stop int) (sum, cost int) {
-	if stop <= 0 {
-		return 0, 0
-	}
-	var ma, mb []uint64
-	if l.masksBuilt {
-		ma, mb = l.mask(a), l.mask(b)
-	}
-	return l.pairBoundUpToRows(l.Row(a), ma, l.Row(b), mb, stop)
-}
-
-func (l *Local) pairBoundUpToRows(rowA []uint32, ma []uint64, rowB []uint32, mb []uint64, stop int) (sum, cost int) {
-	if stop <= 0 {
-		return 0, 0
-	}
-	if rowA == nil || rowB == nil {
-		return 0, 0
-	}
-	if ma != nil && mb != nil {
-		pc := 0
-		for j := range ma {
-			pc += bits.OnesCount64(ma[j] & mb[j])
-		}
-		cost += len(ma)
-		if pc == 0 {
-			return 0, cost
-		}
-		if pc >= stop {
-			return stop, cost
-		}
-		for wi := range ma {
-			for w := ma[wi] & mb[wi]; w != 0; w &= w - 1 {
-				j := wi*64 + bits.TrailingZeros64(w)
-				cost++
-				min := rowA[j]
-				if rowB[j] < min {
-					min = rowB[j]
-				}
-				sum += int(min)
-				if sum >= stop {
-					return sum, cost
-				}
-			}
-		}
-		return sum, cost
-	}
-	for j := range rowA {
-		cost++
-		min := rowA[j]
-		if rowB[j] < min {
-			min = rowB[j]
-		}
-		sum += int(min)
-		if sum >= stop {
-			return sum, cost
-		}
-	}
-	return sum, cost
-}
-
-// PairBoundReaches evaluates the pair bound over two pre-fetched rows
-// (maskless; retained for callers holding raw rows).
-func PairBoundReaches(rowA, rowB []uint32, threshold int) (reaches bool, slots int) {
-	if rowA == nil || rowB == nil {
-		return threshold <= 0, 0
-	}
-	sum := 0
-	for j := range rowA {
-		slots++
-		min := rowA[j]
-		if rowB[j] < min {
-			min = rowB[j]
-		}
-		sum += int(min)
-		if sum >= threshold {
-			return true, slots
-		}
-	}
-	return false, slots
 }

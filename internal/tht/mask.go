@@ -46,48 +46,3 @@ func (l *Local) Mask(it itemset.Item) []uint64 {
 	}
 	return l.mask(it)
 }
-
-// MasksIntersect reports whether every item of x has a row and the rows
-// share at least one occupied slot, along with the number of mask words
-// examined (charged at the slot rate). When masks are not built it returns
-// intersect=true, words=0 so callers fall through to the slot scan.
-func (l *Local) MasksIntersect(x itemset.Itemset) (intersect bool, words int) {
-	if !l.masksBuilt {
-		return true, 0
-	}
-	w := l.maskWords()
-	var acc []uint64
-	for _, it := range x {
-		m := l.mask(it)
-		if m == nil {
-			return false, words
-		}
-		if acc == nil {
-			acc = append(acc[:0:0], m...)
-			continue
-		}
-		any := uint64(0)
-		for j := 0; j < w; j++ {
-			acc[j] &= m[j]
-			any |= acc[j]
-		}
-		words += w
-		if any == 0 {
-			return false, words
-		}
-	}
-	return true, words
-}
-
-// PairMasksIntersect is MasksIntersect for two pre-fetched masks.
-func PairMasksIntersect(a, b []uint64) (intersect bool, words int) {
-	if a == nil || b == nil {
-		return true, 0
-	}
-	for j := range a {
-		if a[j]&b[j] != 0 {
-			return true, j + 1
-		}
-	}
-	return false, len(a)
-}

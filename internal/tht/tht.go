@@ -384,25 +384,16 @@ func (l *Local) fetchRows(x itemset.Itemset, buf *[maxStackItems][]uint32) (rows
 	return rows, true
 }
 
-// Bytes approximates the wire size of the table set when exchanged between
-// nodes (4 bytes per slot plus a 4-byte item id per row). Used by the
-// cluster cost model.
+// Bytes is the dense size of the table set — 4 bytes per slot plus a
+// 4-byte item id per row — which the cluster cost model prices for the
+// THT exchange, as the paper does. The wire form (AppendWire) ships only
+// the non-zero slots and is smaller.
 func (l *Local) Bytes() int { return len(l.rowItem) * (4 + 4*l.entries) }
 
 // MemBytes returns the resident size of the matrix and its indexes.
 func (l *Local) MemBytes() int64 {
 	return int64(4*len(l.rowIdx)) + int64(4*len(l.rowItem)) +
 		int64(4*len(l.data)) + int64(8*len(l.maskData)) + int64(4*len(l.occ))
-}
-
-// Clone returns a deep copy (exchanged tables must not alias the sender's).
-// Masks are not cloned; the receiver rebuilds them after its own Retain.
-func (l *Local) Clone() *Local {
-	c := NewLocal(l.entries)
-	c.rowIdx = append([]int32(nil), l.rowIdx...)
-	c.rowItem = append([]itemset.Item(nil), l.rowItem...)
-	c.data = append([]uint32(nil), l.data...)
-	return c
 }
 
 // Global is the cascaded global THT view of one node: the local THTs of all
@@ -446,33 +437,6 @@ func (g *Global) MaxPossible(x itemset.Itemset) int {
 		total += seg.MaxPossible(x)
 	}
 	return total
-}
-
-// SegmentMax returns the per-segment upper bounds for the itemset, indexed
-// by node. A zero at node p proves node p's local database cannot contain
-// the itemset, so p need not be polled.
-func (g *Global) SegmentMax(x itemset.Itemset) []int {
-	out := make([]int, len(g.segments))
-	for p, seg := range g.segments {
-		out[p] = seg.MaxPossible(x)
-	}
-	return out
-}
-
-// PositivePeers returns the nodes (other than self) whose segment bound for
-// the itemset is positive — exactly the peers PMIHP polls for local support
-// counts.
-func (g *Global) PositivePeers(x itemset.Itemset, self int) []int {
-	var peers []int
-	for p, seg := range g.segments {
-		if p == self {
-			continue
-		}
-		if seg.MaxPossible(x) > 0 {
-			peers = append(peers, p)
-		}
-	}
-	return peers
 }
 
 // Retain drops per-item rows across every segment.

@@ -3,7 +3,6 @@ package tht
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pmihp/internal/itemset"
 	"pmihp/internal/txdb"
@@ -91,8 +90,10 @@ func TestBoundReachesAgreesWithMaxPossible(t *testing.T) {
 	}
 }
 
-// TestCascadeEqualsSplitSum: the global bound over a split database equals
+// TestCascadeBoundSound: the global bound over a split database equals
 // the sum of per-segment bounds, and still upper-bounds the global support.
+// The pass-2 pair scan decides and charges every pair exactly as the
+// general cascade bound does.
 func TestCascadeBoundSound(t *testing.T) {
 	db := makeDB(21, 100, 90, 10)
 	parts := db.SplitChronological(4)
@@ -102,6 +103,7 @@ func TestCascadeBoundSound(t *testing.T) {
 		locals[i].BuildMasks()
 	}
 	g := NewGlobal(locals)
+	ps := g.NewPairScan(identityUniverse(90))
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 400; trial++ {
 		k := 1 + rng.Intn(3)
@@ -122,19 +124,21 @@ func TestCascadeBoundSound(t *testing.T) {
 		}
 		threshold := 1 + rng.Intn(5)
 		want := sum >= threshold
-		if got, _ := g.BoundReaches(x, threshold); got != want {
+		got, slots := g.BoundReaches(x, threshold)
+		if got != want {
 			t.Fatalf("cascade BoundReaches(%v, %d) = %v, want %v", x, threshold, got, want)
 		}
 		if k == 2 {
-			if got, _ := g.PairBoundReaches(x[0], x[1], threshold); got != want {
-				t.Fatalf("cascade PairBoundReaches(%v, %d) = %v, want %v", x, threshold, got, want)
+			ps.Hoist(int(x[0]))
+			if pairGot, pairSlots := ps.BoundReaches(int(x[1]), threshold); pairGot != want || pairSlots != slots {
+				t.Fatalf("PairScan(%v, %d) = %v/%d slots, BoundReaches %v/%d", x, threshold, pairGot, pairSlots, want, slots)
 			}
 		}
 	}
 }
 
-// TestPositivePeers: a peer whose local database contains the itemset must
-// always be reported.
+// TestPositivePeersComplete: PollPeers must report every peer whose local
+// database contains the itemset.
 func TestPositivePeersComplete(t *testing.T) {
 	db := makeDB(77, 120, 80, 9)
 	parts := db.SplitChronological(4)
@@ -150,7 +154,7 @@ func TestPositivePeersComplete(t *testing.T) {
 			continue
 		}
 		x := itemset.New(a, b)
-		peers := g.PositivePeers(x, 0)
+		peers, _ := g.PollPeers(x, 0, nil)
 		reported := map[int]bool{}
 		for _, p := range peers {
 			reported[p] = true
@@ -187,23 +191,12 @@ func TestMasksStayInSyncAfterAdd(t *testing.T) {
 	l := NewLocal(16)
 	l.BuildMasks()
 	l.AddOccurrence(5, 3)
-	inter, _ := l.MasksIntersect(itemset.New(5))
-	if !inter {
-		t.Fatal("mask not set by AddOccurrence after BuildMasks")
+	if m := l.Mask(5); m == nil || m[0] != 1<<3 {
+		t.Fatalf("mask %v after AddOccurrence(5, tid 3), want slot 3 set", m)
 	}
 	ok, _ := l.BoundReaches(itemset.New(5), 1)
 	if !ok {
 		t.Fatal("bound lost occurrence")
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	l := NewLocal(4)
-	l.AddOccurrence(1, 0)
-	c := l.Clone()
-	c.AddOccurrence(1, 0)
-	if l.MaxPossible(itemset.New(1)) != 1 || c.MaxPossible(itemset.New(1)) != 2 {
-		t.Fatal("Clone shares storage")
 	}
 }
 
@@ -219,23 +212,6 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestPairMasksIntersectMatchesSlow(t *testing.T) {
-	f := func(aBits, bBits [4]uint64) bool {
-		a, b := aBits[:], bBits[:]
-		want := false
-		for i := range a {
-			if a[i]&b[i] != 0 {
-				want = true
-			}
-		}
-		got, _ := PairMasksIntersect(a, b)
-		return got == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNewLocalPanicsOnBadEntries(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -246,36 +222,48 @@ func TestNewLocalPanicsOnBadEntries(t *testing.T) {
 }
 
 func TestMasklessBoundPaths(t *testing.T) {
-	// Exercise the linear-scan fallbacks (no BuildMasks call).
+	// Exercise the linear-scan fallbacks (no BuildMasks call): the pair
+	// scan must decide and charge as the general bound does.
 	db := makeDB(9, 50, 60, 8)
 	local, _ := BuildLocal(db, 16)
+	universe := append(identityUniverse(60), 999)
+	ps := NewGlobal([]*Local{local}).NewPairScan(universe)
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		a, b := uint32(rng.Intn(60)), uint32(rng.Intn(60))
 		if a == b {
 			continue
 		}
+		x := itemset.New(a, b)
 		threshold := 1 + rng.Intn(4)
-		want := local.MaxPossible(itemset.New(a, b)) >= threshold
-		got, _ := local.PairBoundReachesItems(a, b, threshold)
+		want := local.MaxPossible(x) >= threshold
+		got, wantSlots := local.BoundReaches(x, threshold)
 		if got != want {
-			t.Fatalf("maskless pair bound (%d,%d,%d) = %v", a, b, threshold, got)
+			t.Fatalf("maskless bound (%d,%d,%d) = %v", a, b, threshold, got)
 		}
-		gotFree, _ := PairBoundReaches(local.Row(a), local.Row(b), threshold)
-		if a != b && gotFree != want {
-			t.Fatalf("free pair bound (%d,%d,%d) = %v", a, b, threshold, gotFree)
+		ps.Hoist(int(a))
+		if got, slots := ps.Seg(0).BoundReaches(int(b), threshold); got != want || slots != wantSlots {
+			t.Fatalf("maskless pair scan (%d,%d,%d) = %v/%d slots, want %v/%d", a, b, threshold, got, slots, want, wantSlots)
 		}
 	}
 	// Missing rows bound at zero in every entry point.
-	if ok, _ := local.PairBoundReachesItems(999, 1, 1); ok {
-		t.Fatal("missing row admitted")
+	ps.Hoist(len(universe) - 1)
+	if ok, _ := ps.BoundReaches(1, 1); ok {
+		t.Fatal("missing row admitted by the pair scan")
 	}
 	if ok, _ := local.BoundReaches(itemset.New(999), 1); ok {
 		t.Fatal("missing row admitted by BoundReaches")
 	}
-	if ok, _ := PairBoundReaches(nil, local.Row(1), 1); ok {
-		t.Fatal("nil row admitted")
+}
+
+// identityUniverse returns the items 0..n-1, so universe positions are
+// item ids.
+func identityUniverse(n int) []itemset.Item {
+	u := make([]itemset.Item, n)
+	for i := range u {
+		u[i] = itemset.Item(i)
 	}
+	return u
 }
 
 func TestGlobalAccessors(t *testing.T) {
@@ -300,21 +288,4 @@ func TestGlobalAccessors(t *testing.T) {
 		}
 	}()
 	NewGlobal(nil)
-}
-
-func TestSegmentMaxMatchesPerSegment(t *testing.T) {
-	db := makeDB(13, 60, 40, 7)
-	parts := db.SplitChronological(3)
-	locals := make([]*Local, 3)
-	for i, p := range parts {
-		locals[i], _ = BuildLocal(p, 8)
-	}
-	g := NewGlobal(locals)
-	x := itemset.New(3, 7)
-	sm := g.SegmentMax(x)
-	for i, l := range locals {
-		if sm[i] != l.MaxPossible(x) {
-			t.Fatalf("SegmentMax[%d] = %d, want %d", i, sm[i], l.MaxPossible(x))
-		}
-	}
 }

@@ -1,27 +1,47 @@
 package tht
 
 import (
+	"encoding/binary"
+	"runtime"
+	"slices"
 	"testing"
 
 	"pmihp/internal/itemset"
 	"pmihp/internal/txdb"
 )
 
-func buildWireFixture(t *testing.T) *Local {
+// The fixture's geometry: 7 slots per row, item ids below 10.
+const fixEntries, fixItems = 7, 10
+
+func buildWireFixture(t testing.TB) *Local {
 	t.Helper()
 	db := txdb.New([]txdb.Transaction{
 		{TID: 0, Items: itemset.Itemset{0, 2, 5}},
 		{TID: 1, Items: itemset.Itemset{2, 5, 9}},
 		{TID: 2, Items: itemset.Itemset{0, 9}},
 		{TID: 3, Items: itemset.Itemset{5}},
-	}, 10)
-	l, _ := BuildLocal(db, 7)
+	}, fixItems)
+	l, _ := BuildLocal(db, fixEntries)
 	return l
+}
+
+// requireBuiltMasks asserts that a decoded segment's occupancy masks and
+// counters are exactly what BuildMasks derives from its rows.
+func requireBuiltMasks(t testing.TB, l *Local) {
+	t.Helper()
+	if !l.masksBuilt || l.fast1 != (l.maskWords() == 1) {
+		t.Fatalf("masks built %v, fast1 %v for %d mask words", l.masksBuilt, l.fast1, l.maskWords())
+	}
+	masks, occ := slices.Clone(l.maskData), slices.Clone(l.occ)
+	l.BuildMasks()
+	if !slices.Equal(masks, l.maskData) || !slices.Equal(occ, l.occ) {
+		t.Fatalf("decoded masks %x / occupancy %v, BuildMasks gives %x / %v", masks, occ, l.maskData, l.occ)
+	}
 }
 
 func TestWireRoundTrip(t *testing.T) {
 	l := buildWireFixture(t)
-	got, err := DecodeWire(l.AppendWire(nil))
+	got, err := DecodeWire(l.AppendWire(nil), fixEntries, fixItems)
 	if err != nil {
 		t.Fatalf("DecodeWire: %v", err)
 	}
@@ -45,12 +65,13 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("MaxPossible(%v): %d vs %d", x, a, b)
 		}
 	}
+	requireBuiltMasks(t, got)
 }
 
 func TestWireRoundTripAfterRetain(t *testing.T) {
 	l := buildWireFixture(t)
 	l.Retain(func(it itemset.Item) bool { return it == 2 || it == 5 })
-	got, err := DecodeWire(l.AppendWire(nil))
+	got, err := DecodeWire(l.AppendWire(nil), fixEntries, fixItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,34 +81,122 @@ func TestWireRoundTripAfterRetain(t *testing.T) {
 	if got.MaxPossible(itemset.Itemset{2, 5}) != l.MaxPossible(itemset.Itemset{2, 5}) {
 		t.Fatal("bound mismatch after Retain round trip")
 	}
-	// The receiver builds masks itself, like pmihp does after Retain.
-	got.BuildMasks()
+	// The decoder builds the masks a receiver bounds with; they must be
+	// the ones BuildMasks derives, and leave the bound unchanged.
+	requireBuiltMasks(t, got)
 	if got.MaxPossible(itemset.Itemset{2, 5}) != l.MaxPossible(itemset.Itemset{2, 5}) {
 		t.Fatal("bound changed by BuildMasks")
+	}
+}
+
+// The wire order is the item order, whatever order the matrix holds its
+// rows in.
+func TestWireIgnoresRowOrder(t *testing.T) {
+	l := NewLocalSized(fixEntries, fixItems)
+	for _, occ := range [][2]int{{9, 1}, {2, 0}, {9, 8}, {5, 3}} {
+		l.AddOccurrence(itemset.Item(occ[0]), txdb.TID(occ[1]))
+	}
+	enc := l.AppendWire(nil)
+	got, err := DecodeWire(enc, fixEntries, fixItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.rowItem, []itemset.Item{2, 5, 9}) {
+		t.Fatalf("decoded rows %v, want ascending items", got.rowItem)
+	}
+	if re := got.AppendWire(nil); !slices.Equal(re, enc) {
+		t.Fatalf("re-encode %x differs from %x", re, enc)
 	}
 }
 
 func TestDecodeWireRejectsCorruption(t *testing.T) {
 	l := buildWireFixture(t)
 	enc := l.AppendWire(nil)
-	for cut := 0; cut < len(enc); cut += 3 {
-		if _, err := DecodeWire(enc[:cut]); err == nil {
+	for cut := 0; cut < len(enc); cut++ {
+		if _, err := DecodeWire(enc[:cut], fixEntries, fixItems); err == nil {
 			t.Fatalf("truncation to %d bytes decoded", cut)
 		}
 	}
-	if _, err := DecodeWire(append(append([]byte{}, enc...), 1, 2, 3, 4)); err == nil {
+	if _, err := DecodeWire(append(slices.Clone(enc), 1, 2, 3, 4), fixEntries, fixItems); err == nil {
 		t.Fatal("trailing bytes decoded")
 	}
 	// A hostile row count must not cause a huge allocation or a panic.
-	bad := append([]byte{}, enc...)
-	bad[8], bad[9], bad[10], bad[11] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := DecodeWire(bad); err == nil {
+	body := enc[3:] // the fixture's header is three one-byte varints
+	if _, err := DecodeWire(append(wireHeader(fixEntries, fixItems, 1<<40), body...), fixEntries, fixItems); err == nil {
 		t.Fatal("absurd row count decoded")
 	}
-	// Zero entries is invalid geometry.
-	zero := append([]byte{}, enc...)
-	zero[0], zero[1], zero[2], zero[3] = 0, 0, 0, 0
-	if _, err := DecodeWire(zero); err == nil {
+	// Zero entries is not the session's geometry.
+	if _, err := DecodeWire(append(wireHeader(0, fixItems, 4), body...), fixEntries, fixItems); err == nil {
 		t.Fatal("zero-entry table decoded")
+	}
+	// A non-minimal varint (0x80 0x00 for 0) has a second encoding of the
+	// same segment, which the canonical form forbids.
+	padded := append(wireHeader(fixEntries, fixItems, 4), body...)
+	padded = append(padded[:2], append([]byte{0x84, 0x00}, padded[3:]...)...)
+	if _, err := DecodeWire(padded, fixEntries, fixItems); err == nil {
+		t.Fatal("non-minimal varint decoded")
+	}
+}
+
+// wireHeader encodes a segment header.
+func wireHeader(entries, numItems, rows uint64) []byte {
+	b := binary.AppendUvarint(nil, entries)
+	b = binary.AppendUvarint(b, numItems)
+	return binary.AppendUvarint(b, rows)
+}
+
+// TestDecodeWireRejectsForeignGeometry: the decoder checks a segment's
+// header against the session's geometry before it allocates, and checks
+// every row and slot against it while decoding, so no blob — a peer's or
+// a resume checkpoint's — can make a node allocate more than a small
+// multiple of the blob itself, or build a table the session's bounds
+// would misread.
+func TestDecodeWireRejectsForeignGeometry(t *testing.T) {
+	// One row for item 2 with slot 3 counted once: gap 3, nnz 1, gap 4, 1.
+	row := []byte{3, 1, 4, 1}
+	cases := map[string][]byte{
+		// A dense header (u32 entries, u32 numItems = 2^27, u32 rows) in
+		// the 12 bytes that used to decode to a 512 MB row index.
+		"dense wide-item header": {4, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0},
+		"wide item width":        wireHeader(fixEntries, 1<<27, 0),
+		"width 2^31":             wireHeader(fixEntries, 1<<31, 0),
+		"huge entries":           append(wireHeader(1<<40, fixItems, 1), row...),
+		"entries mismatch":       append(wireHeader(fixEntries+1, fixItems, 1), row...),
+		"item width mismatch":    append(wireHeader(fixEntries, fixItems+1, 1), row...),
+		"rows beyond width":      wireHeader(fixEntries, fixItems, fixItems+1),
+		"rows beyond blob":       append(wireHeader(fixEntries, fixItems, 2), row...),
+		"repeated row":           append(append(wireHeader(fixEntries, fixItems, 2), row...), 0, 1, 1, 1),
+		"row past width":         append(append(wireHeader(fixEntries, fixItems, 2), row...), fixItems-2, 1, 1, 1),
+		"wrapping row gap": append(append(wireHeader(fixEntries, fixItems, 2), row...),
+			0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1, 1),
+		"repeated slot":  append(wireHeader(fixEntries, fixItems, 1), 3, 2, 4, 1, 0, 1),
+		"slot past row":  append(wireHeader(fixEntries, fixItems, 1), 3, 2, 4, 1, fixEntries-3, 1),
+		"empty row":      append(wireHeader(fixEntries, fixItems, 1), 3, 0, 4, 1),
+		"row too wide":   append(wireHeader(fixEntries, fixItems, 1), 3, fixEntries+1, 4, 1),
+		"zero count":     append(wireHeader(fixEntries, fixItems, 1), 3, 1, 4, 0),
+		"count past u32": append(wireHeader(fixEntries, fixItems, 1), binary.AppendUvarint([]byte{3, 1, 4}, 1<<32)...),
+	}
+	good := append(wireHeader(fixEntries, fixItems, 1), row...)
+	if l, err := DecodeWire(good, fixEntries, fixItems); err != nil || l.Row(2)[3] != 1 {
+		t.Fatalf("well-formed single-row segment: %v", err)
+	}
+	for name, blob := range cases {
+		if _, err := DecodeWire(blob, fixEntries, fixItems); err == nil {
+			t.Errorf("%s: decoded without error", name)
+			continue
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			DecodeWire(blob, fixEntries, fixItems)
+		}
+		runtime.ReadMemStats(&after)
+		// The session's own row index plus a few hundred bytes of table
+		// and error text per blob byte at most.
+		budget := 4*fixItems + 64*len(blob) + 512
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > uint64(budget) {
+			t.Errorf("%s: rejecting a %d-byte blob allocated %d bytes, budget %d", name, len(blob), perRun, budget)
+		}
 	}
 }

@@ -20,8 +20,9 @@ import (
 // session failure the coordinator can see.
 
 // CheckpointVersion is the current checkpoint format version. Version 2
-// added the stream stage and its opaque state payload.
-const CheckpointVersion = 2
+// added the stream stage and its opaque state payload. Version 3 carries
+// THT segments in their sparse wire form (wire version 6).
+const CheckpointVersion = 3
 
 // checkpointMagic prefixes every encoded checkpoint.
 const checkpointMagic = "PMCK"

@@ -290,12 +290,33 @@ func AppendError(b []byte, m ErrorMsg) []byte {
 	return appendStr(b, m.Text)
 }
 
-// AppendUint32s encodes a bare uint32 vector (the item-count blob of
-// the first exchange phase).
-func AppendUint32s(b []byte, v []uint32) []byte {
-	b = appendU32(b, uint32(len(v)))
-	for _, x := range v {
-		b = appendU32(b, x)
+// AppendItemCounts encodes pass-1 item counts, indexed by item — the
+// blob of the item-count exchange. Most of the vocabulary never occurs
+// in one node's partition, so the blob lists only the non-zero counts,
+// every field an unsigned varint in its minimal encoding:
+//
+//	nnz, nnz × { itemGap count }
+//
+// Items appear in ascending order; a gap is the distance from the
+// previous listed item, counted from -1, so every gap is at least 1.
+// An all-zero vector still encodes as one byte: the all-gather treats an
+// empty blob as a missing contribution. The cost model keeps pricing the
+// dense vector of 4 bytes per item, as the paper does.
+func AppendItemCounts(b []byte, counts []int) []byte {
+	nnz := 0
+	for _, c := range counts {
+		if c != 0 {
+			nnz++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(nnz))
+	prev := -1
+	for it, c := range counts {
+		if c != 0 {
+			b = binary.AppendUvarint(b, uint64(it-prev))
+			b = binary.AppendUvarint(b, uint64(c))
+			prev = it
+		}
 	}
 	return b
 }
@@ -357,6 +378,25 @@ func (r *wireReader) u64() uint64 {
 }
 
 func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// uvarint reads a minimally encoded unsigned varint that must lie in
+// [lo, hi]; minimality keeps the encodings that use varints canonical.
+func (r *wireReader) uvarint(lo, hi uint64, what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
+		r.fail("truncated or non-minimal varint at offset %d of %d", r.off, len(r.b))
+		return 0
+	}
+	if v < lo || v > hi {
+		r.fail("%s %d outside [%d, %d]", what, v, lo, hi)
+		return 0
+	}
+	r.off += n
+	return v
+}
 
 // count reads a u32 length whose elements occupy elemSize bytes each,
 // rejecting counts the remaining payload cannot possibly hold.
@@ -496,7 +536,7 @@ func DecodeCountVector(b []byte) (CountVector, error) {
 	return m, r.done()
 }
 
-// decodeCountedList decodes a frequent-itemset list in place.
+// countedList decodes a frequent-itemset list in place.
 func (r *wireReader) countedList() []itemset.Counted {
 	n := r.count(8) // an entry needs k + count at minimum
 	var list []itemset.Counted
@@ -513,14 +553,6 @@ func (r *wireReader) countedList() []itemset.Counted {
 		list = append(list, itemset.Counted{Set: set, Count: c})
 	}
 	return list
-}
-
-// DecodeCountedList decodes a frequent-itemset list payload (the final
-// all-gather blob).
-func DecodeCountedList(b []byte) ([]itemset.Counted, error) {
-	r := wireReader{b: b}
-	list := r.countedList()
-	return list, r.done()
 }
 
 // DecodeNodeDone decodes a NodeDone payload.
@@ -578,9 +610,23 @@ func DecodeError(b []byte) (ErrorMsg, error) {
 	return m, r.done()
 }
 
-// DecodeUint32s decodes a bare uint32 vector blob.
-func DecodeUint32s(b []byte) ([]uint32, error) {
+// AddItemCounts decodes an item-count blob (AppendItemCounts) and adds
+// every count to dst, whose length is the session's item universe. It
+// allocates nothing. It rejects an item outside dst, a zero count or
+// one above MaxInt32, a non-minimal varint and trailing bytes; after an
+// error dst holds an unspecified part of the blob's counts.
+func AddItemCounts(dst []int, b []byte) error {
 	r := wireReader{b: b}
-	v := r.u32s()
-	return v, r.done()
+	// An entry takes at least two bytes, so the blob bounds the total.
+	nnz := r.uvarint(0, uint64(min(len(dst), len(b)/2)), "item total")
+	item := -1
+	for i := uint64(0); i < nnz && r.err == nil; i++ {
+		gap := r.uvarint(1, uint64(len(dst)-1-item), "item gap")
+		c := r.uvarint(1, math.MaxInt32, "item count")
+		if r.err == nil {
+			item += int(gap)
+			dst[item] += int(c)
+		}
+	}
+	return r.done()
 }

@@ -34,13 +34,17 @@ func FuzzCodec(f *testing.F) {
 	f.Add(uint8(MsgError), AppendError(nil, ErrorMsg{Text: "boom"}))
 	f.Add(uint8(MsgShutdown), AppendCountedList(nil, []itemset.Counted{{Set: itemset.Itemset{1, 2, 3}, Count: 5}}))
 	f.Add(uint8(MsgPoolJoin), AppendPoolJoin(nil, PoolJoin{Addr: "127.0.0.1:7010", CapacityBytes: 1 << 20}))
+	f.Add(uint8(0), AppendItemCounts(nil, []int{0, 3, 0, 0, 1 << 20, 7, 0, 0, 0, 1}))
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		switch which % 10 {
 		case 0:
-			if v, err := DecodeUint32s(data); err == nil {
-				if got := AppendUint32s(nil, v); !bytes.Equal(got, data) {
-					t.Fatalf("uint32s re-encode mismatch: %x vs %x", got, data)
+			// The item-count blob, over a universe wider than one
+			// varint byte of gap.
+			counts := make([]int, 1<<10)
+			if err := AddItemCounts(counts, data); err == nil {
+				if got := AppendItemCounts(nil, counts); !bytes.Equal(got, data) {
+					t.Fatalf("item-count re-encode mismatch: %x vs %x", got, data)
 				}
 			}
 		case 1:
@@ -87,7 +91,7 @@ func FuzzCodec(f *testing.F) {
 				}
 			}
 		case 8:
-			if list, err := DecodeCountedList(data); err == nil {
+			if list, err := decodeCountedList(data); err == nil {
 				if got := AppendCountedList(nil, list); !bytes.Equal(got, data) {
 					t.Fatalf("counted-list re-encode mismatch: %x vs %x", got, data)
 				}

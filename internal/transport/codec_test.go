@@ -2,8 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -31,14 +35,19 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsBadVersionAndLength(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgHello, []byte("x"), nil); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	raw[4] = WireVersion + 1
-	if _, _, err := ReadFrame(bytes.NewReader(raw), nil); err == nil {
-		t.Fatal("want error for wrong wire version")
+	// A peer one version behind (or ahead) fails with an error naming
+	// its version.
+	for _, skew := range []uint8{WireVersion - 1, WireVersion + 1} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, MsgHello, []byte("x"), nil); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		raw[4] = skew
+		_, _, err := ReadFrame(bytes.NewReader(raw), nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("wire version %d", skew)) {
+			t.Fatalf("frame of wire version %d: error %v", skew, err)
+		}
 	}
 
 	// Oversized length prefix must be rejected before allocation.
@@ -212,7 +221,7 @@ func TestCountedListRoundTrip(t *testing.T) {
 		{Set: itemset.Itemset{1, 2}, Count: 17},
 		{Set: itemset.Itemset{3, 9, 12}, Count: 4},
 	}
-	out, err := DecodeCountedList(AppendCountedList(nil, in))
+	out, err := decodeCountedList(AppendCountedList(nil, in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +232,7 @@ func TestCountedListRoundTrip(t *testing.T) {
 	// Non-increasing itemsets are rejected (they would corrupt the
 	// merge's dedupe invariant downstream).
 	bad := AppendCountedList(nil, []itemset.Counted{{Set: itemset.Itemset{5, 5}, Count: 1}})
-	if _, err := DecodeCountedList(bad); err == nil {
+	if _, err := decodeCountedList(bad); err == nil {
 		t.Fatal("want error for non-increasing itemset")
 	}
 }
@@ -262,14 +271,54 @@ func TestErrorRoundTrip(t *testing.T) {
 	}
 }
 
-func TestUint32sRoundTrip(t *testing.T) {
-	in := []uint32{0, 1, 1 << 31, 42}
-	out, err := DecodeUint32s(AppendUint32s(nil, in))
-	if err != nil {
+// decodeCountedList decodes a bare frequent-itemset list, the blob of
+// the final exchange. Nodes never decode it (the coordinator reads the
+// lists from NodeDone); tests use it to check AppendCountedList.
+func decodeCountedList(b []byte) ([]itemset.Counted, error) {
+	r := wireReader{b: b}
+	list := r.countedList()
+	return list, r.done()
+}
+
+func TestCountBlobRoundTrip(t *testing.T) {
+	in := []int{0, 1, 0, 0, math.MaxInt32, 42, 0, 200}
+	enc := AppendItemCounts(nil, in)
+	got := make([]int, len(in))
+	if err := AddItemCounts(got, enc); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, in) {
-		t.Fatalf("got %v want %v", out, in)
+	if !slices.Equal(got, in) {
+		t.Fatalf("got %v want %v", got, in)
+	}
+	// Decoding adds into the caller's vector and allocates nothing.
+	if allocs := testing.AllocsPerRun(9, func() { AddItemCounts(got, enc) }); allocs != 0 {
+		t.Fatalf("AddItemCounts allocated %v times per call", allocs)
+	}
+	for it, c := range in {
+		if got[it] != 11*c {
+			t.Fatalf("after 11 decodes item %d holds %d, want %d", it, got[it], 11*c)
+		}
+	}
+	// An all-zero vector is one byte, never the empty blob the
+	// all-gather reads as a missing contribution.
+	if z := AppendItemCounts(nil, make([]int, 5)); !bytes.Equal(z, []byte{0}) {
+		t.Fatalf("all-zero counts encode as %x", z)
+	}
+
+	bad := map[string][]byte{
+		"item outside universe": AppendItemCounts(nil, []int{0, 0, 0, 0, 0, 0, 0, 0, 1}),
+		"repeated item":         {2, 2, 1, 0, 1},
+		"zero count":            {1, 2, 0},
+		"count past MaxInt32":   binary.AppendUvarint([]byte{1, 2}, math.MaxInt32+1),
+		"non-minimal varint":    {1, 0x82, 0x00, 1},
+		"more items than bytes": {4, 1, 1},
+		"trailing bytes":        append(AppendItemCounts(nil, []int{3}), 0),
+		"empty blob":            {},
+	}
+	for name, b := range bad {
+		if err := AddItemCounts(make([]int, len(in)), b); err == nil {
+			t.Errorf("%s: %x decoded without error", name, b)
+		}
 	}
 }
 
@@ -289,6 +338,7 @@ func TestDecodersRejectTruncationAndTrailing(t *testing.T) {
 		"done":   AppendNodeDone(nil, NodeDone{Node: 0, Found: []itemset.Counted{{Set: itemset.Itemset{1}, Count: 1}}}),
 		"error":  AppendError(nil, ErrorMsg{Text: "x"}),
 		"pool":   AppendPoolJoin(nil, PoolJoin{Addr: "127.0.0.1:1"}),
+		"items":  AppendItemCounts(nil, []int{0, 5, 0, 300, 1}),
 	}
 	decoders := map[string]func([]byte) error{
 		"hello":  func(b []byte) error { _, err := DecodeHello(b); return err },
@@ -299,6 +349,7 @@ func TestDecodersRejectTruncationAndTrailing(t *testing.T) {
 		"done":   func(b []byte) error { _, err := DecodeNodeDone(b); return err },
 		"error":  func(b []byte) error { _, err := DecodeError(b); return err },
 		"pool":   func(b []byte) error { _, err := DecodePoolJoin(b); return err },
+		"items":  func(b []byte) error { return AddItemCounts(make([]int, 5), b) },
 	}
 	for name, enc := range encodings {
 		dec := decoders[name]

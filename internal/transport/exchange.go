@@ -116,7 +116,8 @@ type gatherState struct {
 // one address space, a gather is a shared rendezvous that hands every
 // contribution over by reference, and a poll is a direct (serialized)
 // handler call. No bytes ever hit a socket; wire statistics count
-// messages and payload bytes as the TCP transport would frame them.
+// messages and the priced payload bytes (Share's bytes) as the TCP
+// transport would frame them.
 //
 // With a fabric the group is the simulator's interconnect. The last node
 // to reach a collective charges it once, when no poll can be in flight: a
@@ -173,8 +174,10 @@ func (e *ChanExchange) Close() error {
 
 // Share is the all-gather of nodes that share an address space: it
 // contributes v and returns every node's value, indexed by node id, by
-// reference and never serialized. bytes is the size v stands for on the
-// wire, which the wire statistics and the fabric charge.
+// reference and never serialized. bytes is the size v stands for, which
+// the wire statistics and the fabric charge: for item counts and THT
+// segments the paper's dense forms, which the TCP transport ships
+// sparsely.
 func (e *ChanExchange) Share(phase Phase, v any, bytes int64) ([]any, error) {
 	g := e.group
 	g.mu.Lock()

@@ -84,7 +84,7 @@ type TCPExchange struct {
 	mailboxes map[cubeKey]chan *cubeEnvelope
 	replays   map[cubeKey][]NodeBlob
 	pollPeers []*pollPeer
-	served    map[net.Conn]struct{} // open serving AND in-flight dialed conns, closed on Close
+	served    map[net.Conn]struct{} // serving conns and dialed cube and poll conns, closed on Close
 	closed    bool
 }
 
@@ -131,7 +131,8 @@ func (x *TCPExchange) SetPollHandler(h PollHandler) {
 	x.pollMu.Unlock()
 }
 
-// Close cancels pending operations and closes every connection.
+// Close cancels pending operations and closes every connection, which
+// cuts any read blocked on one.
 func (x *TCPExchange) Close() error {
 	x.cancel()
 	x.mu.Lock()
@@ -141,14 +142,6 @@ func (x *TCPExchange) Close() error {
 	}
 	x.served = make(map[net.Conn]struct{})
 	x.mu.Unlock()
-	for _, pp := range x.pollPeers {
-		pp.mu.Lock()
-		if pp.conn != nil {
-			pp.conn.Close()
-			pp.conn = nil
-		}
-		pp.mu.Unlock()
-	}
 	return nil
 }
 
@@ -328,24 +321,10 @@ func (x *TCPExchange) cubeCall(phase Phase, step uint8, peer int, mine []NodeBlo
 		if err != nil {
 			return err
 		}
-		// Track the dialed conn so Close can cut a blocked read: the
-		// answering partner may be gone for good (session superseded,
-		// attempt aborted), and waiting out the full WaitTimeout would
-		// keep this node's session registered long after its teardown.
-		x.mu.Lock()
-		if x.closed {
-			x.mu.Unlock()
-			conn.Close()
+		if !x.track(conn) {
 			return Permanent(fmt.Errorf("exchange closed"))
 		}
-		x.served[conn] = struct{}{}
-		x.mu.Unlock()
-		defer func() {
-			x.mu.Lock()
-			delete(x.served, conn)
-			x.mu.Unlock()
-			conn.Close()
-		}()
+		defer x.untrack(conn)
 		conn.SetDeadline(time.Now().Add(x.opt.WaitTimeout))
 		if err := WriteFrame(conn, MsgCubeBlock, req, &x.stats); err != nil {
 			return err
@@ -372,16 +351,47 @@ func (x *TCPExchange) cubeCall(phase Phase, step uint8, peer int, mine []NodeBlo
 	return out, err
 }
 
+// track registers a dialed conn so Close can cut a read blocked on it:
+// the answering peer may be gone for good (session superseded, attempt
+// aborted), and waiting out the full WaitTimeout or IOTimeout would keep
+// this node's session registered long after its teardown. It closes the
+// conn and reports false when the exchange is already closed.
+func (x *TCPExchange) track(conn net.Conn) bool {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.closed {
+		conn.Close()
+		return false
+	}
+	x.served[conn] = struct{}{}
+	return true
+}
+
+// untrack closes a tracked conn and forgets it.
+func (x *TCPExchange) untrack(conn net.Conn) {
+	x.mu.Lock()
+	delete(x.served, conn)
+	x.mu.Unlock()
+	conn.Close()
+}
+
 // cubeAnswer is the answering side: wait for the partner's block to be
 // delivered by the accept handler, hand it my gathered blobs to send
 // back, and return the partner's.
+//
+// Every wait of the exchange stops its WaitTimeout timer when it ends:
+// under the module's go 1.22 timer semantics an unstopped timer (as
+// time.After leaves it) stays live for the whole timeout, which is
+// minutes against a cube step's milliseconds.
 func (x *TCPExchange) cubeAnswer(phase Phase, step uint8, from int32, mine []NodeBlob) ([]NodeBlob, error) {
 	ch := x.mailbox(cubeKey{phase, step, from})
+	timeout := time.NewTimer(x.opt.WaitTimeout)
+	defer timeout.Stop()
 	select {
 	case env := <-ch:
 		env.reply <- mine
 		return env.blobs, nil
-	case <-time.After(x.opt.WaitTimeout):
+	case <-timeout.C:
 		return nil, fmt.Errorf("timed out after %v waiting for partner", x.opt.WaitTimeout)
 	case <-x.ctx.Done():
 		return nil, fmt.Errorf("exchange closed while waiting for partner")
@@ -397,7 +407,8 @@ func (x *TCPExchange) awaitAnyCube(phase Phase, step uint8) (*cubeEnvelope, int3
 	for i := 1; i < n; i++ {
 		cases[i] = x.mailbox(cubeKey{phase, step, int32(i)})
 	}
-	deadline := time.After(x.opt.WaitTimeout)
+	deadline := time.NewTimer(x.opt.WaitTimeout)
+	defer deadline.Stop()
 	for {
 		for i := 1; i < n; i++ {
 			select {
@@ -407,7 +418,7 @@ func (x *TCPExchange) awaitAnyCube(phase Phase, step uint8) (*cubeEnvelope, int3
 			}
 		}
 		select {
-		case <-deadline:
+		case <-deadline.C:
 			return nil, 0, fmt.Errorf("timed out after %v waiting for spokes", x.opt.WaitTimeout)
 		case <-x.ctx.Done():
 			return nil, 0, fmt.Errorf("exchange closed while gathering")
@@ -451,16 +462,20 @@ func (x *TCPExchange) serveCubeConn(conn net.Conn) {
 	x.mu.Unlock()
 	if !replay {
 		env := &cubeEnvelope{blobs: blk.Blobs, reply: make(chan []NodeBlob, 1)}
+		delivered := time.NewTimer(x.opt.WaitTimeout)
+		defer delivered.Stop()
 		select {
 		case x.mailbox(key) <- env:
-		case <-time.After(x.opt.WaitTimeout):
+		case <-delivered.C:
 			return
 		case <-x.ctx.Done():
 			return
 		}
+		answered := time.NewTimer(x.opt.WaitTimeout)
+		defer answered.Stop()
 		select {
 		case reply = <-env.reply:
-		case <-time.After(x.opt.WaitTimeout):
+		case <-answered.C:
 			return
 		case <-x.ctx.Done():
 			return
@@ -500,11 +515,14 @@ func (x *TCPExchange) Poll(peer, k int, sets []itemset.Itemset) ([]int32, error)
 			if err != nil {
 				return err
 			}
+			if !x.track(conn) {
+				return Permanent(fmt.Errorf("exchange closed"))
+			}
 			pp.conn = conn
 		}
 		conn := pp.conn
 		fail := func(err error) error {
-			conn.Close()
+			x.untrack(conn)
 			pp.conn = nil
 			return err
 		}

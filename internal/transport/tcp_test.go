@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +13,18 @@ import (
 )
 
 // startTCPCluster brings up n TCP exchange endpoints on loopback
-// listeners, each with its own Serve loop.
+// listeners, each with its own Serve loop, torn down at test cleanup.
 func startTCPCluster(t *testing.T, n int) []*TCPExchange {
+	t.Helper()
+	xs, stop := newTCPCluster(t, n, 10*time.Second)
+	t.Cleanup(stop)
+	return xs
+}
+
+// newTCPCluster is startTCPCluster with the collectives' wait bound given
+// and the teardown returned: stop closes every endpoint and listener and
+// returns once every Serve loop has.
+func newTCPCluster(t *testing.T, n int, wait time.Duration) (xs []*TCPExchange, stop func()) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -25,27 +36,32 @@ func startTCPCluster(t *testing.T, n int) []*TCPExchange {
 		listeners[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	xs := make([]*TCPExchange, n)
+	xs = make([]*TCPExchange, n)
+	var served sync.WaitGroup
 	for i := range xs {
 		x, err := NewTCP(TCPOptions{
 			ClusterID: 42, NodeID: i, Nodes: n, Peers: addrs,
 			Retry:       RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 			IOTimeout:   5 * time.Second,
-			WaitTimeout: 10 * time.Second,
+			WaitTimeout: wait,
 		})
 		if err != nil {
 			t.Fatalf("NewTCP(%d): %v", i, err)
 		}
 		xs[i] = x
-		go x.Serve(listeners[i])
+		served.Add(1)
+		go func(ln net.Listener) {
+			defer served.Done()
+			x.Serve(ln)
+		}(listeners[i])
 	}
-	t.Cleanup(func() {
+	return xs, func() {
 		for i := range xs {
 			xs[i].Close()
 			listeners[i].Close()
 		}
-	})
-	return xs
+		served.Wait()
+	}
 }
 
 // runAllGather drives the collective on every node concurrently and
@@ -74,6 +90,38 @@ func runAllGather(t *testing.T, xs []*TCPExchange, phase Phase) {
 				t.Fatalf("node %d slot %d = %q, want %q", i, j, outs[i][j], want)
 			}
 		}
+	}
+}
+
+// TestTCPWaitTimersReleased: every wait of a cube step stops its
+// WaitTimeout timer once the wait ends. Under the module's go 1.22 timer
+// semantics a timer left running stays live until it fires, so with a
+// 1 h timeout each step's waits would pin their timers for the hour.
+func TestTCPWaitTimersReleased(t *testing.T) {
+	const sessions, phases = 20, 40
+	session := func() {
+		xs, stop := newTCPCluster(t, 4, time.Hour)
+		defer stop()
+		for p := 1; p <= phases; p++ {
+			runAllGather(t, xs, Phase(p))
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	session() // warm up connection and allocator state
+	before := liveHeap()
+	for i := 0; i < sessions; i++ {
+		session()
+	}
+	// Each four-node all-gather runs 12 waits (two steps, two answering
+	// nodes per step, three waits per answer): 9600 timers over the run,
+	// a few hundred bytes each while they stay live.
+	if grew := liveHeap() - before; grew > 512<<10 {
+		t.Fatalf("live heap grew %d KB over %d sessions of %d all-gathers", grew>>10, sessions, phases)
 	}
 }
 
@@ -147,6 +195,61 @@ func TestTCPPollRecoversFromDroppedConn(t *testing.T) {
 	}
 	if s := xs[0].Stats().Snapshot(); s.Retries == 0 {
 		t.Fatalf("expected a counted retry after the drop, stats %+v", s)
+	}
+}
+
+// TestTCPCloseCutsBlockedPoll: Close must cut a poll waiting on a peer
+// that never answers — the peer node of an aborted session, say, whose
+// daemon no longer hosts it — instead of leaving the poll, and the
+// session with it, to the IO timeout.
+func TestTCPCloseCutsBlockedPoll(t *testing.T) {
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	batch := make(chan struct{}, 1)
+	go func() {
+		conn, err := silent.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			typ, _, err := ReadFrame(conn, nil)
+			if err != nil {
+				return
+			}
+			if typ == MsgCandidateBatch {
+				batch <- struct{}{}
+			}
+		}
+	}()
+	x, err := NewTCP(TCPOptions{
+		ClusterID: 7, NodeID: 0, Nodes: 2, Peers: []string{"127.0.0.1:1", silent.Addr().String()},
+		IOTimeout: time.Hour, WaitTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled := make(chan error, 1)
+	go func() {
+		_, err := x.Poll(1, 1, []itemset.Itemset{{3}})
+		polled <- err
+	}()
+	select {
+	case <-batch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the candidate batch never reached the peer")
+	}
+	go x.Close()
+	select {
+	case err := <-polled:
+		if err == nil {
+			t.Fatal("poll of a silent peer succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left a poll blocked on a silent peer")
 	}
 }
 

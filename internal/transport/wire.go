@@ -28,8 +28,10 @@ import (
 // posting-density threshold. Version 4 added the Init partitioner and
 // the heartbeat pass-progress payload. Version 5 added the worker-pool
 // membership messages (PurposePool, MsgPoolJoin/MsgPoolLeave) and the
-// NodeDone busy-seconds field.
-const WireVersion = 5
+// NodeDone busy-seconds field. Version 6 made the item-count and THT
+// segment blobs of the exchanges sparse (AppendItemCounts,
+// tht.Local.AppendWire).
+const WireVersion = 6
 
 // MaxFrame bounds a frame payload; oversized length prefixes are
 // rejected before any allocation (a corrupt or hostile peer cannot make
