@@ -104,7 +104,7 @@ func run(args []string, out io.Writer) error {
 		maxK         = fs.Int("maxk", 0, "largest itemset size to mine (0 = unbounded)")
 		denseTh      = fs.Float64("dense-threshold", -1, "posting density cutoff: words in at least this fraction of the TID span get bitmap posting lists (0 = all bitmaps, >1 or inf = all compressed, -1 = library default 1/16); layout only — never changes results or simulated time")
 		partitioner  = fs.String("partitioner", "count", "database-to-node split: count (equal document counts, the paper's) | work (equal estimated counting work); placement only — never changes the frequent itemsets")
-		stragglerLag = fs.Int("straggler-lag", 0, "cluster runs: re-host a live node's partitions to peers when its pass progress lags the fleet by this many passes (0 = disabled)")
+		stragglerLag = fs.Int("straggler-lag", 0, "cluster runs: when a node's pass progress lags the fleet by this many passes, re-split the database without it (in scheduler mode, onto idle pool workers first) (0 = disabled)")
 		nodes        = fs.Int("nodes", 4, "simulated nodes for cd/dd/pmihp")
 		cluster      = fs.String("cluster", "", "comma-separated pmihp-node addresses: mine on a real multi-process cluster")
 		spawn        = fs.Int("spawn", 0, "spawn N local pmihp-node worker processes and mine on them")
@@ -115,7 +115,6 @@ func run(args []string, out io.Writer) error {
 		nodeBin      = fs.String("node-bin", "pmihp-node", "pmihp-node binary for -spawn")
 		heartbeat    = fs.Duration("heartbeat", 0, "cluster heartbeat interval (0 = 500ms); timeout is 6x the interval")
 		failPolicy   = fs.String("failure-policy", "abort", "on worker death: abort | reassign")
-		ckptDir      = fs.String("checkpoint-dir", "", "persist per-pass session checkpoints into this directory")
 		top          = fs.Int("top", 15, "frequent itemsets to print")
 		nRules       = fs.Int("rules", 10, "association rules to print (0 to skip)")
 		minConf      = fs.Float64("minconf", 0.75, "minimum rule confidence")
@@ -260,7 +259,6 @@ func run(args []string, out io.Writer) error {
 			cluster: distmine.ClusterConfig{
 				FailurePolicy:      policy,
 				HeartbeatInterval:  *heartbeat,
-				CheckpointDir:      *ckptDir,
 				StragglerLagPasses: *stragglerLag,
 				Logf:               log.New(os.Stderr, "", 0).Printf,
 				Obs:                rec,
@@ -274,7 +272,6 @@ func run(args []string, out io.Writer) error {
 		cfg := distmine.ClusterConfig{
 			FailurePolicy:      policy,
 			HeartbeatInterval:  *heartbeat,
-			CheckpointDir:      *ckptDir,
 			StragglerLagPasses: *stragglerLag,
 			Logf:               log.New(os.Stderr, "", 0).Printf,
 			Obs:                rec,

@@ -29,21 +29,12 @@ func main() {
 	capacity := flag.Int64("capacity", 0, "session bytes admission control may reserve against this worker when pooled (0 = unlimited)")
 	heartbeat := flag.Duration("heartbeat", 0, "control-plane heartbeat interval when a session's Init does not set one (0 = 500ms)")
 	denseTh := flag.Float64("dense-threshold", -1, "override the coordinator's posting density cutoff on this node (0 = all bitmaps, >1 or inf = all compressed, -1 = use the session's); layout only — results and simulated charges are identical either way")
-	partitioner := flag.String("partitioner", "", "only serve sessions partitioned by this policy (count | work); partitions arrive pre-cut from the coordinator, so this is a guard, not an override (empty = serve any)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /snapshot, /debug/pprof)")
 	traceJSON := flag.String("trace-json", "", "write hosted nodes' pass/span/poll events as JSON lines to this file")
 	verbose := flag.Bool("v", false, "log session lifecycle to stderr")
 	flag.Parse()
 
 	opt := distmine.DaemonOptions{HeartbeatInterval: *heartbeat}
-	if *partitioner != "" {
-		p, err := mining.ParsePartitioner(*partitioner)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmihp-node: %v\n", err)
-			os.Exit(1)
-		}
-		opt.RequirePartitioner = &p
-	}
 	if *denseTh >= 0 {
 		// DenseThresholdOverride applies when positive; the flag's explicit
 		// 0 ("every list a bitmap") maps to the positive all-bitmap sentinel.

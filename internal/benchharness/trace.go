@@ -77,9 +77,7 @@ func VerifyTrace(events []obs.Event, m *mining.Metrics) []string {
 	}
 
 	if m.WireSeconds > 0 && m.Failovers == 0 {
-		spanWire := s.SpanSecondsPrefix("exchange:") +
-			s.SpanSeconds["poll:resolve"] +
-			s.SpanSeconds["resume:barrier"]
+		spanWire := s.SpanSecondsPrefix("exchange:") + s.SpanSeconds["poll:resolve"]
 		if math.Abs(spanWire-m.WireSeconds) > 1e-9+1e-6*m.WireSeconds {
 			bad = append(bad, fmt.Sprintf("wire seconds: collective spans total %v, metrics report %v", spanWire, m.WireSeconds))
 		}

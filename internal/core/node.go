@@ -47,15 +47,16 @@ func NewNodeParams(db *txdb.DB, opts mining.Options) NodeParams {
 
 // NodeHooks wires a node run into its runtime.
 type NodeHooks struct {
-	// Resume, when non-nil, is the checkpoint of a failed session: the run
-	// skips the collectives the checkpoint covers and rebuilds their
-	// results from it instead (the same state, pinned by resume_test.go, so
-	// the mining that follows is byte-identical to an uninterrupted run).
+	// Resume, when non-nil, is the checkpoint of an aborted attempt: at
+	// StageItemCounts the run skips the item-count exchange and takes the
+	// global vector from it instead. The vector does not depend on how the
+	// database is cut, so the mining that follows is byte-identical to an
+	// uninterrupted run on any partitioning.
 	Resume *transport.Checkpoint
 	// Progress, when non-nil (node 0 of a coordinator-driven session),
-	// receives the checkpointable state after each collective over a wire
-	// exchange completes.
-	Progress func(stage uint8, counts []uint32, thtSegments [][]byte)
+	// receives the item-count checkpoint once that exchange over a wire
+	// completes.
+	Progress func(stage uint8, counts []uint32)
 	// OnPass, when non-nil, runs after every local counting pass — the
 	// daemon's pass counter behind the heartbeat progress payload.
 	OnPass func()
@@ -75,8 +76,8 @@ type NodeOutcome struct {
 	// global counts (or local lower bounds under ApproxDirectCounts).
 	Found []itemset.Counted
 	// PhaseSeconds is measured wall clock: [0] item-count exchange, [1] THT
-	// exchange (or resume barrier), [2] candidate polling, summed over
-	// every flush, [3] final exchange.
+	// exchange, [2] candidate polling, summed over every flush, [3] final
+	// exchange.
 	PhaseSeconds [4]float64
 	// Miner and Server are the node's mining and poll-service accounting.
 	Miner, Server mining.Metrics
@@ -139,25 +140,16 @@ func (nd *node) run() error {
 	glMin := p.Opts.MinSupCount
 	workers := p.Opts.Workers()
 	entries := max(p.Opts.THTEntries/n, 4) // each node's share of the THT slots
-	stage := transport.StageNone
-	if h.Resume != nil {
-		if int(h.Resume.Nodes) != n {
-			return fmt.Errorf("resume checkpoint for %d nodes, this session has %d", h.Resume.Nodes, n)
-		}
-		stage = h.Resume.Stage
+	if h.Resume != nil && int(h.Resume.Nodes) != n {
+		return fmt.Errorf("resume checkpoint for %d nodes, this session has %d", h.Resume.Nodes, n)
 	}
 
-	// ---- Pass 1: local THT build and item counts. A resume beyond the
-	// THT stage needs neither — every segment comes from the checkpoint.
-	var local *tht.Local
-	var counts []int
-	if stage < transport.StageTHT {
-		local, counts = tht.BuildLocalShards(db, entries, workers)
-		if c := h.clock; c != nil {
-			// Pass-1 work advances the clock but stays out of Metrics.Work,
-			// which the busy/idle gauges read as mining plus poll service.
-			c.AdvanceWork(int64(db.TotalItems()) * (mining.CostScanItem + mining.CostTHTSlot))
-		}
+	// ---- Pass 1: local THT build and item counts.
+	local, counts := tht.BuildLocalShards(db, entries, workers)
+	if c := h.clock; c != nil {
+		// Pass-1 work advances the clock but stays out of Metrics.Work,
+		// which the busy/idle gauges read as mining plus poll service.
+		c.AdvanceWork(int64(db.TotalItems()) * (mining.CostScanItem + mining.CostTHTSlot))
 	}
 
 	// ---- Exchange: global item counts. The paper's all-reduce is a
@@ -166,16 +158,13 @@ func (nd *node) run() error {
 	// any arrival order. A resume restores the vector the original
 	// collective produced from the checkpoint instead.
 	var globalCounts []int
-	if stage < transport.StageItemCounts {
-		var err error
+	var err error
+	if h.Resume == nil || h.Resume.Stage < transport.StageItemCounts {
 		if globalCounts, err = nd.exchangeCounts(counts); err != nil {
 			return err
 		}
-	} else {
-		var err error
-		if globalCounts, err = countsFromWire(h.Resume.GlobalCounts, p.NumItems); err != nil {
-			return fmt.Errorf("resuming item counts: %w", err)
-		}
+	} else if globalCounts, err = countsFromWire(h.Resume.GlobalCounts, p.NumItems); err != nil {
+		return fmt.Errorf("resuming item counts: %w", err)
 	}
 	if self == 0 {
 		out.GlobalCounts = globalCounts
@@ -206,26 +195,13 @@ func (nd *node) run() error {
 		return counts
 	})
 
-	// ---- Exchange: local THTs (frequent rows only), cascade assembly. A
-	// resume past this stage decodes every segment from the checkpoint
-	// (the cascade bounds equal the live segments', pinned by core's resume
-	// fidelity test) and replaces the skipped collective with a cheap
-	// barrier, because exiting a collective is what licenses peers to
-	// start polling.
-	if stage < transport.StageTHT {
-		local.Retain(func(it itemset.Item) bool { return freq[it] })
-		local.BuildMasks()
-		if err := nd.exchangeTHT(local, globalCounts); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if nd.global, err = segmentsFromWire(h.Resume.THTSegments, entries, p.NumItems); err != nil {
-			return fmt.Errorf("resuming tht segments: %w", err)
-		}
-		if _, err := nd.gather(transport.PhaseResume, 1, "resume:barrier", nil, 0, barrierBlob); err != nil {
-			return fmt.Errorf("resume barrier: %w", err)
-		}
+	// ---- Exchange: local THTs (frequent rows only), cascade assembly.
+	// Every run, resumed or not, passes through this collective, and
+	// exiting it is what licenses peers to start polling.
+	local.Retain(func(it itemset.Item) bool { return freq[it] })
+	local.BuildMasks()
+	if err := nd.exchangeTHT(local); err != nil {
+		return err
 	}
 	if rec.Enabled() {
 		rec.SetNodeGauge("tht_cascade_bytes", self, nd.global.MemBytes())
@@ -317,7 +293,7 @@ func (nd *node) exchangeCounts(counts []int) ([]int, error) {
 		}
 	}
 	if nd.h.Progress != nil && nd.shared == nil {
-		nd.h.Progress(transport.StageItemCounts, u32Counts(global), nil)
+		nd.h.Progress(transport.StageItemCounts, u32Counts(global))
 	}
 	return global, nil
 }
@@ -327,7 +303,7 @@ func (nd *node) exchangeCounts(counts []int) ([]int, error) {
 // and the simulated fabric prices their dense size; over a wire each
 // node decodes its peers' sparse segments, masks included, against the
 // session's geometry.
-func (nd *node) exchangeTHT(local *tht.Local, globalCounts []int) error {
+func (nd *node) exchangeTHT(local *tht.Local) error {
 	vals, err := nd.gather(transport.PhaseTHT, 1, "exchange:tht", local, int64(local.Bytes()), func() []byte {
 		return local.AppendWire(nil)
 	})
@@ -335,13 +311,11 @@ func (nd *node) exchangeTHT(local *tht.Local, globalCounts []int) error {
 		return fmt.Errorf("tht exchange: %w", err)
 	}
 	segments := make([]*tht.Local, len(vals))
-	var blobs [][]byte
 	for i, v := range vals {
 		switch v := v.(type) {
 		case *tht.Local:
 			segments[i] = v
 		case []byte:
-			blobs = append(blobs, v)
 			if i == nd.self {
 				segments[i] = local
 				continue
@@ -354,9 +328,6 @@ func (nd *node) exchangeTHT(local *tht.Local, globalCounts []int) error {
 		}
 	}
 	nd.global = tht.NewGlobal(segments)
-	if nd.h.Progress != nil && blobs != nil {
-		nd.h.Progress(transport.StageTHT, u32Counts(globalCounts), blobs)
-	}
 	return nil
 }
 

@@ -90,21 +90,27 @@ var fastRetry = transport.RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Milliseco
 // returns their addresses.
 func startDaemons(t *testing.T, n int, opt DaemonOptions) []string {
 	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		_, addrs[i] = startDaemon(t, opt)
+	}
+	return addrs
+}
+
+// startDaemon runs one node daemon in-process on a loopback listener.
+func startDaemon(t *testing.T, opt DaemonOptions) (*Daemon, string) {
+	t.Helper()
 	if opt.Retry.Attempts == 0 {
 		opt.Retry = fastRetry
 	}
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		d := NewDaemon(opt)
-		go d.Serve(ln)
-		addrs[i] = ln.Addr().String()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return addrs
+	t.Cleanup(func() { ln.Close() })
+	d := NewDaemon(opt)
+	go d.Serve(ln)
+	return d, ln.Addr().String()
 }
 
 func TestClusterMatchesPMIHP(t *testing.T) {
@@ -298,9 +304,9 @@ func deadAddr(t *testing.T) string {
 }
 
 // TestClusterReassignsToSurvivors: with failure-policy reassign, a dead
-// daemon's logical node moves to a surviving daemon (which then hosts
-// two logical nodes of the session) and the result stays byte-identical,
-// with the failover accounted in the metrics.
+// daemon drops out of the roster, the database is re-split across the
+// survivors — one logical node per live daemon — and the result stays
+// byte-identical, with the failover accounted in the metrics.
 func TestClusterReassignsToSurvivors(t *testing.T) {
 	addrs := startDaemons(t, 3, DaemonOptions{})
 	addrs[2] = deadAddr(t) // node 2's daemon is dead from the start
@@ -318,17 +324,20 @@ func TestClusterReassignsToSurvivors(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdentical(t, ref, got)
-	if got.Metrics.Failovers != 1 || got.Metrics.ReassignedPartitions != 1 {
-		t.Fatalf("failovers=%d reassigned=%d, want 1/1", got.Metrics.Failovers, got.Metrics.ReassignedPartitions)
+	if got.Metrics.Failovers != 1 {
+		t.Fatalf("failovers=%d, want 1", got.Metrics.Failovers)
+	}
+	if len(got.Nodes) != 2 {
+		t.Fatalf("finished with %d nodes, want one per live daemon (2)", len(got.Nodes))
 	}
 	if got.Metrics.RecoverySeconds <= 0 {
 		t.Fatalf("recovery time not accounted: %+v", got.Metrics)
 	}
 }
 
-// TestClusterReassignsToRespawned: with a Respawn hook, the dead
-// daemon's logical node goes to a freshly spawned replacement instead
-// of doubling up on a survivor.
+// TestClusterReassignsToRespawned: with a Respawn hook, a freshly
+// spawned replacement takes the dead daemon's roster entry instead of
+// the roster shrinking.
 func TestClusterReassignsToRespawned(t *testing.T) {
 	addrs := startDaemons(t, 2, DaemonOptions{})
 	addrs[1] = deadAddr(t)
@@ -355,12 +364,15 @@ func TestClusterReassignsToRespawned(t *testing.T) {
 	if respawns != 1 {
 		t.Fatalf("respawn called %d times, want 1", respawns)
 	}
-	if got.Metrics.Failovers != 1 || got.Metrics.ReassignedPartitions != 1 {
-		t.Fatalf("failovers=%d reassigned=%d, want 1/1", got.Metrics.Failovers, got.Metrics.ReassignedPartitions)
+	if got.Metrics.Failovers != 1 {
+		t.Fatalf("failovers=%d, want 1", got.Metrics.Failovers)
+	}
+	if len(got.Nodes) != 2 {
+		t.Fatalf("finished with %d nodes, want one per live daemon (2)", len(got.Nodes))
 	}
 }
 
-// TestClusterAllDaemonsDead: reassignment runs out of survivors and the
+// TestClusterAllDaemonsDead: recovery runs out of daemons and the
 // session fails with an attributed error instead of looping.
 func TestClusterAllDaemonsDead(t *testing.T) {
 	addrs := []string{deadAddr(t), deadAddr(t)}

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +30,10 @@ const (
 	// FailurePolicyAbort fails the whole session fast with an error
 	// attributing the dead node. This is the default.
 	FailurePolicyAbort FailurePolicy = "abort"
-	// FailurePolicyReassign moves the dead daemon's logical nodes (their
-	// transaction shards keep their original chronological partitioning)
-	// to surviving or respawned daemons and restarts the session from the
-	// last checkpointed pass. The final frequent list is byte-identical
-	// to an undisturbed run.
+	// FailurePolicyReassign drops each dead daemon from the roster (or
+	// replaces it with a respawned one), re-splits the database across
+	// the new roster and resumes from the last checkpoint. The final
+	// frequent list is byte-identical to an undisturbed run.
 	FailurePolicyReassign FailurePolicy = "reassign"
 )
 
@@ -62,7 +61,8 @@ type ClusterConfig struct {
 	// included (zero: 10min).
 	IOTimeout   time.Duration
 	MineTimeout time.Duration
-	// FailurePolicy selects abort (default) or reassign-and-resume.
+	// FailurePolicy selects abort (default) or reassign-and-resume. Under
+	// reassign the session survives at most len(Addrs)-1 failovers.
 	FailurePolicy FailurePolicy
 	// HeartbeatInterval is how often daemons beat on their control
 	// connections (zero: 500ms). HeartbeatTimeout is the quiet interval
@@ -73,43 +73,31 @@ type ClusterConfig struct {
 	// StragglerLagPasses, when positive, arms the coordinator's straggler
 	// detector: heartbeats carry each node's local counting pass
 	// position, and when a node falls this many passes behind the fleet's
-	// most advanced node, the coordinator aborts the attempt and re-hosts
-	// the lagging daemon's logical nodes on other alive daemons, resuming
-	// from the last checkpoint — the same machinery a death takes, except
-	// the slow daemon stays alive (it is merely excluded as a target) and
-	// the event counts in Metrics.RebalancedPartitions, not Failovers.
-	// Each host is rebalanced away from at most once per session, which
-	// bounds the loop; a node still at pass 0 (receiving its partition)
-	// never counts as lagging, and the lag must persist for
+	// most advanced node, the coordinator aborts the attempt and re-splits
+	// the database like any recovery — onto the roster grown by idle pool
+	// workers (AcquireWorkers), the slow daemon keeping a smaller share,
+	// or else onto the roster without the slow daemon. A grow counts in
+	// Metrics.ElasticResizes, a drop in Metrics.RebalancedPartitions;
+	// neither is a failover. Each address fires at most once per session,
+	// which bounds the loop; a node still at pass 0 (receiving its
+	// partition) never counts as lagging, and the lag must persist for
 	// stragglerSustainTicks heartbeat intervals before the detector
-	// fires. The logical partitioning never changes, so the frequent
-	// list stays byte-identical whether or not a re-split occurs. 0 (the
-	// default) disables detection.
+	// fires. 0 (the default) disables detection.
 	StragglerLagPasses int
-	// CheckpointDir, when non-empty, receives the session's checkpoint
-	// file (session-<id>.ckpt, atomically replaced as passes complete) so
-	// a future coordinator process could inspect or reuse it. Resume
-	// itself works from the in-memory checkpoint and does not need this.
-	CheckpointDir string
-	// MaxFailovers caps recoveries before the coordinator gives up
-	// (zero: n-1 — at least one original daemon must survive).
-	MaxFailovers int
 	// Respawn, when non-nil, starts a replacement daemon and returns its
-	// address; a dead daemon's logical nodes move there instead of
-	// doubling up on survivors. Used by pmihp-mine -spawn.
+	// address; the replacement takes a dead daemon's roster entry instead
+	// of the roster shrinking. Used by pmihp-mine -spawn.
 	Respawn func() (string, error)
-	// Elastic, when non-nil, lets the session's owner change the logical
-	// node count mid-run (see ElasticControl): the attempt aborts, the
-	// database is re-split across the new roster, and mining resumes from
-	// the last partition-independent checkpoint barrier.
+	// Elastic, when non-nil, lets the session's owner change the roster
+	// mid-run (see ElasticControl): the attempt aborts, the database is
+	// re-split across the owner's roster, and mining resumes from the
+	// item-count checkpoint.
 	Elastic *ElasticControl
 	// AcquireWorkers, when non-nil, hands the straggler detector a way to
-	// grow instead of migrate: called with the maximum number of extra
+	// grow instead of shrink: called with the maximum number of extra
 	// workers that make sense, it returns the addresses of idle pool
 	// workers this session may keep until it completes (possibly none).
-	// When it returns workers, a detected straggler triggers an elastic
-	// re-split across the grown roster — the slow daemon keeps a smaller
-	// share — instead of draining the straggler onto already-busy peers.
+	// The grown roster keeps the slow daemon, with a smaller share.
 	AcquireWorkers func(max int) []string
 	// OnCheckpointStage, when non-nil, is called (from the control-plane
 	// reader) each time the session's checkpoint advances to a new stage —
@@ -120,23 +108,25 @@ type ClusterConfig struct {
 	Logf func(format string, args ...any)
 	// Obs, when non-nil, receives the coordinator's session telemetry:
 	// per-node heartbeat liveness, checkpoint-stage and failover gauges,
-	// checkpoint-write and recovery-attempt spans. Worker pass events stay
-	// on the daemons' own recorders — they are separate processes.
+	// and recovery-attempt spans. Worker pass events stay on the daemons'
+	// own recorders — they are separate processes.
 	Obs *obs.Recorder
 }
 
 // MineCluster mines db across the node daemons listed in cfg: it splits
 // the database under opts.Partitioner (equal document counts or equal
-// estimated work, both chronological), ships each logical node its partition
-// with the resolved session parameters, lets the nodes run the PMIHP
-// protocol among themselves over their peer exchanges, and merges their
-// reports. The frequent list is byte-identical to core.MinePMIHP's in
-// exact mode on the same inputs — including across failovers, because
-// reassignment never changes the partitioning, only which daemon hosts
-// a partition.
+// estimated work, both chronological), ships each logical node its
+// partition with the resolved session parameters, lets the nodes run the
+// PMIHP protocol among themselves over their peer exchanges, and merges
+// their reports. Every recovery — a death, a straggler, an owner's
+// resize — takes one path: nextRoster picks the next roster from the
+// cause, split re-cuts the database across it by estimated work, one
+// partition per daemon, and the next attempt resumes from the item-count
+// checkpoint. The frequent list is byte-identical to core.MinePMIHP's in
+// exact mode on the same inputs, recoveries included, because PMIHP's
+// output does not depend on how the database is cut.
 func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (*Result, error) {
-	n := len(cfg.Addrs)
-	if n == 0 {
+	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("distmine: no node addresses")
 	}
 	if cfg.IOTimeout <= 0 {
@@ -154,133 +144,50 @@ func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (*Result, 
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 6 * cfg.HeartbeatInterval
 	}
-	if cfg.MaxFailovers <= 0 {
-		cfg.MaxFailovers = n - 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	cfg.Retry = cfg.Retry.WithDefaults()
-	p := core.NewNodeParams(db, opts)
-	parts := p.Opts.Partitioner.Split(db, n)
-
-	// Encode every partition once; recovery attempts re-ship the same
-	// bytes, which is what keeps reassignment byte-identical: the
-	// partitioning is fixed for the session's lifetime.
-	partBytes := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		var buf bytes.Buffer
-		if err := parts[i].Encode(&buf); err != nil {
-			return nil, fmt.Errorf("distmine: node %d: encoding partition: %w", i, err)
-		}
-		partBytes[i] = buf.Bytes()
-	}
-
 	baseID, err := randomID()
 	if err != nil {
 		return nil, fmt.Errorf("distmine: cluster id: %w", err)
 	}
-	// A file already at this session's path can only be a dead
-	// predecessor's leftovers: ids are 64-bit random, so a collision with
-	// a checkpoint no coordinator retired is the one way a brand-new
-	// session could resume from a dead session's state. Remove it before
-	// anything can read it.
-	retireStaleCheckpoint(cfg.CheckpointDir, baseID, cfg.Logf)
-
 	s := &session{
-		cfg:       cfg,
-		db:        db,
-		p:         p,
-		parts:     parts,
-		partBytes: partBytes,
-		baseID:    baseID,
-		roster:    append([]string(nil), cfg.Addrs...),
-		alive:     make([]bool, n),
-		hostOf:    make([]int, n),
-		deadline:  time.Now().Add(cfg.MineTimeout),
-
+		cfg:            cfg,
+		db:             db,
+		p:              core.NewNodeParams(db, opts),
+		baseID:         baseID,
+		deadline:       time.Now().Add(cfg.MineTimeout),
+		ckpt:           transport.Checkpoint{ClusterID: baseID, Stage: transport.StageNone},
 		rebalancedHost: make(map[string]bool),
 	}
-	for i := range s.alive {
-		s.alive[i] = true
+	if err := s.split(cfg.Addrs, s.p.Opts.Partitioner); err != nil {
+		return nil, err
 	}
-	for i := range s.hostOf {
-		s.hostOf[i] = i
-	}
-	s.ckpt = transport.Checkpoint{ClusterID: baseID, Nodes: int32(n), Stage: transport.StageNone}
 	cfg.Obs.SetDaemon("coordinator")
-	// The session's checkpoint file may still be mid-write when the last
-	// attempt ends; external tooling reads it, so settle it before
-	// returning.
-	defer s.ckptWrites.Wait()
 
 	for {
-		// A resize requested between attempts (or the one that aborted the
-		// last attempt) is applied here, at the recovery barrier: re-split
-		// the database across the new roster and resume from the demoted
-		// checkpoint.
-		if addrs := cfg.Elastic.take(); addrs != nil {
-			if rerr := s.applyResize(addrs); rerr != nil {
-				return nil, rerr
-			}
-		}
-		res, deaths, err := s.runAttempt()
-		if err == nil {
+		res, cause := s.runAttempt()
+		if cause == nil {
 			res.Metrics.Failovers = s.failovers
-			res.Metrics.ReassignedPartitions = s.reassigned
 			res.Metrics.RebalancedPartitions = s.rebalances
 			res.Metrics.ElasticResizes = s.resizes
 			res.Metrics.RecoverySeconds = s.recoverySeconds
-			s.ckptWrites.Wait()
-			s.retireCheckpointFile()
 			return res, nil
 		}
-		var rz *resizeError
-		if errors.As(err, &rz) {
-			// Not a failure: the session's owner asked for a new node
-			// count. The loop head applies it.
-			t0 := time.Now()
-			cfg.Logf("distmine: %v", err)
-			if derr := s.finishRecovery(t0, err); derr != nil {
-				return nil, derr
-			}
-			continue
-		}
-		var strag *stragglerError
-		if errors.As(err, &strag) {
-			// A straggler re-split: the lagging daemon is alive, just slow.
-			// With idle pool workers available (AcquireWorkers), grow the
-			// roster and re-split so the slow daemon keeps a smaller share;
-			// otherwise re-host its logical nodes on other alive daemons.
-			// Either way it resumes from the checkpoint — not a failover, so
-			// it neither counts against MaxFailovers nor requires
-			// FailurePolicyReassign (the detector is armed by its own knob).
-			t0 := time.Now()
-			cfg.Logf("distmine: %v", err)
-			if rerr := s.growOrRebalance(strag); rerr != nil {
-				return nil, rerr
-			}
-			cfg.Obs.SetGauge("rebalances_total", int64(s.rebalances))
-			if derr := s.finishRecovery(t0, err); derr != nil {
-				return nil, derr
-			}
-			continue
-		}
-		if len(deaths) == 0 || cfg.FailurePolicy != FailurePolicyReassign {
+		t0 := time.Now()
+		roster, err := s.nextRoster(cause)
+		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		s.failovers += len(deaths)
-		cfg.Obs.SetGauge("failovers_total", int64(s.failovers))
-		cfg.Logf("distmine: failover %d: %v", s.failovers, err)
-		if s.failovers > cfg.MaxFailovers {
-			return nil, fmt.Errorf("distmine: giving up after %d failovers: %w", s.failovers, err)
+		if err := s.split(roster, mining.PartitionByWork); err != nil {
+			return nil, err
 		}
-		if rerr := s.reassign(deaths, err); rerr != nil {
-			return nil, rerr
-		}
-		if derr := s.finishRecovery(t0, err); derr != nil {
-			return nil, derr
+		cfg.Logf("distmine: session %016x re-split across %d logical nodes by %s, resuming from %s",
+			s.baseID, len(roster), mining.PartitionByWork, transport.StageName(s.checkpoint().Stage))
+		cfg.Obs.SetGauge("cluster_nodes", int64(len(roster)))
+		if err := s.finishRecovery(t0, cause); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -317,176 +224,145 @@ func randomID() (uint64, error) {
 // session is the coordinator's state across recovery attempts.
 type session struct {
 	cfg ClusterConfig
-	// db is the whole database, retained so an elastic resize can
-	// re-split it across a new roster mid-run.
-	db        *txdb.DB
-	p         core.NodeParams
-	parts     []*txdb.DB
-	partBytes [][]byte
-	baseID    uint64
-	deadline  time.Time
+	// db is the whole database, retained so every recovery can re-split
+	// it across the next roster.
+	db       *txdb.DB
+	p        core.NodeParams
+	baseID   uint64
+	deadline time.Time
 
-	// roster grows as daemons are respawned; alive marks which entries
-	// still accept work; hostOf maps each logical node to its current
-	// roster entry. The logical partitioning only changes at an elastic
-	// resize (which rebuilds all three together with the partitions).
-	roster []string
-	alive  []bool
-	hostOf []int
+	// roster lists the daemons of the next attempt, one logical node per
+	// entry (an owner's resize may repeat an address); parts and
+	// partBytes are the database cut across it by partitioner. split
+	// replaces all four together.
+	roster      []string
+	parts       []*txdb.DB
+	partBytes   [][]byte
+	partitioner mining.Partitioner
 
 	// ckpt is the most advanced checkpoint node 0 has reported; guarded
 	// by ckptMu because reader goroutines update it mid-attempt.
 	ckptMu sync.Mutex
 	ckpt   transport.Checkpoint
 
-	// rebalancedHost marks daemon addresses already handled by the
-	// straggler detector — each at most once per session, which bounds
-	// the detect/re-split loop even if the replacement hosts are slow
-	// too. Keyed by address, not roster index, because a resize rebuilds
-	// the roster.
+	// rebalancedHost marks daemon addresses the straggler detector has
+	// fired on — each at most once per session, which bounds the
+	// detect/re-split loop even if the re-split hosts are slow too. Keyed
+	// by address, not roster index, because every recovery rebuilds the
+	// roster.
 	rebalancedHost map[string]bool
 
-	// Checkpoint persistence runs off the control-plane reader: a slow
-	// fsync must not stall node 0's heartbeat processing, or the
-	// straggler detector would mistake the coordinator's own disk for a
-	// lagging node. ckptFileMu serializes the writers and ckptFileStage
-	// keeps the on-disk file stage-monotonic; ckptWrites lets MineCluster
-	// drain pending writes before returning.
-	ckptWrites    sync.WaitGroup
-	ckptFileMu    sync.Mutex
-	ckptFileStage uint8
-
 	failovers       int
-	reassigned      int
 	rebalances      int
 	resizes         int
 	recoverySeconds float64
 }
 
-// applyResize re-splits the database across a new roster of n' daemons
-// and demotes the session checkpoint to the deepest stage that survives
-// a repartition: StageItemCounts carries only the all-reduced global
-// item-count vector, which no partitioning can change, while THT
-// segments are per-partition and must be rebuilt. The next attempt runs
-// the resumed protocol on the new roster; the frequent list stays
-// byte-identical because core.MinePMIHP's output does not depend on the
-// node count.
-func (s *session) applyResize(addrs []string) error {
-	n := len(addrs)
-	if n == 0 {
-		return fmt.Errorf("distmine: resize to an empty roster")
-	}
-	// Settle in-flight checkpoint-file writes before demoting the file
-	// stage, so no stale old-roster write can land after the reset.
-	s.ckptWrites.Wait()
-
-	// A resize exists to rebalance, so the re-split always cuts by
-	// estimated counting work (the skew-aware splitter) regardless of the
-	// partitioner the session started under: a statically mis-partitioned
-	// session comes out of the barrier balanced, not re-skewed across more
-	// nodes. Placement never changes the frequent itemsets, so this is
-	// invisible in the results.
-	parts := mining.PartitionByWork.Split(s.db, n)
-	partBytes := make([][]byte, n)
-	for i := 0; i < n; i++ {
+// split cuts the database across roster, one chronological partition per
+// entry, under partitioner, and points the checkpoint at the new node
+// count. The item-count vector a checkpoint carries does not depend on
+// the cut, so the next attempt resumes from it on any roster.
+func (s *session) split(roster []string, partitioner mining.Partitioner) error {
+	parts := partitioner.Split(s.db, len(roster))
+	partBytes := make([][]byte, len(parts))
+	for i, part := range parts {
 		var buf bytes.Buffer
-		if err := parts[i].Encode(&buf); err != nil {
-			return fmt.Errorf("distmine: resize: node %d: encoding partition: %w", i, err)
+		if err := part.Encode(&buf); err != nil {
+			return fmt.Errorf("distmine: node %d: encoding partition: %w", i, err)
 		}
 		partBytes[i] = buf.Bytes()
 	}
-	s.parts, s.partBytes = parts, partBytes
-	s.roster = append([]string(nil), addrs...)
-	s.alive = make([]bool, n)
-	s.hostOf = make([]int, n)
-	for i := range s.alive {
-		s.alive[i] = true
-		s.hostOf[i] = i
-	}
-
+	s.roster = slices.Clone(roster)
+	s.parts, s.partBytes, s.partitioner = parts, partBytes, partitioner
 	s.ckptMu.Lock()
-	demoted := transport.Checkpoint{ClusterID: s.baseID, Nodes: int32(n), Stage: transport.StageNone}
-	if s.ckpt.Stage >= transport.StageItemCounts {
-		demoted.Stage = transport.StageItemCounts
-		demoted.GlobalCounts = s.ckpt.GlobalCounts
-	}
-	s.ckpt = demoted
+	s.ckpt.Nodes = int32(len(roster))
 	s.ckptMu.Unlock()
-	s.ckptFileMu.Lock()
-	// Let the new roster's checkpoints replace the retired partitioning's
-	// file even though its stage may have been deeper.
-	s.ckptFileStage = demoted.Stage
-	s.ckptFileMu.Unlock()
-
-	s.resizes++
-	s.cfg.Logf("distmine: session %016x resized to %d logical nodes, resuming from %s",
-		s.baseID, n, transport.StageName(demoted.Stage))
-	s.cfg.Obs.SetGauge("cluster_nodes", int64(n))
-	s.cfg.Obs.SetGauge("resizes_total", int64(s.resizes))
 	return nil
 }
 
-// growOrRebalance handles a detected straggler. With idle pool workers
-// on offer it grows the roster — every alive daemon currently hosting
-// work keeps a (smaller) share, the idle workers take the rest — via the
-// elastic re-split. Without them it falls back to migrating the slow
-// daemon's partitions onto already-busy survivors.
-func (s *session) growOrRebalance(e *stragglerError) error {
-	if s.cfg.AcquireWorkers != nil {
-		if extra := s.cfg.AcquireWorkers(len(s.hostOf)); len(extra) > 0 {
-			s.rebalancedHost[e.addr] = true
-			hosting := make(map[int]bool)
-			for _, host := range s.hostOf {
-				hosting[host] = true
-			}
-			var addrs []string
-			for r, a := range s.roster {
-				if s.alive[r] && hosting[r] {
-					addrs = append(addrs, a)
-				}
-			}
-			addrs = append(addrs, extra...)
-			s.cfg.Logf("distmine: straggler %s: growing onto %d idle pool workers (re-split %d ways)",
-				e.addr, len(extra), len(addrs))
-			return s.applyResize(addrs)
+// nextRoster maps an aborted attempt's cause to the roster the next
+// attempt runs on:
+//   - an owner's resize: the owner's roster;
+//   - a straggler: the roster plus the idle pool workers AcquireWorkers
+//     hands out, or, without any, the roster minus the straggler;
+//   - deaths under FailurePolicyReassign: the roster with each dead
+//     daemon's entries taken over by a respawned daemon, or dropped when
+//     there is no Respawn or it fails.
+//
+// Any other cause ends the session, as do an empty roster and more than
+// len(cfg.Addrs)-1 failovers; the error wraps the cause.
+func (s *session) nextRoster(cause error) ([]string, error) {
+	var (
+		rz    *resizeError
+		st    *stragglerError
+		death *deathError
+		next  []string
+	)
+	switch {
+	case errors.As(cause, &rz):
+		s.cfg.Logf("distmine: %v", cause)
+		s.resizes++
+		s.cfg.Obs.SetGauge("resizes_total", int64(s.resizes))
+		next = rz.roster
+	case errors.As(cause, &st):
+		s.cfg.Logf("distmine: %v", cause)
+		s.rebalancedHost[st.addr] = true
+		var extra []string
+		if s.cfg.AcquireWorkers != nil {
+			extra = s.cfg.AcquireWorkers(len(s.roster))
 		}
+		if len(extra) > 0 {
+			s.cfg.Logf("distmine: straggler %s: growing onto %d idle pool workers", st.addr, len(extra))
+			s.resizes++
+			s.cfg.Obs.SetGauge("resizes_total", int64(s.resizes))
+			next = append(slices.Clone(s.roster), extra...)
+		} else {
+			s.cfg.Logf("distmine: dropped straggler %s from the roster", st.addr)
+			s.rebalances++
+			s.cfg.Obs.SetGauge("rebalances_total", int64(s.rebalances))
+			next = slices.Delete(slices.Clone(s.roster), st.node, st.node+1)
+		}
+	case errors.As(cause, &death) && s.cfg.FailurePolicy == FailurePolicyReassign:
+		// A failover is one dead daemon, which takes every roster entry on
+		// its address with it.
+		var dead []string
+		for _, i := range death.nodes {
+			if !slices.Contains(dead, s.roster[i]) {
+				dead = append(dead, s.roster[i])
+			}
+		}
+		s.failovers += len(dead)
+		s.cfg.Obs.SetGauge("failovers_total", int64(s.failovers))
+		s.cfg.Logf("distmine: failover %d: %v", s.failovers, cause)
+		if s.failovers > len(s.cfg.Addrs)-1 {
+			return nil, fmt.Errorf("distmine: giving up after %d failovers: %w", s.failovers, cause)
+		}
+		replacement := make(map[string]string, len(dead)) // "" drops the entry
+		for _, addr := range dead {
+			if s.cfg.Respawn == nil {
+				replacement[addr] = ""
+			} else if r, err := s.cfg.Respawn(); err != nil {
+				s.cfg.Logf("distmine: respawn failed (%v), dropping %s", err, addr)
+				replacement[addr] = ""
+			} else {
+				s.cfg.Logf("distmine: replaced dead %s with %s", addr, r)
+				replacement[addr] = r
+			}
+		}
+		for _, addr := range s.roster {
+			if r, ok := replacement[addr]; !ok {
+				next = append(next, addr)
+			} else if r != "" {
+				next = append(next, r)
+			}
+		}
+	default:
+		return nil, cause
 	}
-	return s.rebalanceStraggler(e)
-}
-
-// checkpointPath is the session checkpoint file's location under dir.
-func checkpointPath(dir string, id uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("session-%016x.ckpt", id))
-}
-
-// retireStaleCheckpoint removes a leftover checkpoint file matching a
-// brand-new session's id. Only a dead predecessor with a colliding
-// random id could have left it, and resuming from a dead session's
-// state must never happen.
-func retireStaleCheckpoint(dir string, id uint64, logf func(format string, args ...any)) {
-	if dir == "" {
-		return
+	if len(next) == 0 {
+		return nil, fmt.Errorf("distmine: no daemons left to resume on: %w", cause)
 	}
-	path := checkpointPath(dir, id)
-	if _, err := os.Stat(path); err != nil {
-		return
-	}
-	logf("distmine: session %016x: removing stale checkpoint %s (id collision with an unretired earlier session)", id, path)
-	if err := os.Remove(path); err != nil {
-		logf("distmine: removing stale checkpoint: %v", err)
-	}
-}
-
-// retireCheckpointFile removes the session's checkpoint file after a
-// clean completion; a shared checkpoint directory holds files only for
-// sessions that are still running or died unrecovered.
-func (s *session) retireCheckpointFile() {
-	if s.cfg.CheckpointDir == "" {
-		return
-	}
-	if err := os.Remove(checkpointPath(s.cfg.CheckpointDir, s.baseID)); err != nil && !os.IsNotExist(err) {
-		s.cfg.Logf("distmine: retiring session checkpoint: %v", err)
-	}
+	return next, nil
 }
 
 // stragglerSustainTicks is how many consecutive watchdog ticks (one per
@@ -497,113 +373,26 @@ const stragglerSustainTicks = 4
 
 // stragglerError is runAttempt's report that the attempt was aborted by
 // the straggler detector rather than by a death: node (on roster entry
-// host) lagged the fleet's most advanced pass position by lag passes.
+// addr) lagged the fleet's most advanced pass position by lag passes.
 type stragglerError struct {
-	node, host int
-	addr       string
-	lag        int
+	node int
+	addr string
+	lag  int
 }
 
 func (e *stragglerError) Error() string {
 	return fmt.Sprintf("straggler: node %d (%s) lags the fleet by %d passes", e.node, e.addr, e.lag)
 }
 
-// rebalanceStraggler re-hosts every logical node of the straggling
-// roster entry onto other alive daemons. The slow daemon stays alive and
-// keeps its daemon process — only its partitions move — and it is never
-// chosen as a target again this session.
-func (s *session) rebalanceStraggler(e *stragglerError) error {
-	s.rebalancedHost[e.addr] = true
-	for node, host := range s.hostOf {
-		if host != e.host {
-			continue
-		}
-		target := s.leastLoadedAlive(e.host)
-		if target < 0 {
-			return fmt.Errorf("distmine: no other daemon to rebalance straggler node %d to: %w", node, e)
-		}
-		s.hostOf[node] = target
-		s.rebalances++
-		s.cfg.Logf("distmine: rebalanced node %d (%s lagging %d passes) to %s, resuming from %s",
-			node, s.roster[e.host], e.lag, s.roster[target], transport.StageName(s.checkpoint().Stage))
-	}
-	return nil
+// deathError is runAttempt's report that workers died: nodes lists the
+// dead roster entries, err attributes the first death.
+type deathError struct {
+	nodes []int
+	err   error
 }
 
-// reassign moves the dead roster entries' logical nodes to replacements
-// (respawned daemons when possible, otherwise least-loaded survivors).
-// cause is the attempt's error, kept for context in follow-on failures.
-func (s *session) reassign(deaths []int, cause error) error {
-	for _, r := range deaths {
-		s.alive[r] = false
-	}
-	for _, r := range deaths {
-		var orphans []int
-		for node, host := range s.hostOf {
-			if host == r {
-				orphans = append(orphans, node)
-			}
-		}
-		if len(orphans) == 0 {
-			continue
-		}
-		target := -1
-		if s.cfg.Respawn != nil {
-			addr, err := s.cfg.Respawn()
-			if err != nil {
-				s.cfg.Logf("distmine: respawn failed (%v), reassigning to survivors", err)
-			} else {
-				s.roster = append(s.roster, addr)
-				s.alive = append(s.alive, true)
-				target = len(s.roster) - 1
-			}
-		}
-		for _, node := range orphans {
-			host := target
-			if host < 0 {
-				host = s.leastLoadedAlive(-1)
-				if host < 0 {
-					return fmt.Errorf("distmine: no surviving daemons to reassign node %d to: %w", node, cause)
-				}
-			}
-			s.hostOf[node] = host
-			s.reassigned++
-			s.cfg.Logf("distmine: reassigned node %d (%s dead) to %s, resuming from %s",
-				node, s.roster[r], s.roster[host], transport.StageName(s.checkpoint().Stage))
-		}
-	}
-	return nil
-}
-
-// leastLoadedAlive returns the alive roster entry hosting the fewest
-// logical nodes (lowest index breaks ties), or -1 if none qualify.
-// except, when >= 0, excludes that entry — the straggler rebalance must
-// not hand partitions back to the host it is draining.
-//
-// The load map deliberately counts every hostOf entry, including
-// partitions still attributed to dead hosts mid-recovery: those entries
-// never inflate an alive candidate (dead and excepted hosts are skipped
-// in the selection loop below), and reassign moves orphans one at a
-// time, recomputing the load after each placement, so partitions not
-// yet moved stay attributed to their dead host rather than being
-// pre-counted against any survivor. Live placement decisions therefore
-// only ever weigh live load — pinned by TestLeastLoadedAliveMultiDeath.
-func (s *session) leastLoadedAlive(except int) int {
-	load := make(map[int]int)
-	for _, host := range s.hostOf {
-		load[host]++
-	}
-	best, bestLoad := -1, 0
-	for r := range s.roster {
-		if !s.alive[r] || r == except {
-			continue
-		}
-		if best < 0 || load[r] < bestLoad {
-			best, bestLoad = r, load[r]
-		}
-	}
-	return best
-}
+func (e *deathError) Error() string { return e.err.Error() }
+func (e *deathError) Unwrap() error { return e.err }
 
 func (s *session) checkpoint() transport.Checkpoint {
 	s.ckptMu.Lock()
@@ -612,17 +401,15 @@ func (s *session) checkpoint() transport.Checkpoint {
 }
 
 // noteProgress folds a node-0 progress report into the session
-// checkpoint (monotonically — a stale report never regresses it) and
-// persists it to CheckpointDir when configured. Persistence failures are
-// logged, never fatal: resume works from the in-memory checkpoint.
+// checkpoint, monotonically: a stale report never regresses it.
 func (s *session) noteProgress(payload []byte) {
 	c, err := transport.DecodeCheckpoint(payload)
 	if err != nil {
 		s.cfg.Logf("distmine: ignoring bad progress report: %v", err)
 		return
 	}
-	if int(c.Nodes) != len(s.hostOf) {
-		s.cfg.Logf("distmine: ignoring progress report for %d nodes (session has %d)", c.Nodes, len(s.hostOf))
+	if int(c.Nodes) != len(s.roster) {
+		s.cfg.Logf("distmine: ignoring progress report for %d nodes (session has %d)", c.Nodes, len(s.roster))
 		return
 	}
 	s.ckptMu.Lock()
@@ -638,46 +425,28 @@ func (s *session) noteProgress(payload []byte) {
 	if s.cfg.OnCheckpointStage != nil {
 		s.cfg.OnCheckpointStage(c.Stage)
 	}
-	if s.cfg.CheckpointDir != "" {
-		path := checkpointPath(s.cfg.CheckpointDir, s.baseID)
-		s.ckptWrites.Add(1)
-		go func() {
-			defer s.ckptWrites.Done()
-			s.ckptFileMu.Lock()
-			defer s.ckptFileMu.Unlock()
-			if c.Stage <= s.ckptFileStage {
-				return // a newer checkpoint already reached disk
-			}
-			sp := s.cfg.Obs.StartSpan("checkpoint:write", -1)
-			err := transport.WriteCheckpointFile(path, c)
-			sp.EndErr(err)
-			if err != nil {
-				s.cfg.Logf("distmine: persisting checkpoint: %v", err)
-				return
-			}
-			s.ckptFileStage = c.Stage
-		}()
-	}
 }
 
 // runAttempt drives one full try of the session: dial and initialize
-// every logical node on its current host, watch heartbeats, collect
-// terminal reports. On failure it also returns the roster entries it
-// attributes deaths to (empty when the failure was not a worker death —
-// those are not recoverable by reassignment).
-func (s *session) runAttempt() (*Result, []int, error) {
+// every logical node on its roster entry, watch heartbeats, collect
+// terminal reports. An attempt that ends without a result reports why:
+// a *deathError, *stragglerError or *resizeError is a cause nextRoster
+// can recover from; any other error ends the session.
+func (s *session) runAttempt() (*Result, error) {
 	cfg := s.cfg
-	n := len(s.hostOf)
-	// Each attempt gets a fresh cluster ID so a respawn-and-resume never
-	// collides with a half-dead prior attempt's sessions still draining
-	// on surviving daemons.
+	// A resize requested before this attempt (or during the last
+	// recovery) aborts it before anything is dialed.
+	if roster := cfg.Elastic.take(); roster != nil {
+		return nil, &resizeError{roster: roster}
+	}
+	peerAddrs := s.roster
+	n := len(peerAddrs)
+	// Each attempt gets a fresh cluster ID so a resume never collides with
+	// a half-dead prior attempt's sessions still draining on surviving
+	// daemons.
 	attemptID, err := randomID()
 	if err != nil {
-		return nil, nil, fmt.Errorf("distmine: attempt id: %w", err)
-	}
-	peerAddrs := make([]string, n)
-	for i, host := range s.hostOf {
-		peerAddrs[i] = s.roster[host]
+		return nil, fmt.Errorf("distmine: attempt id: %w", err)
 	}
 	var resume []byte
 	if ck := s.checkpoint(); ck.Stage > transport.StageNone {
@@ -697,8 +466,8 @@ func (s *session) runAttempt() (*Result, []int, error) {
 
 	// Dial every logical node's control plane (with retry — daemons may
 	// still be starting up) and initialize it with its partition. A
-	// setup failure is attributed as a death of the node's host so the
-	// reassign policy can route around daemons that died between
+	// setup failure is attributed as a death of the node's daemon so the
+	// reassign policy can re-split around daemons that died between
 	// attempts.
 	for i := 0; i < n; i++ {
 		addr := peerAddrs[i]
@@ -719,7 +488,7 @@ func (s *session) runAttempt() (*Result, []int, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, []int{s.hostOf[i]}, fmt.Errorf("distmine: node %d (%s): control dial: %w", i, addr, err)
+			return nil, &deathError{[]int{i}, fmt.Errorf("distmine: node %d (%s): control dial: %w", i, addr, err)}
 		}
 		conns[i] = conn
 
@@ -735,14 +504,14 @@ func (s *session) runAttempt() (*Result, []int, error) {
 			MaxK:            int32(s.p.Opts.MaxK),
 			Workers:         int32(s.p.Opts.IntraNodeWorkers),
 			DenseThreshold:  s.p.Opts.DenseThreshold,
-			Partitioner:     int32(s.p.Opts.Partitioner),
+			Partitioner:     int32(s.partitioner),
 			HeartbeatMillis: int32(cfg.HeartbeatInterval / time.Millisecond),
 			PeerAddrs:       peerAddrs,
 			DB:              s.partBytes[i],
 			Resume:          resume,
 		}
 		if err := writeFrameDeadline(conn, transport.MsgInit, transport.AppendInit(nil, init), cfg.MineTimeout); err != nil {
-			return nil, []int{s.hostOf[i]}, fmt.Errorf("distmine: node %d (%s): sending init: %w", i, addr, err)
+			return nil, &deathError{[]int{i}, fmt.Errorf("distmine: node %d (%s): sending init: %w", i, addr, err)}
 		}
 	}
 
@@ -809,7 +578,6 @@ func (s *session) runAttempt() (*Result, []int, error) {
 					cancelAttempt()
 					return
 				}
-				live.Beat(i)
 				s.cfg.Obs.Beat(i)
 				switch t {
 				case transport.MsgHeartbeat:
@@ -848,10 +616,9 @@ func (s *session) runAttempt() (*Result, []int, error) {
 	}
 
 	// Straggler watchdog: compares the fleet's heartbeat pass positions
-	// and aborts the attempt when an armed lag threshold is crossed and
-	// another alive daemon could take the lagging host's partitions. The
-	// rebalance itself happens between attempts, on the same
-	// checkpoint/resume machinery a death uses.
+	// and aborts the attempt when an armed lag threshold is crossed. The
+	// re-split itself happens between attempts, on the same
+	// checkpoint/resume path every recovery takes.
 	//
 	// Two guards keep the detector honest on fast sessions. A node still
 	// at pass 0 is setting up (receiving its partition, building its
@@ -861,11 +628,12 @@ func (s *session) runAttempt() (*Result, []int, error) {
 	// node whose beacon lands mid-burst looks far behind for one tick
 	// and caught up on the next, while a genuinely slow partition stays
 	// behind every tick.
-	var stragMu sync.Mutex
 	var strag *stragglerError
-	watchStop := make(chan struct{})
-	if cfg.StragglerLagPasses > 0 && n > 1 {
+	watching := cfg.StragglerLagPasses > 0 && n > 1
+	watchStop, watchDone := make(chan struct{}), make(chan struct{})
+	if watching {
 		go func() {
+			defer close(watchDone)
 			tick := time.NewTicker(cfg.HeartbeatInterval)
 			defer tick.Stop()
 			lagTicks := make([]int, n)
@@ -892,19 +660,11 @@ func (s *session) runAttempt() (*Result, []int, error) {
 					if lagTicks[i] < stragglerSustainTicks {
 						continue
 					}
-					host := s.hostOf[i]
-					// Each host triggers at most once per session, and firing
-					// only makes sense with somewhere to move work: another
-					// alive daemon, or an idle pool worker to grow onto.
+					// Each address fires at most once per session.
 					if s.rebalancedHost[peerAddrs[i]] {
 						continue
 					}
-					if s.leastLoadedAlive(host) < 0 && cfg.AcquireWorkers == nil {
-						continue
-					}
-					stragMu.Lock()
-					strag = &stragglerError{node: i, host: host, addr: peerAddrs[i], lag: lag}
-					stragMu.Unlock()
+					strag = &stragglerError{node: i, addr: peerAddrs[i], lag: lag}
 					cancelAttempt()
 					return
 				}
@@ -913,48 +673,33 @@ func (s *session) runAttempt() (*Result, []int, error) {
 	}
 	wg.Wait()
 	close(watchStop)
+	if watching {
+		<-watchDone // settles strag; no read of rebalancedHost outlives the attempt
+	}
 
 	if dead := live.DeadNodes(); len(dead) > 0 {
-		hosts := make(map[int]bool)
-		var deadHosts []int
-		for _, node := range dead {
-			if h := s.hostOf[node]; !hosts[h] {
-				hosts[h] = true
-				deadHosts = append(deadHosts, h)
-			}
-		}
-		return nil, deadHosts, fmt.Errorf("distmine: %w", live.Dead(dead[0]))
+		return nil, &deathError{dead, fmt.Errorf("distmine: %w", live.Dead(dead[0]))}
 	}
-	stragMu.Lock()
-	st := strag
-	stragMu.Unlock()
-	if st != nil {
-		return nil, nil, fmt.Errorf("distmine: %w", st)
+	if strag != nil {
+		return nil, strag
 	}
 	// A pending resize aborted the attempt: whatever fallout the abort
 	// left in nodeErrs is cancellation noise, not failure. (If every
 	// terminal report still arrived, the attempt beat the resize to the
 	// finish and the result stands.)
-	if pn := cfg.Elastic.pendingN(); pn > 0 {
-		complete := true
-		for _, ok := range gotDone {
-			if !ok {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			return nil, nil, fmt.Errorf("distmine: %w", &resizeError{n: pn})
+	if slices.Contains(gotDone, false) {
+		if roster := cfg.Elastic.take(); roster != nil {
+			return nil, &resizeError{roster: roster}
 		}
 	}
 	for _, err := range nodeErrs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("distmine: %w", err)
+			return nil, fmt.Errorf("distmine: %w", err)
 		}
 	}
 	for i, ok := range gotDone {
 		if !ok {
-			return nil, nil, fmt.Errorf("distmine: node %d (%s): no terminal report", i, peerAddrs[i])
+			return nil, fmt.Errorf("distmine: node %d (%s): no terminal report", i, peerAddrs[i])
 		}
 	}
 	// Graceful shutdown: release the daemons' sessions.
@@ -965,7 +710,7 @@ func (s *session) runAttempt() (*Result, []int, error) {
 	// ---- Merge the nodes' Found lists once, exactly as core.MinePMIHP
 	// does. ----
 	if len(dones[0].GlobalCounts) != s.p.NumItems {
-		return nil, nil, fmt.Errorf("distmine: node 0 reported %d global item counts, want %d",
+		return nil, fmt.Errorf("distmine: node 0 reported %d global item counts, want %d",
 			len(dones[0].GlobalCounts), s.p.NumItems)
 	}
 	globalCounts := make([]int, s.p.NumItems)
@@ -1000,5 +745,5 @@ func (s *session) runAttempt() (*Result, []int, error) {
 	if res.Imbalance > 0 {
 		cfg.Obs.SetFloatGauge("pass_imbalance_ratio", res.Imbalance)
 	}
-	return res, nil, nil
+	return res, nil
 }

@@ -3,7 +3,6 @@ package distmine
 import (
 	"bytes"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,18 +42,13 @@ type DaemonOptions struct {
 	// (the default) inherits the coordinator's value. Either way the
 	// layout never changes counts or simulated charges.
 	DenseThresholdOverride float64
-	// RequirePartitioner, when non-nil, rejects sessions whose Init was
-	// partitioned by a different policy. Unlike DenseThresholdOverride
-	// this is a guard, not an override: the partition arrives pre-cut
-	// from the coordinator, so a daemon cannot re-split it — it can only
-	// refuse to serve a placement its operator does not want.
-	RequirePartitioner *mining.Partitioner
 }
 
-// sessionKey identifies one logical node of one mining session. After a
-// failover a daemon may host several logical nodes of the same cluster,
-// so sessions are keyed by (cluster, node) and peer connections are
-// routed by their Hello's To field.
+// sessionKey identifies one logical node of one mining session. An
+// owner's resize may list an address more than once, stacking several
+// logical nodes of one session on a daemon, so sessions are keyed by
+// (cluster, node) and peer connections are routed by their Hello's To
+// field.
 type sessionKey struct {
 	cluster uint64
 	node    int32
@@ -73,8 +67,9 @@ type daemonSession struct {
 // Daemon is a PMIHP worker process: one listener serving the
 // coordinator's control plane and peers' exchange traffic, dispatched
 // by each connection's Hello. A daemon can serve many mining sessions
-// (and, after failovers, several logical nodes of one session) over its
-// lifetime; each logical node is driven by its own control connection.
+// (and, when a resize repeats its address, several logical nodes of one
+// session) over its lifetime; each logical node is driven by its own
+// control connection.
 type Daemon struct {
 	opt  DaemonOptions
 	addr string
@@ -212,11 +207,6 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		fail(fmt.Errorf("init cluster %x on control conn for %x", init.ClusterID, hello.ClusterID))
 		return
 	}
-	if rp := d.opt.RequirePartitioner; rp != nil && mining.Partitioner(init.Partitioner) != *rp {
-		fail(fmt.Errorf("node %d: session uses %s partitioning, this daemon requires %s",
-			init.NodeID, mining.Partitioner(init.Partitioner), *rp))
-		return
-	}
 	db, err := txdb.ReadDB(bytes.NewReader(init.DB))
 	if err != nil {
 		fail(fmt.Errorf("decoding partition: %w", err))
@@ -264,8 +254,8 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 
 	// Register the session, superseding a draining predecessor with the
 	// same key: a coordinator that reconnects and re-Inits the same
-	// logical node (reassign-to-same-daemon recovery) must not be wedged
-	// by the previous attempt's goroutine still waiting out its teardown.
+	// logical node must not be wedged by the previous registration's
+	// goroutine still waiting out its teardown.
 	// The predecessor is told to stop and this registration waits for it
 	// to fully drain, so its peer exchange never shadows the new one.
 	ds := &daemonSession{x: x, stop: signalStop, done: make(chan struct{})}
@@ -345,13 +335,12 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		OnPass: func() { passes.Add(1) },
 	}
 	if init.NodeID == 0 {
-		hooks.Progress = func(stage uint8, counts []uint32, segs [][]byte) {
+		hooks.Progress = func(stage uint8, counts []uint32) {
 			ck := transport.Checkpoint{
 				ClusterID:    init.ClusterID,
 				Nodes:        init.Nodes,
 				Stage:        stage,
 				GlobalCounts: counts,
-				THTSegments:  segs,
 			}
 			if err := write(transport.MsgProgress, transport.AppendCheckpoint(nil, ck), d.opt.IOTimeout); err != nil {
 				d.opt.Logf("pmihp-node: session %x: sending %s progress: %v", init.ClusterID, transport.StageName(stage), err)
@@ -411,18 +400,4 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 	}
 	<-stop
 	d.opt.Logf("pmihp-node: session %x: node %d finished", init.ClusterID, init.NodeID)
-}
-
-// ListenAndServe listens on addr (host:0 picks a free port), announces
-// the bound address on announce in the exact form the spawner parses,
-// and serves until the process exits.
-func (d *Daemon) ListenAndServe(addr string, announce *log.Logger) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if announce != nil {
-		announce.Printf("pmihp-node listening on %s", ln.Addr().String())
-	}
-	return d.Serve(ln)
 }

@@ -5,14 +5,12 @@ import (
 	"sync"
 )
 
-// ElasticControl lets a running MineCluster session change its logical
-// node count mid-run. A Resize aborts the in-flight attempt (the same
-// abort a death takes), and the session re-splits the database across
-// the new roster at the last checkpoint barrier before resuming: a PMCK
-// checkpoint at StageItemCounts carries only the all-reduced global
-// item-count vector, which is partition-independent, so the repartition
-// costs at most the work since that barrier (per-node THT segments
-// cannot survive a roster change and are rebuilt). The frequent list is
+// ElasticControl lets a running MineCluster session change its roster
+// mid-run. A Resize aborts the in-flight attempt, and the session takes
+// the recovery path a death or a straggler takes: it re-splits the
+// database across the owner's roster and resumes from the item-count
+// checkpoint, which carries only the all-reduced global item-count
+// vector and so survives any repartition. The frequent list is
 // byte-identical across any sequence of resizes because core.MinePMIHP's
 // output does not depend on the node count.
 //
@@ -60,16 +58,6 @@ func (e *ElasticControl) arm(abort func()) {
 	}
 }
 
-// pendingN reports the requested roster size (0: no pending resize).
-func (e *ElasticControl) pendingN() int {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.want)
-}
-
 // take consumes the pending request.
 func (e *ElasticControl) take() []string {
 	if e == nil {
@@ -83,11 +71,12 @@ func (e *ElasticControl) take() []string {
 }
 
 // resizeError is runAttempt's report that the attempt was aborted by a
-// pending elastic resize rather than by a death or a straggler.
+// pending elastic resize onto roster rather than by a death or a
+// straggler.
 type resizeError struct {
-	n int
+	roster []string
 }
 
 func (e *resizeError) Error() string {
-	return fmt.Sprintf("elastic resize to %d logical nodes requested; aborting attempt", e.n)
+	return fmt.Sprintf("elastic resize to %d logical nodes requested; aborting attempt", len(e.roster))
 }

@@ -2,9 +2,10 @@ package distmine
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"net"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -82,7 +83,7 @@ func TestClusterElasticResize(t *testing.T) {
 			if len(got.Nodes) != tc.end {
 				t.Fatalf("finished with %d nodes, want %d after resize", len(got.Nodes), tc.end)
 			}
-			if got.Metrics.Failovers != 0 || got.Metrics.ReassignedPartitions != 0 {
+			if got.Metrics.Failovers != 0 {
 				t.Fatalf("resize charged as failover: %+v", got.Metrics)
 			}
 		})
@@ -120,12 +121,51 @@ func TestClusterResizeBeforeStart(t *testing.T) {
 	}
 }
 
+// TestResizeLabelsWorkPartitions: a re-split cuts by estimated work
+// whatever partitioner the session started under, and the Init must say
+// so — the daemons log the partitioner that actually cut the partition
+// they were shipped.
+func TestResizeLabelsWorkPartitions(t *testing.T) {
+	var mu sync.Mutex
+	var lines []string
+	daemons := startDaemons(t, 3, DaemonOptions{Logf: func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	db := buildDB(t, corpus.CorpusB(corpus.Small))
+	opts := mining.Options{MinSupCount: 2, MaxK: 3} // count partitioning
+	ctrl := NewElasticControl()
+	if err := ctrl.Resize(daemons); err != nil {
+		t.Fatal(err)
+	}
+	got, err := MineCluster(db, ClusterConfig{Addrs: daemons[:2], Retry: fastRetry, Elastic: ctrl}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, pmihpRef(t, db, 3, opts), got)
+	mu.Lock()
+	defer mu.Unlock()
+	inits := 0
+	for _, l := range lines {
+		if !strings.Contains(l, " partitions (") {
+			continue
+		}
+		inits++
+		if !strings.Contains(l, "work partitions") {
+			t.Errorf("re-split node logged %q, want work partitions", l)
+		}
+	}
+	if inits != 3 {
+		t.Fatalf("%d node inits logged, want 3:\n%s", inits, strings.Join(lines, "\n"))
+	}
+}
+
 // TestStragglerGrowsOntoIdleWorkers: the day-skewed corpus under
 // equal-count partitioning makes the heavy node's passes crawl; with
 // AcquireWorkers offering idle pool daemons, the armed detector must
-// grow the roster and re-split (an elastic resize) instead of migrating
-// the slow partition onto already-busy survivors — and the result must
-// stay byte-identical.
+// grow the roster and re-split (an elastic resize) instead of dropping
+// the slow daemon — and the result must stay byte-identical.
 func TestStragglerGrowsOntoIdleWorkers(t *testing.T) {
 	daemons := startDaemons(t, 4, DaemonOptions{})
 	idle := startDaemons(t, 2, DaemonOptions{})
@@ -152,7 +192,7 @@ func TestStragglerGrowsOntoIdleWorkers(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			if acquired > 0 {
-				return nil // one grow per test; later fires fall back
+				return nil // one grow per test; later fires drop the straggler
 			}
 			n := min(max, len(idle))
 			acquired = n
@@ -165,7 +205,7 @@ func TestStragglerGrowsOntoIdleWorkers(t *testing.T) {
 	}
 	requireIdentical(t, ref, got)
 	if got.Metrics.ElasticResizes < 1 {
-		t.Fatalf("ElasticResizes = %d, want >= 1 (straggler should grow, not migrate)", got.Metrics.ElasticResizes)
+		t.Fatalf("ElasticResizes = %d, want >= 1 (straggler should grow, not shrink)", got.Metrics.ElasticResizes)
 	}
 	if got.Metrics.Failovers != 0 {
 		t.Fatalf("straggler growth charged as failover: %+v", got.Metrics)
@@ -241,13 +281,13 @@ func (c *rawControlConn) awaitTerminal(timeout time.Duration) (uint8, []byte) {
 // the first attempt blocks after its exchange fails, holding the
 // session registration until a Shutdown that will never come) must let
 // a re-Init of the same (cluster, node) supersede the draining session
-// instead of wedging reassign-to-same-daemon recovery.
+// instead of wedging the coordinator that re-Inits it.
 func TestDaemonReInitSupersedesDrainingSession(t *testing.T) {
-	addr := startDaemons(t, 1, DaemonOptions{
+	d, addr := startDaemon(t, DaemonOptions{
 		Retry:       transport.RetryPolicy{Attempts: 2, BaseDelay: 1 * time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		WaitTimeout: 10 * time.Second,
 		Logf:        t.Logf,
-	})[0]
+	})
 	db := buildDB(t, corpus.CorpusB(corpus.Small))
 	p := core.NewNodeParams(db, mining.Options{MinSupCount: 2, MaxK: 3})
 	part := encodeDB(t, db)
@@ -308,147 +348,159 @@ func TestDaemonReInitSupersedesDrainingSession(t *testing.T) {
 		t.Fatal("superseding session mined nothing")
 	}
 	transport.WriteFrame(second.conn, transport.MsgShutdown, nil, nil)
+	// The daemon logs through t.Logf until each session has drained;
+	// returning earlier would let it log after the test completed.
+	deadline := time.Now().Add(10 * time.Second)
+	for d.ActiveSessions() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still registered after shutdown", d.ActiveSessions())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
-// TestLeastLoadedAliveMultiDeath pins the placement audit: the load map
-// counts every hostOf entry — including partitions still attributed to
-// dead hosts mid-recovery — but selection skips dead and excepted
-// entries, so live placements only ever weigh live load.
-func TestLeastLoadedAliveMultiDeath(t *testing.T) {
+// TestNextRoster pins the one recovery path's roster arithmetic: the
+// cause of every aborted attempt maps to the roster the next attempt
+// re-splits the database across, one logical node per entry.
+func TestNextRoster(t *testing.T) {
+	dial := errors.New("distmine: control dial: connection refused")
+	respawned := func() (string, error) { return "r", nil }
+	noRespawn := func() (string, error) { return "", errors.New("no capacity") }
 	cases := []struct {
-		name   string
-		alive  []bool
-		hostOf []int
-		except int
-		want   int
+		name      string
+		roster    []string
+		addrs     []string // ClusterConfig.Addrs; nil: the roster
+		policy    FailurePolicy
+		respawn   func() (string, error)
+		acquire   func(max int) []string
+		failovers int // already spent this session
+		cause     error
+		want      []string
+		wantErr   string // non-empty: the session ends with this error
+		// Counters after the call.
+		wantFailovers, wantRebalances, wantResizes int
 	}{
 		{
-			// All alive, equal load: lowest index wins.
-			name:  "uniform",
-			alive: []bool{true, true, true}, hostOf: []int{0, 1, 2},
-			except: -1, want: 0,
+			name:   "several-deaths-dropped",
+			roster: []string{"a", "b", "c", "d"}, policy: FailurePolicyReassign,
+			cause: &deathError{[]int{1, 3}, dial},
+			want:  []string{"a", "c"}, wantFailovers: 2,
 		},
 		{
-			// Host 0 dead with two orphans still attributed to it: its
-			// phantom load must not steer placement, and it must never be
-			// selected. Hosts 1 and 2 each hold one node; lowest index wins.
-			name:  "dead-host-load-ignored",
-			alive: []bool{false, true, true}, hostOf: []int{0, 0, 1, 2},
-			except: -1, want: 1,
+			name:   "dead-daemon-takes-all-its-entries",
+			roster: []string{"a", "b", "a", "c"}, policy: FailurePolicyReassign,
+			cause: &deathError{[]int{0}, dial},
+			want:  []string{"b", "c"}, wantFailovers: 1,
 		},
 		{
-			// Two of four dead; host 3 carries an earlier reassignment so
-			// host 1 (lighter) must win even though 3 has a lower... it
-			// does not — 1 < 3 in load: 1 holds one node, 3 holds two.
-			name:  "multi-death-prefers-lighter-survivor",
-			alive: []bool{false, true, false, true}, hostOf: []int{0, 1, 2, 3, 3},
-			except: -1, want: 1,
+			name:   "respawn-takes-dead-slot",
+			roster: []string{"a", "b", "c"}, policy: FailurePolicyReassign, respawn: respawned,
+			cause: &deathError{[]int{1}, dial},
+			want:  []string{"a", "r", "c"}, wantFailovers: 1,
 		},
 		{
-			// The straggler's own host is excepted even though it is alive
-			// and lightest.
-			name:  "except-straggler",
-			alive: []bool{true, true, true}, hostOf: []int{0, 1, 1, 2, 2},
-			except: 0, want: 1,
+			name:   "failed-respawn-drops",
+			roster: []string{"a", "b", "c"}, policy: FailurePolicyReassign, respawn: noRespawn,
+			cause: &deathError{[]int{1}, dial},
+			want:  []string{"a", "c"}, wantFailovers: 1,
 		},
 		{
-			// Everyone dead or excepted: no candidate.
-			name:  "no-candidates",
-			alive: []bool{false, true}, hostOf: []int{0, 1},
-			except: 1, want: -1,
+			name:   "straggler-dropped",
+			roster: []string{"a", "b", "c"},
+			cause:  &stragglerError{node: 1, addr: "b", lag: 3},
+			want:   []string{"a", "c"}, wantRebalances: 1,
+		},
+		{
+			name:    "straggler-without-idle-workers-dropped",
+			roster:  []string{"a", "b", "c"},
+			acquire: func(int) []string { return nil },
+			cause:   &stragglerError{node: 2, addr: "c", lag: 3},
+			want:    []string{"a", "b"}, wantRebalances: 1,
+		},
+		{
+			name:   "straggler-grows",
+			roster: []string{"a", "b", "c"},
+			acquire: func(max int) []string {
+				if max != 3 {
+					t.Errorf("AcquireWorkers(%d), want one per roster entry", max)
+				}
+				return []string{"x", "y"}
+			},
+			cause: &stragglerError{node: 1, addr: "b", lag: 3},
+			want:  []string{"a", "b", "c", "x", "y"}, wantResizes: 1,
+		},
+		{
+			name:   "owner-resize",
+			roster: []string{"a", "b"},
+			cause:  &resizeError{roster: []string{"c", "c", "d"}},
+			want:   []string{"c", "c", "d"}, wantResizes: 1,
+		},
+		{
+			name:   "empty-roster",
+			roster: []string{"a"}, addrs: []string{"a", "b"}, policy: FailurePolicyReassign,
+			cause:   &deathError{[]int{0}, dial},
+			wantErr: "no daemons left", wantFailovers: 1,
+		},
+		{
+			name:   "failover-budget-spent",
+			roster: []string{"a", "b"}, policy: FailurePolicyReassign, failovers: 1,
+			cause:   &deathError{[]int{0}, dial},
+			wantErr: "giving up after 2 failovers", wantFailovers: 2,
+		},
+		{
+			name:   "death-under-abort-policy",
+			roster: []string{"a", "b"}, policy: FailurePolicyAbort,
+			cause:   &deathError{[]int{0}, dial},
+			wantErr: dial.Error(),
+		},
+		{
+			name:    "node-error",
+			roster:  []string{"a", "b"},
+			cause:   errors.New("distmine: node 1 failed: bad partition"),
+			wantErr: "bad partition",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			roster := make([]string, len(tc.alive))
-			for i := range roster {
-				roster[i] = "host"
+			addrs := tc.addrs
+			if addrs == nil {
+				addrs = tc.roster
 			}
-			s := &session{roster: roster, alive: tc.alive, hostOf: tc.hostOf}
-			if got := s.leastLoadedAlive(tc.except); got != tc.want {
-				t.Fatalf("leastLoadedAlive(%d) = %d, want %d", tc.except, got, tc.want)
+			s := &session{
+				cfg: ClusterConfig{
+					Addrs: addrs, FailurePolicy: tc.policy, Respawn: tc.respawn,
+					AcquireWorkers: tc.acquire, Logf: t.Logf,
+				},
+				roster:         tc.roster,
+				failovers:      tc.failovers,
+				rebalancedHost: make(map[string]bool),
+			}
+			orig := slices.Clone(tc.roster)
+			got, err := s.nextRoster(tc.cause)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !errors.Is(err, tc.cause) {
+					t.Fatalf("error %v, want one naming %q and wrapping the cause", err, tc.wantErr)
+				}
+			} else if err != nil || !slices.Equal(got, tc.want) {
+				t.Fatalf("next roster %v (err %v), want %v", got, err, tc.want)
+			}
+			if s.failovers != tc.wantFailovers || s.rebalances != tc.wantRebalances || s.resizes != tc.wantResizes {
+				t.Fatalf("failovers/rebalances/resizes = %d/%d/%d, want %d/%d/%d",
+					s.failovers, s.rebalances, s.resizes, tc.wantFailovers, tc.wantRebalances, tc.wantResizes)
+			}
+			if !slices.Equal(s.roster, orig) {
+				t.Fatalf("nextRoster modified the current roster: %v, was %v", s.roster, orig)
+			}
+			// At most one fire per address: the watchdog skips an address
+			// the session already re-split away from.
+			var st *stragglerError
+			fired := errors.As(tc.cause, &st)
+			for _, a := range tc.roster {
+				if want := fired && a == st.addr; s.rebalancedHost[a] != want {
+					t.Fatalf("address %s barred from firing: %v, want %v", a, s.rebalancedHost[a], want)
+				}
 			}
 		})
-	}
-	// Sequential multi-death recovery: orphans are placed one at a time
-	// and each placement must see the previous one's load.
-	s := &session{
-		roster: []string{"a", "b", "c", "d"},
-		alive:  []bool{false, false, true, true},
-		hostOf: []int{0, 1, 2, 3},
-	}
-	first := s.leastLoadedAlive(-1)
-	if first != 2 {
-		t.Fatalf("first orphan placed on %d, want 2", first)
-	}
-	s.hostOf[0] = first
-	second := s.leastLoadedAlive(-1)
-	if second != 3 {
-		t.Fatalf("second orphan placed on %d, want 3 (host 2 now carries two)", second)
-	}
-}
-
-// TestCheckpointRetiredOnSuccess: a cleanly completed session must not
-// leave its session-<id>.ckpt behind in CheckpointDir.
-func TestCheckpointRetiredOnSuccess(t *testing.T) {
-	dir := t.TempDir()
-	addrs := startDaemons(t, 2, DaemonOptions{})
-	db := buildDB(t, corpus.CorpusB(corpus.Small))
-	opts := mining.Options{MinSupCount: 2, MaxK: 3}
-	ref := pmihpRef(t, db, 2, opts)
-	got, err := MineCluster(db, ClusterConfig{
-		Addrs:         addrs,
-		Retry:         fastRetry,
-		CheckpointDir: dir,
-		Logf:          t.Logf,
-	}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, ref, got)
-	left, err := filepath.Glob(filepath.Join(dir, "session-*.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		t.Fatalf("checkpoint files left after clean completion: %v", left)
-	}
-}
-
-// TestRetireStaleCheckpoint: a brand-new session whose 64-bit random id
-// collides with an unretired predecessor's file must remove that file
-// (with attribution) before anything can resume from it.
-func TestRetireStaleCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	const id = uint64(0x1234abcd)
-	path := checkpointPath(dir, id)
-	stale := transport.Checkpoint{ClusterID: id, Nodes: 2, Stage: transport.StageItemCounts, GlobalCounts: []uint32{1, 2}}
-	if err := transport.WriteCheckpointFile(path, stale); err != nil {
-		t.Fatal(err)
-	}
-	var logs []string
-	retireStaleCheckpoint(dir, id, func(format string, args ...any) {
-		logs = append(logs, format)
-	})
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("stale checkpoint not removed: %v", err)
-	}
-	found := false
-	for _, l := range logs {
-		if strings.Contains(l, "id collision") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("collision not attributed in logs: %v", logs)
-	}
-	// A different id must leave the directory alone.
-	if err := transport.WriteCheckpointFile(path, stale); err != nil {
-		t.Fatal(err)
-	}
-	retireStaleCheckpoint(dir, id+1, t.Logf)
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("unrelated checkpoint removed: %v", err)
 	}
 }
 

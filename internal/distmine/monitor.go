@@ -1,25 +1,20 @@
 package distmine
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Liveness is the coordinator's heartbeat bookkeeping for one session
-// attempt: last-beat times, pass progress, and death attributions per
-// logical node. All methods are safe for concurrent use — one reader
+// attempt: pass progress and death attributions per logical node. All methods are safe for concurrent use — one reader
 // goroutine per node feeds it while failure handling and the straggler
 // watchdog inspect it.
 type Liveness struct {
 	mu   sync.Mutex
-	last []time.Time
 	pass []int
 	dead []error
 }
 
 // NewLiveness returns a tracker for n logical nodes.
 func NewLiveness(n int) *Liveness {
-	return &Liveness{last: make([]time.Time, n), pass: make([]int, n), dead: make([]error, n)}
+	return &Liveness{pass: make([]int, n), dead: make([]error, n)}
 }
 
 // SetPass records the node's reported local counting pass position.
@@ -38,21 +33,6 @@ func (l *Liveness) Passes() []int {
 	out := append([]int(nil), l.pass...)
 	l.mu.Unlock()
 	return out
-}
-
-// Beat records a sign of life (any control-plane frame) from the node.
-func (l *Liveness) Beat(node int) {
-	l.mu.Lock()
-	l.last[node] = time.Now()
-	l.mu.Unlock()
-}
-
-// LastBeat returns the node's most recent sign of life (zero if none).
-func (l *Liveness) LastBeat(node int) time.Time {
-	l.mu.Lock()
-	t := l.last[node]
-	l.mu.Unlock()
-	return t
 }
 
 // MarkDead records the node's death attribution. The first cause wins;

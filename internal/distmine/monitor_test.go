@@ -5,21 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestLivenessBasics: beats are recorded, deaths attribute the first
-// cause, DeadNodes sorts ascending.
+// TestLivenessBasics: deaths attribute the first cause, DeadNodes sorts
+// ascending.
 func TestLivenessBasics(t *testing.T) {
 	l := NewLiveness(4)
-	if !l.LastBeat(2).IsZero() {
-		t.Fatal("unbeaten node should have a zero LastBeat")
-	}
-	before := time.Now()
-	l.Beat(2)
-	if got := l.LastBeat(2); got.Before(before) {
-		t.Fatalf("LastBeat %v before Beat call at %v", got, before)
-	}
 	first := errors.New("first cause")
 	if !l.MarkDead(3, first) {
 		t.Fatal("first MarkDead should report true")
@@ -51,8 +42,8 @@ func TestLivenessConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				l.Beat(i)
-				l.LastBeat(i)
+				l.SetPass(i, j)
+				l.Passes()
 			}
 			if i%2 == 1 {
 				l.MarkDead(i, fmt.Errorf("node %d died", i))

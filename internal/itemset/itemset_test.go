@@ -302,30 +302,6 @@ func TestSetHasMatchesKeyLookup(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	a := New(1, 2)
-	c.Add(a, 2)
-	c.Add(a, 3)
-	if c.Count(a) != 5 {
-		t.Fatalf("Count = %d", c.Count(a))
-	}
-	c.Add(New(3, 4), 1)
-	if got := c.AtLeast(2); len(got) != 1 || !got[0].Equal(a) {
-		t.Fatalf("AtLeast(2) = %v", got)
-	}
-	other := NewCounter()
-	other.Add(a, 10)
-	c.Merge(other)
-	if c.Count(a) != 15 {
-		t.Fatalf("after merge Count = %d", c.Count(a))
-	}
-	cs := c.CountedSlice()
-	if len(cs) != 2 || cs[0].Count != 15 {
-		t.Fatalf("CountedSlice = %v", cs)
-	}
-}
-
 func TestSortCountedDeterministic(t *testing.T) {
 	cs := []Counted{
 		{Set: New(2, 3), Count: 5},

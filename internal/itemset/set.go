@@ -25,9 +25,6 @@ func SetOf(sets ...Itemset) *Set {
 // Add inserts the itemset. Adding an itemset twice is a no-op.
 func (s *Set) Add(is Itemset) { s.m[is.Key()] = struct{}{} }
 
-// AddKey inserts an itemset by its pre-computed Key.
-func (s *Set) AddKey(key string) { s.m[key] = struct{}{} }
-
 // Has reports whether the itemset is in the set. The lookup key is built in
 // a stack buffer so the check does not allocate (it sits on the candidate-
 // generation hot path).
@@ -77,58 +74,6 @@ func (s *Set) Merge(t *Set) {
 	}
 }
 
-// Counter accumulates support counts per itemset. It is the generic
-// count-collection structure used when hash-tree counting is not required
-// (e.g. merging per-node counts, or counting small candidate batches).
-type Counter struct {
-	m map[string]int
-}
-
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int)} }
-
-// Add increases the count of the itemset by n.
-func (c *Counter) Add(is Itemset, n int) { c.m[is.Key()] += n }
-
-// AddKey increases the count of the itemset with the given Key by n.
-func (c *Counter) AddKey(key string, n int) { c.m[key] += n }
-
-// Count returns the accumulated count for the itemset (0 when absent).
-func (c *Counter) Count(is Itemset) int { return c.m[is.Key()] }
-
-// CountKey returns the accumulated count for the itemset Key (0 when absent).
-func (c *Counter) CountKey(key string) int { return c.m[key] }
-
-// Len returns the number of distinct itemsets with a recorded count.
-func (c *Counter) Len() int { return len(c.m) }
-
-// Each calls fn for every (itemset, count) pair in unspecified order.
-func (c *Counter) Each(fn func(is Itemset, count int)) {
-	for k, n := range c.m {
-		fn(FromKey(k), n)
-	}
-}
-
-// Merge adds every count of other into c.
-func (c *Counter) Merge(other *Counter) {
-	for k, n := range other.m {
-		c.m[k] += n
-	}
-}
-
-// AtLeast returns, in lexicographic order, the itemsets whose count is
-// greater than or equal to min.
-func (c *Counter) AtLeast(min int) []Itemset {
-	var out []Itemset
-	for k, n := range c.m {
-		if n >= min {
-			out = append(out, FromKey(k))
-		}
-	}
-	Sort(out)
-	return out
-}
-
 // Counted is a (itemset, support) pair, the unit of mining results.
 type Counted struct {
 	Set   Itemset
@@ -144,14 +89,4 @@ func SortCounted(cs []Counted) {
 		}
 		return Compare(a.Set, b.Set)
 	})
-}
-
-// CountedSlice extracts all pairs of a Counter in deterministic order.
-func (c *Counter) CountedSlice() []Counted {
-	out := make([]Counted, 0, len(c.m))
-	for k, n := range c.m {
-		out = append(out, Counted{Set: FromKey(k), Count: n})
-	}
-	SortCounted(out)
-	return out
 }

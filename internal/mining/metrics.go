@@ -130,20 +130,16 @@ type Metrics struct {
 	WireSeconds float64
 
 	// Recovery fields, filled by the coordinator when a cluster session
-	// survives worker failures. Failovers counts detected node deaths
-	// that were recovered from; ReassignedPartitions counts the logical
-	// partitions (transaction shards) moved to surviving or respawned
-	// workers; RebalancedPartitions counts partitions moved off live but
-	// lagging workers by the straggler detector (never counted as
-	// failovers — the slow worker stays alive); RecoverySeconds is
-	// wall-clock spent detecting failures and restarting from
-	// checkpoints, excluded from WireSeconds.
-	// ElasticResizes counts mid-run roster changes (repartition at a
-	// checkpoint barrier onto a grown or shrunk logical-node count) —
-	// requested by the scheduler or taken by the straggler detector when
-	// idle pool workers were available to re-split onto.
+	// survives aborted attempts. Every recovery re-splits the database
+	// across the next roster, one partition per daemon. Failovers counts
+	// detected node deaths that were recovered from; RebalancedPartitions
+	// counts straggler re-splits that dropped the lagging daemon (its one
+	// partition; never counted as a failover — the slow worker stays
+	// alive); ElasticResizes counts the session owner's mid-run resizes
+	// plus straggler re-splits that grew onto idle pool workers;
+	// RecoverySeconds is wall-clock spent between attempts, excluded from
+	// WireSeconds.
 	Failovers            int
-	ReassignedPartitions int
 	RebalancedPartitions int
 	ElasticResizes       int
 	RecoverySeconds      float64
@@ -223,7 +219,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.WireRetries += o.WireRetries
 	m.WireSeconds += o.WireSeconds
 	m.Failovers += o.Failovers
-	m.ReassignedPartitions += o.ReassignedPartitions
 	m.RebalancedPartitions += o.RebalancedPartitions
 	m.ElasticResizes += o.ElasticResizes
 	m.RecoverySeconds += o.RecoverySeconds

@@ -41,7 +41,6 @@ func TestMergeFieldSemantics(t *testing.T) {
 		"WireRetries":          sum,
 		"WireSeconds":          sum,
 		"Failovers":            sum,
-		"ReassignedPartitions": sum,
 		"RebalancedPartitions": sum,
 		"ElasticResizes":       sum,
 		"RecoverySeconds":      sum,

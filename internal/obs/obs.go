@@ -55,12 +55,10 @@ type PassEvent struct {
 }
 
 // SpanEvent is one timed operation: an all-gather round, a candidate
-// polling phase, a checkpoint write, a resume barrier, a recovery
-// attempt.
+// polling phase, a recovery attempt.
 type SpanEvent struct {
 	// Name identifies the operation, by convention "group:detail"
-	// (e.g. "exchange:item-counts", "checkpoint:write",
-	// "recovery:attempt").
+	// (e.g. "exchange:item-counts", "poll:resolve", "recovery:attempt").
 	Name string `json:"name"`
 	// Node is the logical node the span belongs to (-1 for
 	// coordinator-level spans). Daemon attributes the process, when the

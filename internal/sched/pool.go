@@ -7,12 +7,11 @@
 // path (distmine.ElasticControl).
 //
 // The paper's evaluation assumes one dedicated cluster per mining run;
-// this package turns the PR-4 fault-tolerance machinery (liveness,
-// reassignment, resume barriers) into the scheduler that machinery was
-// always most of: membership is just liveness pointed at a registry,
-// admission is just PeakHeldBytes accounting pointed at capacity, and
-// elastic resize is just the failover path allowed to change the
-// partition count at a barrier.
+// this package turns the cluster's fault-tolerance machinery (liveness,
+// re-split and resume) into the scheduler that machinery was always most
+// of: membership is just liveness pointed at a registry, admission is
+// just PeakHeldBytes accounting pointed at capacity, and elastic resize
+// is just the recovery path with the owner choosing the roster.
 package sched
 
 import (
@@ -279,17 +278,6 @@ func (p *Pool) Lease(ctx context.Context, k int, perWorker int64) ([]string, err
 		}
 		p.cond.Wait()
 	}
-}
-
-// TryLease is Lease without blocking: nil when the pool cannot satisfy
-// the request right now.
-func (p *Pool) TryLease(k int, perWorker int64) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || k <= 0 {
-		return nil
-	}
-	return p.leaseLocked(k, perWorker, false)
 }
 
 // AcquireIdle non-blockingly leases up to max members that currently

@@ -199,7 +199,7 @@ func TestPoolLeaseAccounting(t *testing.T) {
 	if len(first) != 3 {
 		t.Fatalf("leased %d workers, want 3", len(first))
 	}
-	if got := pool.TryLease(1, 600); got != nil {
+	if got := tryLease(pool, 1, 600); got != nil {
 		t.Fatalf("over-capacity lease granted: %v", got)
 	}
 	if pool.idleCount() != 0 {
@@ -216,6 +216,14 @@ func TestPoolLeaseAccounting(t *testing.T) {
 	if got := pool.AcquireIdle(3, 10); len(got) != 1 || got[0] != first[0] {
 		t.Fatalf("AcquireIdle = %v, want the released worker %s", got, first[0])
 	}
+}
+
+// tryLease is Lease without blocking: nil when the pool cannot satisfy
+// the request right now.
+func tryLease(p *Pool, k int, perWorker int64) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.leaseLocked(k, perWorker, false)
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, what string) {

@@ -18,7 +18,7 @@ type SchedulerOptions struct {
 	// Cluster is the ClusterConfig template each session starts from.
 	// The scheduler overwrites Addrs, Elastic, AcquireWorkers and
 	// OnCheckpointStage per session; everything else (timeouts, failure
-	// policy, checkpoint dir, straggler knobs, Obs) passes through.
+	// policy, straggler knobs, Obs) passes through.
 	Cluster distmine.ClusterConfig
 	// Logf, when non-nil, receives admission lifecycle logs.
 	Logf func(format string, args ...any)

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 
+	"pmihp/internal/corpus"
 	"pmihp/internal/itemset"
+	"pmihp/internal/text"
 	"pmihp/internal/txdb"
 )
 
@@ -198,5 +200,84 @@ func TestDecodeWireRejectsForeignGeometry(t *testing.T) {
 		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > uint64(budget) {
 			t.Errorf("%s: rejecting a %d-byte blob allocated %d bytes, budget %d", name, len(blob), perRun, budget)
 		}
+	}
+}
+
+// TestWireCascadeBoundFidelity: every TCP node builds its cascade from
+// its peers' decoded wire blobs, so a cascade of DecodeWire segments
+// must produce the same cascade bounds and the same poll-peer selection
+// as the segments the blobs were encoded from. The wire form carries the
+// counter rows exactly and masks are deterministic functions of the
+// rows, so the two views must agree on every query.
+func TestWireCascadeBoundFidelity(t *testing.T) {
+	cfg := corpus.CorpusB(corpus.Small)
+	cfg.Docs, cfg.VocabSize, cfg.HeadCut, cfg.DocLenMean = 120, 300, 30, 18
+	docs, err := corpus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _ := text.ToDB(docs, nil)
+	const n, entries, globalMin = 4, 8, 6
+
+	parts := db.SplitChronological(n)
+	globalCounts := make([]int, db.NumItems())
+	locals := make([]*Local, n)
+	for i, part := range parts {
+		local, counts := BuildLocalShards(part, entries, 1)
+		locals[i] = local
+		for it, c := range counts {
+			globalCounts[it] += c
+		}
+	}
+	var f1 []itemset.Item
+	for it, c := range globalCounts {
+		if c >= globalMin {
+			f1 = append(f1, itemset.Item(it))
+		}
+	}
+	if len(f1) < 4 {
+		t.Fatalf("corpus too sparse: %d frequent items", len(f1))
+	}
+	decoded := make([]*Local, n)
+	for i, local := range locals {
+		local.Retain(func(it itemset.Item) bool { return globalCounts[it] >= globalMin })
+		local.BuildMasks()
+		blob := local.AppendWire(nil)
+		if decoded[i], err = DecodeWire(blob, entries, db.NumItems()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeWire(blob, entries+1, db.NumItems()); err == nil {
+			t.Fatal("want error for a segment of another session's geometry")
+		}
+	}
+	orig, wire := NewGlobal(locals), NewGlobal(decoded)
+
+	var sets []itemset.Itemset
+	for i := 0; i+1 < len(f1); i++ {
+		sets = append(sets, itemset.Itemset{f1[i], f1[i+1]})
+	}
+	for i := 0; i+2 < len(f1); i += 2 {
+		sets = append(sets, itemset.Itemset{f1[i], f1[i+1], f1[i+2]})
+	}
+	for _, set := range sets {
+		for _, threshold := range []int{1, globalMin, 3 * globalMin} {
+			or, oSlots := orig.BoundReaches(set, threshold)
+			wr, wSlots := wire.BoundReaches(set, threshold)
+			if or != wr || oSlots != wSlots {
+				t.Fatalf("set %v threshold %d: original (%v,%d) vs decoded (%v,%d)",
+					set, threshold, or, oSlots, wr, wSlots)
+			}
+		}
+		for self := 0; self < n; self++ {
+			op, oSlots := orig.PollPeers(set, self, nil)
+			wp, wSlots := wire.PollPeers(set, self, nil)
+			if oSlots != wSlots || !slices.Equal(op, wp) {
+				t.Fatalf("set %v self %d: peers %v/%d vs %v/%d", set, self, op, oSlots, wp, wSlots)
+			}
+		}
+	}
+
+	if _, err := DecodeWire([]byte{1, 2, 3}, entries, db.NumItems()); err == nil {
+		t.Fatal("want error for a corrupt blob")
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"path/filepath"
 )
 
-// The checkpoint codec. A Checkpoint is the coordinator's compact
-// snapshot of a mining session's collective progress: enough state to
-// re-enter the PMIHP protocol after a worker failure without repeating
-// the exchanges that already completed. It travels in two forms — as a
-// file under the coordinator's checkpoint directory, and inside the
-// Init of a resumed session — and both use the same versioned encoding.
+// The checkpoint codec. A Checkpoint is a compact snapshot of a mining
+// session's progress: for a cluster session, enough state to re-enter
+// the PMIHP protocol after an aborted attempt without repeating the
+// item-count exchange; for a stream miner, its window state. It travels
+// inside the Init of a resumed cluster attempt and, for the stream
+// miner, as a file; both use the same versioned encoding.
 //
 // The format is versioned independently of the frame protocol: a magic
 // prefix, a version byte, then the body. Decoders from one version
@@ -20,16 +20,16 @@ import (
 // session failure the coordinator can see.
 
 // CheckpointVersion is the current checkpoint format version. Version 2
-// added the stream stage and its opaque state payload. Version 3 carries
-// THT segments in their sparse wire form (wire version 6).
-const CheckpointVersion = 3
+// added the stream stage and its opaque state payload. Version 3 carried
+// THT segments in their sparse wire form (wire version 6). Version 4
+// drops the THT stage: every recovery re-splits the database, and THT
+// segments are per-partition.
+const CheckpointVersion = 4
 
 // checkpointMagic prefixes every encoded checkpoint.
 const checkpointMagic = "PMCK"
 
-// Session stages a checkpoint can capture. Stages are cumulative: a
-// checkpoint at StageTHT also carries the item counts of
-// StageItemCounts.
+// Session stages a checkpoint can capture.
 const (
 	// StageNone: no collective has completed; a resume restarts the
 	// protocol from the beginning.
@@ -37,14 +37,11 @@ const (
 	// StageItemCounts: the global item-count all-reduce completed;
 	// GlobalCounts holds the cluster-wide per-item support vector.
 	StageItemCounts uint8 = 1
-	// StageTHT: the THT exchange completed; THTSegments holds every
-	// node's frequent-row THT segment in wire form.
-	StageTHT uint8 = 2
 	// StageStream: an incremental-mining snapshot (internal/streammine) —
 	// Stream holds the miner's encoded window state (retained per-day
 	// counts, window bounds, frequent sets). Stream checkpoints never
 	// carry the cluster-collective payloads of the other stages.
-	StageStream uint8 = 3
+	StageStream uint8 = 2
 )
 
 // StageName names a checkpoint stage for logs and errors.
@@ -54,8 +51,6 @@ func StageName(stage uint8) string {
 		return "none"
 	case StageItemCounts:
 		return "item-counts"
-	case StageTHT:
-		return "tht"
 	case StageStream:
 		return "stream"
 	}
@@ -64,20 +59,18 @@ func StageName(stage uint8) string {
 
 // Checkpoint is a session snapshot taken after a collective exchange
 // completes. ClusterID is the session lineage (the first attempt's id);
-// Nodes is the logical cluster size, which failovers never change — the
-// database split is fixed at session start, so every resumed attempt
-// mines the same partitions and the final frequent list stays
-// byte-identical to the in-process miner's.
+// Nodes is the logical node count of the attempt it resumes. The global
+// item-count vector does not depend on how the database is cut, so a
+// recovery may re-split the database across any roster and resume from
+// it; the final frequent list stays byte-identical to the in-process
+// miner's.
 type Checkpoint struct {
 	ClusterID uint64
 	Nodes     int32
 	Stage     uint8
 	// GlobalCounts is the all-reduced per-item support vector; valid at
-	// StageItemCounts and beyond.
+	// StageItemCounts.
 	GlobalCounts []uint32
-	// THTSegments holds each logical node's THT segment in tht wire
-	// form, indexed by node id; valid at StageTHT (len == Nodes).
-	THTSegments [][]byte
 	// Stream is the opaque incremental-mining state payload; valid (and
 	// required non-empty) at StageStream only. The transport layer never
 	// interprets it — internal/streammine owns its encoding.
@@ -94,10 +87,6 @@ func AppendCheckpoint(b []byte, c Checkpoint) []byte {
 	b = appendU32(b, uint32(len(c.GlobalCounts)))
 	for _, v := range c.GlobalCounts {
 		b = appendU32(b, v)
-	}
-	b = appendU32(b, uint32(len(c.THTSegments)))
-	for _, seg := range c.THTSegments {
-		b = appendBytes(b, seg)
 	}
 	b = appendBytes(b, c.Stream)
 	return b
@@ -126,10 +115,6 @@ func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 	if len(c.GlobalCounts) == 0 {
 		c.GlobalCounts = nil
 	}
-	nSegs := r.count(4) // a segment needs at least its length prefix
-	for i := 0; i < nSegs && r.err == nil; i++ {
-		c.THTSegments = append(c.THTSegments, r.bytes())
-	}
 	c.Stream = r.bytes()
 	if len(c.Stream) == 0 {
 		c.Stream = nil
@@ -144,18 +129,8 @@ func DecodeCheckpoint(b []byte) (Checkpoint, error) {
 			r.fail("stage %s checkpoint without stream state", StageName(c.Stage))
 		} else if !isStream && len(c.Stream) != 0 {
 			r.fail("stage %s checkpoint carries %d stream-state bytes", StageName(c.Stage), len(c.Stream))
-		} else if isStream && (len(c.GlobalCounts) != 0 || len(c.THTSegments) != 0) {
-			r.fail("stage %s checkpoint carries cluster collectives (%d counts, %d segments)",
-				StageName(c.Stage), len(c.GlobalCounts), len(c.THTSegments))
-		} else if !isStream && c.Stage < StageItemCounts && len(c.GlobalCounts) != 0 {
+		} else if (c.Stage == StageItemCounts) != (len(c.GlobalCounts) != 0) {
 			r.fail("stage %s checkpoint carries %d item counts", StageName(c.Stage), len(c.GlobalCounts))
-		} else if !isStream && c.Stage >= StageItemCounts && len(c.GlobalCounts) == 0 {
-			r.fail("stage %s checkpoint without item counts", StageName(c.Stage))
-		} else if c.Stage < StageTHT && len(c.THTSegments) != 0 {
-			r.fail("stage %s checkpoint carries %d THT segments", StageName(c.Stage), len(c.THTSegments))
-		} else if c.Stage == StageTHT && len(c.THTSegments) != int(c.Nodes) {
-			r.fail("stage %s checkpoint carries %d THT segments for %d nodes",
-				StageName(c.Stage), len(c.THTSegments), c.Nodes)
 		}
 	}
 	return c, r.done()

@@ -14,11 +14,14 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Add([]byte(checkpointMagic))
 	f.Add(AppendCheckpoint(nil, sampleCheckpoint(StageNone)))
 	f.Add(AppendCheckpoint(nil, sampleCheckpoint(StageItemCounts)))
-	f.Add(AppendCheckpoint(nil, sampleCheckpoint(StageTHT)))
 	f.Add(AppendCheckpoint(nil, sampleCheckpoint(StageStream)))
-	skew := AppendCheckpoint(nil, sampleCheckpoint(StageTHT))
+	skew := AppendCheckpoint(nil, sampleCheckpoint(StageItemCounts))
 	skew[len(checkpointMagic)] = CheckpointVersion + 1
 	f.Add(skew)
+	// Version 3 still carried THT segments; this build must reject it.
+	v3 := AppendCheckpoint(nil, sampleCheckpoint(StageItemCounts))
+	v3[len(checkpointMagic)] = 3
+	f.Add(v3)
 	// A stream checkpoint whose stage byte claims a cluster stage: the
 	// stage/payload agreement checks must reject it, not decode garbage.
 	cross := AppendCheckpoint(nil, sampleCheckpoint(StageStream))

@@ -15,17 +15,14 @@ func sampleCheckpoint(stage uint8) Checkpoint {
 		c.Stream = []byte("stream-state-payload")
 		return c
 	}
-	if stage >= StageItemCounts {
+	if stage == StageItemCounts {
 		c.GlobalCounts = []uint32{5, 0, 12, 3, 9}
-	}
-	if stage >= StageTHT {
-		c.THTSegments = [][]byte{[]byte("seg-0"), []byte("seg-1"), nil, []byte("seg-3")}
 	}
 	return c
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
-	for _, stage := range []uint8{StageNone, StageItemCounts, StageTHT, StageStream} {
+	for _, stage := range []uint8{StageNone, StageItemCounts, StageStream} {
 		in := sampleCheckpoint(stage)
 		out, err := DecodeCheckpoint(AppendCheckpoint(nil, in))
 		if err != nil {
@@ -37,14 +34,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(out.GlobalCounts, in.GlobalCounts) {
 			t.Fatalf("stage %s: counts %v want %v", StageName(stage), out.GlobalCounts, in.GlobalCounts)
 		}
-		if len(out.THTSegments) != len(in.THTSegments) {
-			t.Fatalf("stage %s: %d segments want %d", StageName(stage), len(out.THTSegments), len(in.THTSegments))
-		}
-		for i := range in.THTSegments {
-			if string(out.THTSegments[i]) != string(in.THTSegments[i]) {
-				t.Fatalf("stage %s: segment %d differs", StageName(stage), i)
-			}
-		}
 		if string(out.Stream) != string(in.Stream) {
 			t.Fatalf("stage %s: stream payload %q want %q", StageName(stage), out.Stream, in.Stream)
 		}
@@ -53,25 +42,29 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // A daemon built for the current checkpoint version must reject a
 // checkpoint stamped with any other version with an error naming both
-// versions — never decode garbage, never panic.
+// versions — never decode garbage, never panic. Version 3, the last to
+// carry THT segments, is rejected like any other, for cluster and
+// stream checkpoints alike.
 func TestCheckpointVersionSkew(t *testing.T) {
-	for _, skew := range []uint8{CheckpointVersion + 1, CheckpointVersion - 1} {
-		enc := AppendCheckpoint(nil, sampleCheckpoint(StageTHT))
-		enc[len(checkpointMagic)] = skew
-		_, err := DecodeCheckpoint(enc)
-		if err == nil {
-			t.Fatalf("want error for checkpoint version %d", skew)
-		}
-		msg := err.Error()
-		if !strings.Contains(msg, fmt.Sprintf("version %d", skew)) ||
-			!strings.Contains(msg, fmt.Sprintf("version %d", CheckpointVersion)) {
-			t.Fatalf("version-skew error %q does not name both versions", msg)
+	for _, skew := range []uint8{CheckpointVersion + 1, CheckpointVersion - 1, 3} {
+		for _, stage := range []uint8{StageItemCounts, StageStream} {
+			enc := AppendCheckpoint(nil, sampleCheckpoint(stage))
+			enc[len(checkpointMagic)] = skew
+			_, err := DecodeCheckpoint(enc)
+			if err == nil {
+				t.Fatalf("want error for stage %s checkpoint version %d", StageName(stage), skew)
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, fmt.Sprintf("version %d", skew)) ||
+				!strings.Contains(msg, fmt.Sprintf("version %d", CheckpointVersion)) {
+				t.Fatalf("version-skew error %q does not name both versions", msg)
+			}
 		}
 	}
 }
 
 func TestCheckpointRejectsCorruption(t *testing.T) {
-	enc := AppendCheckpoint(nil, sampleCheckpoint(StageTHT))
+	enc := AppendCheckpoint(nil, sampleCheckpoint(StageItemCounts))
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeCheckpoint(enc[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes decoded without error", cut)
@@ -93,15 +86,11 @@ func TestCheckpointRejectsStageMismatch(t *testing.T) {
 	cases := map[string]Checkpoint{
 		"counts before item-count stage":  {ClusterID: 1, Nodes: 2, Stage: StageNone, GlobalCounts: []uint32{1}},
 		"item-count stage without counts": {ClusterID: 1, Nodes: 2, Stage: StageItemCounts},
-		"segments before tht stage": {ClusterID: 1, Nodes: 2, Stage: StageItemCounts,
-			GlobalCounts: []uint32{1}, THTSegments: [][]byte{{1}, {2}}},
-		"segment/node mismatch": {ClusterID: 1, Nodes: 2, Stage: StageTHT,
-			GlobalCounts: []uint32{1}, THTSegments: [][]byte{{1}}},
-		"unknown stage":              {ClusterID: 1, Nodes: 2, Stage: 9},
-		"no nodes":                   {ClusterID: 1, Nodes: 0},
-		"stream stage without state": {ClusterID: 1, Nodes: 1, Stage: StageStream},
-		"stream state on a tht stage": {ClusterID: 1, Nodes: 2, Stage: StageTHT,
-			GlobalCounts: []uint32{1}, THTSegments: [][]byte{{1}, {2}}, Stream: []byte{7}},
+		"unknown stage":                   {ClusterID: 1, Nodes: 2, Stage: 9},
+		"no nodes":                        {ClusterID: 1, Nodes: 0},
+		"stream stage without state":      {ClusterID: 1, Nodes: 1, Stage: StageStream},
+		"stream state on an item-count stage": {ClusterID: 1, Nodes: 2, Stage: StageItemCounts,
+			GlobalCounts: []uint32{1}, Stream: []byte{7}},
 		"stream stage with collectives": {ClusterID: 1, Nodes: 1, Stage: StageStream,
 			GlobalCounts: []uint32{1}, Stream: []byte{7}},
 	}

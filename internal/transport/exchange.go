@@ -22,12 +22,6 @@ const (
 	PhaseTHT Phase = 2
 	// PhaseFinal is the final exchange of globally frequent itemsets.
 	PhaseFinal Phase = 3
-	// PhaseResume is the barrier a resumed session runs before polling.
-	// A resume skips the collectives its checkpoint covers, and with
-	// them the guarantee that every peer's poll handler is installed by
-	// the time the first poll arrives; this cheap extra all-gather
-	// restores that ordering.
-	PhaseResume Phase = 4
 	// PhaseDeferred is the barrier a deferred-mode node runs between local
 	// mining and candidate polling: the start of the global support
 	// counting phase Figure 8 measures.
@@ -42,8 +36,6 @@ func (p Phase) String() string {
 		return "tht"
 	case PhaseFinal:
 		return "frequent-lists"
-	case PhaseResume:
-		return "resume-barrier"
 	case PhaseDeferred:
 		return "deferred-barrier"
 	}
@@ -122,9 +114,9 @@ type gatherState struct {
 // With a fabric the group is the simulator's interconnect. The last node
 // to reach a collective charges it once, when no poll can be in flight: a
 // barrier, then an all-gather of the largest contribution (an all-reduce
-// for PhaseItemCounts, nothing more for the PhaseResume and PhaseDeferred
-// barriers). A poll charges a 16+4k·n-byte request and a 16+4n-byte reply
-// between the two nodes' clocks.
+// for PhaseItemCounts, nothing more for the PhaseDeferred barrier). A
+// poll charges a 16+4k·n-byte request and a 16+4n-byte reply between
+// the two nodes' clocks.
 type ChanExchange struct {
 	id    int
 	group *chanGroup
@@ -229,7 +221,7 @@ func (g *chanGroup) charge(phase Phase, maxBytes int64) (start, elapsed float64)
 	switch phase {
 	case PhaseItemCounts:
 		elapsed = f.AllReduce(maxBytes)
-	case PhaseResume, PhaseDeferred:
+	case PhaseDeferred:
 	default:
 		elapsed = f.AllGather(maxBytes)
 	}

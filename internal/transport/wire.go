@@ -139,19 +139,6 @@ func (s *WireStatsSnapshot) Add(o WireStatsSnapshot) {
 	s.Retries += o.Retries
 }
 
-// Delta returns the traffic accumulated since prev — the per-phase
-// attribution the observability spans use (snapshot before and after a
-// collective, attribute the difference).
-func (s WireStatsSnapshot) Delta(prev WireStatsSnapshot) WireStatsSnapshot {
-	return WireStatsSnapshot{
-		MessagesSent:     s.MessagesSent - prev.MessagesSent,
-		MessagesReceived: s.MessagesReceived - prev.MessagesReceived,
-		BytesSent:        s.BytesSent - prev.BytesSent,
-		BytesReceived:    s.BytesReceived - prev.BytesReceived,
-		Retries:          s.Retries - prev.Retries,
-	}
-}
-
 // TotalBytes returns bytes sent plus received.
 func (s WireStatsSnapshot) TotalBytes() int64 { return s.BytesSent + s.BytesReceived }
 

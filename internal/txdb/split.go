@@ -219,9 +219,9 @@ func (d *DB) SplitByWork(n int) []*DB {
 // SplitByWeight is SplitByWork under a caller-supplied non-negative
 // per-transaction work estimate — e.g. a df-weighted token count built from
 // ItemCounts, pricing each token by how likely it is to survive pass 1 and
-// participate in candidate pairs (see WorkWeightsDF). Cuts fall where the
-// weight prefix sum crosses each part's even share of the total, then snap
-// to day boundaries exactly as SplitByWork does.
+// participate in candidate pairs. Cuts fall where the weight prefix sum
+// crosses each part's even share of the total, then snap to day boundaries
+// exactly as SplitByWork does.
 func (d *DB) SplitByWeight(n int, weight func(i int) int64) []*DB {
 	if n <= 0 {
 		panic(fmt.Sprintf("txdb: SplitByWeight(%d)", n))
@@ -275,24 +275,6 @@ func (d *DB) SplitByWeight(n int, weight func(i int) int64) []*DB {
 		parts[p] = d.view(cuts[p], cuts[p+1])
 	}
 	return parts
-}
-
-// WorkWeightsDF builds the df-weighted per-transaction work estimate for
-// SplitByWeight: each token contributes its document frequency, so a
-// transaction full of corpus-frequent words — the ones that survive pass 1
-// and spawn candidate pairs — weighs more than one of the same length made
-// of hapaxes. One ItemCounts scan plus one CSR pass.
-func (d *DB) WorkWeightsDF() []int64 {
-	df := d.ItemCounts()
-	w := make([]int64, d.Len())
-	for i := range w {
-		var s int64
-		for _, it := range d.ItemsOf(i) {
-			s += int64(df[it])
-		}
-		w[i] = s
-	}
-	return w
 }
 
 // VocabOverlap measures the mean pairwise Jaccard similarity of the

@@ -126,11 +126,29 @@ func TestSplitByWorkBalancesWork(t *testing.T) {
 	}
 }
 
+// workWeightsDF builds a df-weighted per-transaction work estimate for
+// SplitByWeight: each token contributes its document frequency, so a
+// transaction full of corpus-frequent words — the ones that survive pass 1
+// and spawn candidate pairs — weighs more than one of the same length made
+// of hapaxes.
+func workWeightsDF(d *DB) []int64 {
+	df := d.ItemCounts()
+	w := make([]int64, d.Len())
+	for i := range w {
+		var s int64
+		for _, it := range d.ItemsOf(i) {
+			s += int64(df[it])
+		}
+		w[i] = s
+	}
+	return w
+}
+
 func TestSplitByWeightDF(t *testing.T) {
 	db := lengthSkewed(120, 8)
-	w := db.WorkWeightsDF()
+	w := workWeightsDF(db)
 	if len(w) != db.Len() {
-		t.Fatalf("WorkWeightsDF returned %d weights for %d transactions", len(w), db.Len())
+		t.Fatalf("workWeightsDF returned %d weights for %d transactions", len(w), db.Len())
 	}
 	for i, v := range w {
 		if v <= 0 {

@@ -147,18 +147,6 @@ func (w *Work) EachIndexed(fn func(i int, tid TID, items itemset.Itemset)) {
 	}
 }
 
-// EachIndexedRange is EachIndexed restricted to internal indexes in
-// [lo, hi) — the iteration primitive of sharded counting scans, where each
-// shard owns a contiguous index range and may Trim or PruneShard only its
-// own transactions.
-func (w *Work) EachIndexedRange(lo, hi int, fn func(i int, tid TID, items itemset.Itemset)) {
-	for i := lo; i < hi; i++ {
-		if w.active[i] {
-			fn(i, w.tids[i], w.ItemsOf(i))
-		}
-	}
-}
-
 // Trim replaces the item list of transaction i with items, which must be
 // sorted and no longer than the current list. The items are copied into the
 // transaction's existing arena range (a compaction in place when items
