@@ -48,19 +48,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		switch *corpusID {
-		case "a":
-			cfg = corpus.CorpusA(sc)
-		case "b":
-			cfg = corpus.CorpusB(sc)
-		case "c":
-			cfg = corpus.CorpusC(sc)
-		case "d", "dense":
-			cfg = corpus.CorpusDense(sc)
-		case "s", "skewed":
-			cfg = corpus.CorpusSkewed(sc)
-		default:
-			fail(fmt.Errorf("unknown corpus %q", *corpusID))
+		if cfg, err = corpus.Preset(*corpusID, sc); err != nil {
+			fail(err)
 		}
 	}
 

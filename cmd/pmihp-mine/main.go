@@ -164,20 +164,9 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		var cfg corpus.Config
-		switch *corpusID {
-		case "a":
-			cfg = corpus.CorpusA(sc)
-		case "b":
-			cfg = corpus.CorpusB(sc)
-		case "c":
-			cfg = corpus.CorpusC(sc)
-		case "d", "dense":
-			cfg = corpus.CorpusDense(sc)
-		case "s", "skewed":
-			cfg = corpus.CorpusSkewed(sc)
-		default:
-			return fmt.Errorf("unknown corpus %q (want a, b, c, dense, or skewed)", *corpusID)
+		cfg, err := corpus.Preset(*corpusID, sc)
+		if err != nil {
+			return err
 		}
 		docs, err = corpus.Generate(cfg)
 		if err != nil {

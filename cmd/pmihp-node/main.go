@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"pmihp/internal/distmine"
-	"pmihp/internal/mining"
 	"pmihp/internal/obs"
 	"pmihp/internal/sched"
 )
@@ -28,21 +27,12 @@ func main() {
 	pool := flag.String("pool", "", "register with the scheduler pool at this address and serve sessions leased through it")
 	capacity := flag.Int64("capacity", 0, "session bytes admission control may reserve against this worker when pooled (0 = unlimited)")
 	heartbeat := flag.Duration("heartbeat", 0, "control-plane heartbeat interval when a session's Init does not set one (0 = 500ms)")
-	denseTh := flag.Float64("dense-threshold", -1, "override the coordinator's posting density cutoff on this node (0 = all bitmaps, >1 or inf = all compressed, -1 = use the session's); layout only — results and simulated charges are identical either way")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /snapshot, /debug/pprof)")
 	traceJSON := flag.String("trace-json", "", "write hosted nodes' pass/span/poll events as JSON lines to this file")
 	verbose := flag.Bool("v", false, "log session lifecycle to stderr")
 	flag.Parse()
 
 	opt := distmine.DaemonOptions{HeartbeatInterval: *heartbeat}
-	if *denseTh >= 0 {
-		// DenseThresholdOverride applies when positive; the flag's explicit
-		// 0 ("every list a bitmap") maps to the positive all-bitmap sentinel.
-		opt.DenseThresholdOverride = *denseTh
-		if *denseTh == 0 {
-			opt.DenseThresholdOverride = mining.DenseThresholdAll
-		}
-	}
 	if *verbose {
 		logger := log.New(os.Stderr, "", log.LstdFlags)
 		opt.Logf = logger.Printf

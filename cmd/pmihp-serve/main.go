@@ -103,20 +103,9 @@ func mineRules(o *options, out io.Writer) ([]rules.WordRule, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	var cfg corpus.Config
-	switch o.corpusID {
-	case "a":
-		cfg = corpus.CorpusA(sc)
-	case "b":
-		cfg = corpus.CorpusB(sc)
-	case "c":
-		cfg = corpus.CorpusC(sc)
-	case "d", "dense":
-		cfg = corpus.CorpusDense(sc)
-	case "s", "skewed":
-		cfg = corpus.CorpusSkewed(sc)
-	default:
-		return nil, "", fmt.Errorf("unknown corpus %q (want a, b, c, dense, or skewed)", o.corpusID)
+	cfg, err := corpus.Preset(o.corpusID, sc)
+	if err != nil {
+		return nil, "", err
 	}
 	docs, err := corpus.Generate(cfg)
 	if err != nil {

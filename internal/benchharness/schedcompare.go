@@ -46,10 +46,10 @@ type SchedSide struct {
 // work. Both runs must produce itemsets byte-identical to the
 // single-process reference.
 type SchedCompareReport struct {
-	Corpus    string    `json:"corpus"`
-	Scale     string    `json:"scale"`
-	Docs      int       `json:"docs"`
-	Workers   int       `json:"workers"`
+	Corpus  string    `json:"corpus"`
+	Scale   string    `json:"scale"`
+	Docs    int       `json:"docs"`
+	Workers int       `json:"workers"`
 	Static  SchedSide `json:"static"`
 	Elastic SchedSide `json:"elastic"`
 	// Speedup is static modeled makespan over elastic modeled makespan

@@ -1,6 +1,8 @@
 package benchharness
 
 import (
+	"fmt"
+	"math"
 	"net"
 	"testing"
 
@@ -118,4 +120,52 @@ func TestVerifyTrace(t *testing.T) {
 			t.Fatal("tampered node work reconciled cleanly against the load gauges")
 		}
 	})
+}
+
+// VerifyScheduleGauges reconciles the load gauges a PMIHP run publishes on
+// its recorder — per-node busy_seconds and idle_seconds, and the
+// cluster-level pass_imbalance_ratio — against the run's own report, and
+// returns the discrepancies, empty when they agree. Busy is a node's
+// charged work (Metrics.Work), idle is the remainder of the run's total
+// simulated time (every node's clock ends at the final all-gather, so the
+// gap is exactly the time spent waiting on collectives), and the
+// imbalance ratio is max(busy)·nodes/sum(busy) — 1.0 for a perfectly
+// balanced pass schedule.
+func VerifyScheduleGauges(s obs.Snapshot, r *core.ParallelResult) []string {
+	const tol = 1e-9
+	var bad []string
+	busyG := s.NodeFloats["busy_seconds"]
+	idleG := s.NodeFloats["idle_seconds"]
+	var maxBusy, sumBusy float64
+	for _, node := range r.Nodes {
+		busy := node.Metrics.Work.Seconds()
+		if maxBusy < busy {
+			maxBusy = busy
+		}
+		sumBusy += busy
+		got, ok := busyG[node.Node]
+		if !ok {
+			bad = append(bad, fmt.Sprintf("busy_seconds: node %d missing from gauges", node.Node))
+		} else if math.Abs(got-busy) > tol+tol*busy {
+			bad = append(bad, fmt.Sprintf("busy_seconds: node %d gauge %v, metrics charge %v", node.Node, got, busy))
+		}
+		idle := r.TotalSeconds - busy
+		if idle < 0 {
+			idle = 0
+		}
+		if got, ok := idleG[node.Node]; !ok {
+			bad = append(bad, fmt.Sprintf("idle_seconds: node %d missing from gauges", node.Node))
+		} else if math.Abs(got-idle) > tol+tol*r.TotalSeconds {
+			bad = append(bad, fmt.Sprintf("idle_seconds: node %d gauge %v, run implies %v", node.Node, got, idle))
+		}
+	}
+	if sumBusy > 0 {
+		want := maxBusy * float64(len(r.Nodes)) / sumBusy
+		if got, ok := s.FloatGauges["pass_imbalance_ratio"]; !ok {
+			bad = append(bad, "pass_imbalance_ratio: gauge missing")
+		} else if math.Abs(got-want) > tol+tol*want {
+			bad = append(bad, fmt.Sprintf("pass_imbalance_ratio: gauge %v, node charges imply %v", got, want))
+		}
+	}
+	return bad
 }

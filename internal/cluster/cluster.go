@@ -170,13 +170,6 @@ func CubeSteps(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// CubePartner returns the partner of node i along dimension d (0-based) and
-// whether that partner exists (it may not when n is not a power of two).
-func CubePartner(i, d, n int) (partner int, ok bool) {
-	p := i ^ (1 << d)
-	return p, p < n
-}
-
 // AllGather performs the cost accounting of a hypercube all-gather in which
 // every node contributes perNodeBytes: at step d each node exchanges the
 // 2^d blocks gathered so far with its dimension-d partner. All clocks

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// CubePartner returns the partner of node i along dimension d (0-based) and
+// whether that partner exists (it may not when n is not a power of two).
+func CubePartner(i, d, n int) (partner int, ok bool) {
+	p := i ^ (1 << d)
+	return p, p < n
+}
+
 // TestCubeStepsBoundaries pins the step count at and around the
 // boundaries the TCP exchange depends on (the star fallback triggers
 // exactly when n is not a power of two).

@@ -38,7 +38,6 @@ func MineMIHP(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 		}
 	}
 	local.Retain(func(it itemset.Item) bool { return freq[it] })
-	local.BuildMasks()
 	m.NoteCandidateBytes(int64(local.Bytes()))
 
 	if opts.MaxK == 1 || len(f1) < 2 {

@@ -661,7 +661,6 @@ func (lm *localMiner) mergeShards(nShards int, counts []int32, tree *hashtree.Tr
 		trimmed += sh.trimmed
 		prunedTx += sh.prunedTx
 	}
-	work.AdjustLive(int(-prunedTx))
 	lm.metrics.TrimmedItems += trimmed
 	lm.metrics.PrunedTx += prunedTx
 	lm.metrics.Work.Charge(scanned, mining.CostScanItem)
@@ -718,7 +717,7 @@ func (sh *minerShard) hitCount(it itemset.Item) int32 {
 // and owned by this transaction.
 func (sh *minerShard) applyTrim(ti int, items itemset.Itemset, inPart []bool, matched, k int, work *txdb.Work) {
 	if matched < k {
-		work.PruneShard(ti)
+		work.Prune(ti)
 		sh.prunedTx++
 		return
 	}
@@ -736,7 +735,7 @@ func (sh *minerShard) applyTrim(ti int, items itemset.Itemset, inPart []bool, ma
 		}
 	}
 	if len(kept) < k+1 {
-		work.PruneShard(ti)
+		work.Prune(ti)
 		sh.prunedTx++
 		return
 	}
@@ -750,7 +749,7 @@ func (sh *minerShard) applyTrim(ti int, items itemset.Itemset, inPart []bool, ma
 // to hit count >= 1 plus the transaction-level check).
 func (sh *minerShard) applyTrimTree(ti int, items itemset.Itemset, matched, k int, work *txdb.Work) {
 	if matched < k {
-		work.PruneShard(ti)
+		work.Prune(ti)
 		sh.prunedTx++
 		return
 	}
@@ -763,7 +762,7 @@ func (sh *minerShard) applyTrimTree(ti int, items itemset.Itemset, matched, k in
 		}
 	}
 	if len(kept) < k+1 {
-		work.PruneShard(ti)
+		work.Prune(ti)
 		sh.prunedTx++
 		return
 	}

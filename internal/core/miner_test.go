@@ -165,10 +165,10 @@ func TestBoundViableRespectsCascade(t *testing.T) {
 		{TID: 2, Items: itemset.New(1)},
 		{TID: 3, Items: itemset.New(2)},
 	}, 5)
-	l0, _ := tht.BuildLocal(n0, 4)
-	l1, _ := tht.BuildLocal(n1, 4)
-	l0.BuildMasks()
-	l1.BuildMasks()
+	l0, _ := tht.BuildLocalShards(n0, 4, 1)
+	l1, _ := tht.BuildLocalShards(n1, 4, 1)
+	l0.Retain(func(itemset.Item) bool { return true })
+	l1.Retain(func(itemset.Item) bool { return true })
 	g := tht.NewGlobal([]*tht.Local{l0, l1})
 
 	ok, _ := g.Segment(0).BoundReaches(itemset.New(1, 2), 1)

@@ -199,7 +199,6 @@ func (nd *node) run() error {
 	// Every run, resumed or not, passes through this collective, and
 	// exiting it is what licenses peers to start polling.
 	local.Retain(func(it itemset.Item) bool { return freq[it] })
-	local.BuildMasks()
 	if err := nd.exchangeTHT(local); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"reflect"
 	"testing"
 
 	"pmihp/internal/text"
@@ -153,6 +154,34 @@ func TestParseScale(t *testing.T) {
 	}
 	if _, err := ParseScale("huge"); err == nil {
 		t.Fatal("ParseScale accepted junk")
+	}
+}
+
+// TestPreset: every -corpus name resolves to its preset at the requested
+// scale, and an unknown name is rejected with the list of accepted ones.
+func TestPreset(t *testing.T) {
+	for _, sc := range []Scale{Small, Paper} {
+		for _, tc := range []struct {
+			name string
+			want Config
+		}{
+			{"a", CorpusA(sc)},
+			{"b", CorpusB(sc)},
+			{"c", CorpusC(sc)},
+			{"d", CorpusDense(sc)},
+			{"dense", CorpusDense(sc)},
+			{"s", CorpusSkewed(sc)},
+			{"skewed", CorpusSkewed(sc)},
+		} {
+			got, err := Preset(tc.name, sc)
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("Preset(%q, %v) = %+v, %v; want %+v", tc.name, sc, got, err, tc.want)
+			}
+		}
+	}
+	const want = `unknown corpus "e" (want a, b, c, dense, or skewed)`
+	if _, err := Preset("e", Small); err == nil || err.Error() != want {
+		t.Fatalf("Preset(\"e\") error %v, want %s", err, want)
 	}
 }
 

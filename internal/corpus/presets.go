@@ -43,6 +43,25 @@ func (s Scale) String() string {
 	return fmt.Sprintf("Scale(%d)", int(s))
 }
 
+// Preset resolves a preset corpus by the name the command-line tools'
+// -corpus flag takes — a, b, c, dense (or d), skewed (or s) — at the
+// given scale.
+func Preset(name string, s Scale) (Config, error) {
+	switch name {
+	case "a":
+		return CorpusA(s), nil
+	case "b":
+		return CorpusB(s), nil
+	case "c":
+		return CorpusC(s), nil
+	case "d", "dense":
+		return CorpusDense(s), nil
+	case "s", "skewed":
+		return CorpusSkewed(s), nil
+	}
+	return Config{}, fmt.Errorf("unknown corpus %q (want a, b, c, dense, or skewed)", name)
+}
+
 // The presets share the tuned language-model shape: Zipf exponent 1.05 with
 // the head removed (HeadCut), which calibrates the pair co-occurrence
 // density of the stop-worded WSJ samples — the quantity that determines F2

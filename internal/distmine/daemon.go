@@ -35,13 +35,6 @@ type DaemonOptions struct {
 	// sink of pmihp-node). Sessions share the recorder; span events carry
 	// the daemon's listen address.
 	Obs *obs.Recorder
-	// DenseThresholdOverride, when positive, replaces the session Init's
-	// posting-density threshold on this daemon — a node-local layout
-	// choice for heterogeneous hardware (mining.DenseThresholdAll forces
-	// bitmaps, math.Inf(1) forces compressed blocks). Zero or negative
-	// (the default) inherits the coordinator's value. Either way the
-	// layout never changes counts or simulated charges.
-	DenseThresholdOverride float64
 }
 
 // sessionKey identifies one logical node of one mining session. An
@@ -354,10 +347,6 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 	}
 	d.opt.Logf("pmihp-node: session %x: node %d/%d, %d docs, %s partitions (%s)",
 		init.ClusterID, init.NodeID, init.Nodes, db.Len(), mining.Partitioner(init.Partitioner), from)
-	denseThreshold := init.DenseThreshold
-	if d.opt.DenseThresholdOverride > 0 {
-		denseThreshold = d.opt.DenseThresholdOverride
-	}
 	outcome, err := core.RunNode(x, db, core.NodeParams{
 		TotalDocs: int(init.TotalDocs),
 		NumItems:  int(init.NumItems),
@@ -367,7 +356,7 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 			PartitionSize:    int(init.PartitionSize),
 			MaxK:             int(init.MaxK),
 			IntraNodeWorkers: int(init.Workers),
-			DenseThreshold:   denseThreshold,
+			DenseThreshold:   init.DenseThreshold,
 			Partitioner:      mining.Partitioner(init.Partitioner),
 			Obs:              d.opt.Obs,
 		},

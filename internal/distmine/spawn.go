@@ -114,17 +114,6 @@ func (s *Spawner) Stop() {
 	}
 }
 
-// SpawnNodes starts n pmihp-node worker processes from the given binary
-// (each listening on an ephemeral loopback port), waits for their
-// address announcements, and returns the addresses in node order plus a
-// stop function that terminates the processes. On error, any processes
-// already started are stopped.
-func SpawnNodes(bin string, n int, stderr io.Writer) (addrs []string, stop func(), err error) {
-	s := NewSpawner(bin, stderr)
-	addrs, err = s.SpawnN(n)
-	return addrs, s.Stop, err
-}
-
 // readAnnouncement scans the daemon's stdout for the announce line.
 func readAnnouncement(out io.Reader, timeout time.Duration) (string, error) {
 	type lineOrErr struct {

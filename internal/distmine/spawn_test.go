@@ -1,6 +1,7 @@
 package distmine
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,6 +9,17 @@ import (
 	"testing"
 	"time"
 )
+
+// SpawnNodes starts n pmihp-node worker processes from the given binary
+// (each listening on an ephemeral loopback port), waits for their
+// address announcements, and returns the addresses in node order plus a
+// stop function that terminates the processes. On error, any processes
+// already started are stopped.
+func SpawnNodes(bin string, n int, stderr io.Writer) (addrs []string, stop func(), err error) {
+	s := NewSpawner(bin, stderr)
+	addrs, err = s.SpawnN(n)
+	return addrs, s.Stop, err
+}
 
 // fakeNode writes a shell script that acts like a pmihp-node binary:
 // body runs after the shebang, with the script's own PID available.

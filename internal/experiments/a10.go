@@ -44,7 +44,7 @@ func RunA10(p Params) (fmt.Stringer, error) {
 		}
 		maxBytes := int64(0)
 		for _, part := range parts {
-			local, _ := tht.BuildLocal(part, entries)
+			local, _ := tht.BuildLocalShards(part, entries, 1)
 			local.Retain(func(it uint32) bool { return counts[it] >= globalMin })
 			if bs := int64(local.Bytes()); bs > maxBytes {
 				maxBytes = bs

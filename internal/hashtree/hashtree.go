@@ -293,16 +293,6 @@ func (t *Tree) AddCounts(delta []int32) {
 	}
 }
 
-// SetCounts overwrites the count slice (used by Count Distribution after the
-// all-reduce merges per-node counts). The argument must have one entry per
-// candidate.
-func (t *Tree) SetCounts(counts []int) {
-	if len(counts) != t.n {
-		panic("hashtree: SetCounts length mismatch")
-	}
-	copy(t.counts, counts)
-}
-
 // Candidate returns candidate i.
 func (t *Tree) Candidate(i int) itemset.Itemset { return t.cand(int32(i)) }
 

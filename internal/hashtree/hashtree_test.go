@@ -91,6 +91,15 @@ func TestFrequentThreshold(t *testing.T) {
 	}
 }
 
+// SetCounts overwrites the count slice. The argument must have one entry
+// per candidate.
+func (t *Tree) SetCounts(counts []int) {
+	if len(counts) != t.n {
+		panic("hashtree: SetCounts length mismatch")
+	}
+	copy(t.counts, counts)
+}
+
 func TestSetCounts(t *testing.T) {
 	cands := []itemset.Itemset{itemset.New(1, 2), itemset.New(2, 3)}
 	tree := Build(2, cands)

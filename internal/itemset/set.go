@@ -38,12 +38,6 @@ func (s *Set) Has(is Itemset) bool {
 	return ok
 }
 
-// HasKey reports whether an itemset with the given Key is in the set.
-func (s *Set) HasKey(key string) bool {
-	_, ok := s.m[key]
-	return ok
-}
-
 // Remove deletes the itemset from the set if present.
 func (s *Set) Remove(is Itemset) { delete(s.m, is.Key()) }
 

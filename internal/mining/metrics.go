@@ -17,7 +17,7 @@ const (
 	// CostCandidateGen: generating one potential candidate (join plus
 	// subset-infrequency checks).
 	CostCandidateGen = 8
-	// CostTHTSlot: examining one TID-hash-table slot in a MaxPossible bound.
+	// CostTHTSlot: examining one TID-hash-table slot in a GetMaxPossibleCount bound.
 	CostTHTSlot = 1
 	// CostTreeInsert: inserting one candidate into a hash tree.
 	CostTreeInsert = 6

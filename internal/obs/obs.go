@@ -238,48 +238,6 @@ func (r *Recorder) RecordSpan(ev SpanEvent) {
 	r.mu.Unlock()
 }
 
-// Span is an in-flight timer returned by StartSpan. The zero Span (from
-// a nil recorder) is inert.
-type Span struct {
-	r    *Recorder
-	name string
-	node int
-	t0   time.Time
-}
-
-// StartSpan starts a timer for the named operation at the given node.
-func (r *Recorder) StartSpan(name string, node int) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{r: r, name: name, node: node, t0: time.Now()}
-}
-
-// End finishes the span.
-func (s Span) End() { s.finish(0, nil) }
-
-// EndBytes finishes the span, attributing wire bytes to it.
-func (s Span) EndBytes(bytes int64) { s.finish(bytes, nil) }
-
-// EndErr finishes the span, recording a failure.
-func (s Span) EndErr(err error) { s.finish(0, err) }
-
-func (s Span) finish(bytes int64, err error) {
-	if s.r == nil {
-		return
-	}
-	ev := SpanEvent{
-		Name:    s.name,
-		Node:    s.node,
-		Seconds: time.Since(s.t0).Seconds(),
-		Bytes:   bytes,
-	}
-	if err != nil {
-		ev.Err = err.Error()
-	}
-	s.r.RecordSpan(ev)
-}
-
 // Beat records a liveness sign from the node (the coordinator feeds it
 // from every control-plane frame it reads).
 func (r *Recorder) Beat(node int) {

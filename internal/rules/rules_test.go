@@ -3,6 +3,7 @@ package rules
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -97,7 +98,7 @@ func TestGenerateFromMiner(t *testing.T) {
 	res := mining.BruteForce(db, mining.Options{MinSupCount: 2})
 	rs := Generate(res.Frequent, db.Len(), 0.6)
 	for _, r := range rs {
-		union := itemset.Union(r.Antecedent, r.Consequent)
+		union := itemset.New(slices.Concat(r.Antecedent, r.Consequent)...)
 		supU := mining.CountSupport(db, union)
 		supA := mining.CountSupport(db, r.Antecedent)
 		if r.Support != supU {

@@ -52,9 +52,6 @@ func (idx *Index) Postings(word string) []txdb.TID {
 	return idx.postings[id]
 }
 
-// DocFreq returns the number of documents containing the word.
-func (idx *Index) DocFreq(word string) int { return len(idx.Postings(word)) }
-
 // SearchAny returns the TIDs of documents containing at least one query
 // word (disjunctive search), in ascending order.
 func (idx *Index) SearchAny(words ...string) []txdb.TID {

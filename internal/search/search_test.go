@@ -24,6 +24,9 @@ func fixture() (*txdb.DB, *text.Vocabulary) {
 	return text.ToDB(docs, nil)
 }
 
+// DocFreq returns the number of documents containing the word.
+func (idx *Index) DocFreq(word string) int { return len(idx.Postings(word)) }
+
 func TestPostingsAndDocFreq(t *testing.T) {
 	db, vocab := fixture()
 	idx := Build(db, vocab)
@@ -174,7 +177,7 @@ func TestIndexAgainstBruteForce(t *testing.T) {
 		for len(words) < n {
 			id := itemset.Item(rng.Intn(vocab.Size()))
 			words = append(words, vocab.Word(id))
-			ids = itemset.Union(ids, itemset.Itemset{id})
+			ids = itemset.New(append(ids, id)...)
 		}
 		got := idx.SearchAny(words...)
 		var want []txdb.TID

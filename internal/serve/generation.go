@@ -69,11 +69,6 @@ func (g *Generation) retire() {
 	}
 }
 
-// Drained returns a channel closed once the generation is retired and
-// its last in-flight query has released it — the point at which the old
-// index is unreachable and its memory is garbage.
-func (g *Generation) Drained() <-chan struct{} { return g.drained }
-
 // drainedNow reports whether the generation has fully drained.
 func (g *Generation) drainedNow() bool {
 	select {

@@ -41,7 +41,7 @@ func TestGenerationDrainProtocol(t *testing.T) {
 	g2.release()
 	g1.release()
 	select {
-	case <-g1.Drained():
+	case <-g1.drained:
 	case <-time.After(5 * time.Second):
 		t.Fatal("generation never drained after last release")
 	}
@@ -152,7 +152,7 @@ func TestHotSwapUnderConcurrentLoad(t *testing.T) {
 	// all queries have released.
 	for i, g := range gens[:len(gens)-1] {
 		select {
-		case <-g.Drained():
+		case <-g.drained:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("generation %d (swap %d) never drained", g.ID, i)
 		}

@@ -87,6 +87,3 @@ func IsStopWord(w string) bool {
 	_, ok := stopSet[w]
 	return ok
 }
-
-// StopWordCount returns the size of the embedded stoplist.
-func StopWordCount() int { return len(stopWords) }

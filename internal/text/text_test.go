@@ -44,8 +44,8 @@ func TestStopWords(t *testing.T) {
 			t.Errorf("IsStopWord(%q) = true", w)
 		}
 	}
-	if StopWordCount() < 300 {
-		t.Fatalf("stoplist suspiciously small: %d", StopWordCount())
+	if len(stopWords) < 300 {
+		t.Fatalf("stoplist suspiciously small: %d", len(stopWords))
 	}
 }
 

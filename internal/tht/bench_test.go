@@ -6,22 +6,14 @@ import (
 	"pmihp/internal/itemset"
 )
 
-func benchLocal(b *testing.B, entries int, masks bool) *Local {
+func benchLocal(b *testing.B, entries int) *Local {
 	b.Helper()
-	db := makeDB(1, 400, 2000, 60)
-	l, _ := BuildLocal(db, entries)
-	if masks {
-		l.BuildMasks()
-	}
-	return l
+	return retained(makeDB(1, 400, 2000, 60), entries)
 }
 
-func BenchmarkPairBoundMasked(b *testing.B)   { benchPairScan(b, true) }
-func BenchmarkPairBoundMaskless(b *testing.B) { benchPairScan(b, false) }
-
-// benchPairScan measures pass 2's pair-bound kernel on one segment.
-func benchPairScan(b *testing.B, masks bool) {
-	l := benchLocal(b, 400, masks)
+// BenchmarkPairBound measures pass 2's pair-bound kernel on one segment.
+func BenchmarkPairBound(b *testing.B) {
+	l := benchLocal(b, 400)
 	ps := NewGlobal([]*Local{l}).NewPairScan(identityUniverse(2000))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -34,8 +26,8 @@ func benchPairScan(b *testing.B, masks bool) {
 	}
 }
 
-func BenchmarkTripleBoundMasked(b *testing.B) {
-	l := benchLocal(b, 400, true)
+func BenchmarkTripleBound(b *testing.B) {
+	l := benchLocal(b, 400)
 	x := make(itemset.Itemset, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -46,24 +38,22 @@ func BenchmarkTripleBoundMasked(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildLocal(b *testing.B) {
+func BenchmarkBuildLocalShards(b *testing.B) {
 	db := makeDB(1, 400, 2000, 60)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildLocal(db, 400)
+		BuildLocalShards(db, 400, 1)
 	}
 }
 
 // BenchmarkPollPeers measures the batch peer-classification kernel behind
-// PMIHP's flush: one PollPeers call versus a BoundReaches(x, 1) per peer
-// with per-call row fetches.
+// PMIHP's flush: one PollPeers call classifies an itemset against every
+// peer segment.
 func BenchmarkPollPeers(b *testing.B) {
 	locals := make([]*Local, 8)
 	for s := range locals {
-		l, _ := BuildLocal(makeDB(int64(s+1), 50, 2000, 60), 50)
-		l.BuildMasks()
-		locals[s] = l
+		locals[s] = retained(makeDB(int64(s+1), 50, 2000, 60), 50)
 	}
 	g := NewGlobal(locals)
 	x := itemset.New(3, 11, 42)

@@ -8,18 +8,15 @@ import (
 
 // Threshold-bounded evaluation of the IHP upper bound. All entry points
 // answer "does GetMaxPossibleCount(x) reach threshold?" while examining as
-// little of the tables as possible:
+// little of the tables as possible. The intersection of the items'
+// occupancy masks (see mask.go) is computed first: an empty intersection
+// proves a zero bound, a popcount at or above the threshold proves the
+// bound reaches it (every intersecting slot contributes at least one), and
+// otherwise only the few intersecting slots are summed. Every entry point
+// reads tables that Retain or DecodeWire returned, whose masks are built.
 //
-//   - without occupancy masks, the slot-minimum sum is accumulated with an
-//     early exit once it reaches the threshold;
-//   - with masks (see mask.go), the intersection of the items' occupancy
-//     masks is computed first: an empty intersection proves a zero bound, a
-//     popcount at or above the threshold proves the bound reaches it (every
-//     intersecting slot contributes at least one), and otherwise only the
-//     few intersecting slots are summed.
-//
-// The masked path makes the evaluation cost proportional to the number of
-// slots where the items actually co-hash rather than to the table size —
+// This makes the evaluation cost proportional to the number of slots
+// where the items actually co-hash rather than to the table size —
 // which is what keeps the paper's claim that "the sizes of the partitions
 // and THT are not critical for the overall performance" true in the cost
 // model as well (ablation A3). Every path is allocation-free for itemsets
@@ -28,7 +25,9 @@ import (
 
 // BoundReaches reports whether the IHP upper bound for the itemset reaches
 // threshold. slots is the number of table slots (or mask words, charged at
-// the same rate) examined. A false result proves MaxPossible(x) < threshold.
+// the same rate) examined. A false result proves the bound — the sum over
+// slots of the minimum counter among x's items — is below threshold. l
+// must be a table that Retain or DecodeWire returned.
 func (l *Local) BoundReaches(x itemset.Itemset, threshold int) (reaches bool, slots int) {
 	sum, cost := l.boundUpTo(x, threshold)
 	return sum >= threshold, cost
@@ -45,54 +44,36 @@ func (l *Local) boundUpTo(x itemset.Itemset, stop int) (sum, cost int) {
 	if !ok {
 		return 0, 0
 	}
-	if l.masksBuilt {
-		var scratch [16]uint64
-		inter, words, ok := l.intersection(x, scratch[:0])
-		cost += words
-		if !ok {
-			return 0, cost
-		}
-		pc := 0
-		for _, w := range inter {
-			pc += bits.OnesCount64(w)
-		}
-		if pc == 0 {
-			return 0, cost
-		}
-		if pc >= stop {
-			return stop, cost
-		}
-		// Fewer intersecting slots than the threshold: sum exactly those.
-		for wi, w := range inter {
-			for ; w != 0; w &= w - 1 {
-				j := wi*64 + bits.TrailingZeros64(w)
-				cost++
-				min := rows[0][j]
-				for i := 1; i < len(rows) && min > 0; i++ {
-					if rows[i][j] < min {
-						min = rows[i][j]
-					}
-				}
-				sum += int(min)
-				if sum >= stop {
-					return sum, cost
-				}
-			}
-		}
-		return sum, cost
+	var scratch [16]uint64
+	inter, cost, ok := l.intersection(x, scratch[:0])
+	if !ok {
+		return 0, cost
 	}
-	// Maskless path: linear scan with early exit.
-	for j := 0; j < l.entries; j++ {
-		cost++
-		min := rows[0][j]
-		for i := 1; i < len(rows) && min > 0; i++ {
-			if rows[i][j] < min {
-				min = rows[i][j]
+	pc := 0
+	for _, w := range inter {
+		pc += bits.OnesCount64(w)
+	}
+	if pc == 0 {
+		return 0, cost
+	}
+	if pc >= stop {
+		return stop, cost
+	}
+	// Fewer intersecting slots than the threshold: sum exactly those.
+	for wi, w := range inter {
+		for ; w != 0; w &= w - 1 {
+			j := wi*64 + bits.TrailingZeros64(w)
+			cost++
+			min := rows[0][j]
+			for i := 1; i < len(rows) && min > 0; i++ {
+				if rows[i][j] < min {
+					min = rows[i][j]
+				}
 			}
-		}
-		sum += int(min)
-		if sum >= stop {
-			return sum, cost
+			sum += int(min)
+			if sum >= stop {
+				return sum, cost
+			}
 		}
 	}
 	return sum, cost
@@ -136,46 +117,30 @@ func (l *Local) intersection(x itemset.Itemset, buf []uint64) (inter []uint64, w
 }
 
 // positiveBound reports whether the IHP bound for x is positive, charging
-// exactly what BoundReaches(x, 1) charges: with masks, the intersection
-// word counts; without, the linear scan up to the first positive slot. It
-// exists so PollPeers can classify a whole batch itemset against every
-// segment without fetching counter rows or allocating.
+// exactly what BoundReaches(x, 1) charges: the intersection's word count,
+// or nothing when an item has no row. It exists so PollPeers can classify
+// a whole batch itemset against every segment without fetching counter
+// rows or allocating.
 func (l *Local) positiveBound(x itemset.Itemset) (positive bool, cost int) {
 	if len(x) == 0 {
 		return false, 0
 	}
 	for _, it := range x {
-		if l.Row(it) == nil {
+		if l.rowIndex(it) < 0 {
 			return false, 0
 		}
 	}
-	if l.masksBuilt {
-		var scratch [16]uint64
-		_, words, ok := l.intersection(x, scratch[:0])
-		// A non-empty intersection has a slot where every member co-hashes,
-		// so the bound is at least 1 (rows only ever grow).
-		return ok, words
-	}
-	var rowsBuf [maxStackItems][]uint32
-	rows, _ := l.fetchRows(x, &rowsBuf)
-	for j := 0; j < l.entries; j++ {
-		cost++
-		min := rows[0][j]
-		for i := 1; i < len(rows) && min > 0; i++ {
-			if rows[i][j] < min {
-				min = rows[i][j]
-			}
-		}
-		if min > 0 {
-			return true, cost
-		}
-	}
-	return false, cost
+	var scratch [16]uint64
+	// A non-empty intersection has a slot where every member co-hashes, so
+	// the bound is at least 1.
+	_, words, ok := l.intersection(x, scratch[:0])
+	return ok, words
 }
 
 // BoundReaches is the cascaded-table analogue: per-segment partial sums
 // accumulate across segments and evaluation stops as soon as the running
-// total reaches threshold.
+// total reaches threshold. Every segment must be a table that Retain or
+// DecodeWire returned.
 func (g *Global) BoundReaches(x itemset.Itemset, threshold int) (reaches bool, slots int) {
 	sum, total := 0, 0
 	for _, seg := range g.segments {
@@ -193,7 +158,8 @@ func (g *Global) BoundReaches(x itemset.Itemset, threshold int) (reaches bool, s
 // x is positive — the peers PMIHP must poll for the itemset — and returns
 // the extended slice with the total slot cost. It is the batch-classification
 // kernel behind flush: one call replaces a BoundReaches(x, 1) per peer,
-// with identical slot charges but no row fetches or allocations.
+// with identical slot charges but no row fetches or allocations. Every
+// segment must be a table that Retain or DecodeWire returned.
 func (g *Global) PollPeers(x itemset.Itemset, self int, buf []int) (peers []int, slots int) {
 	peers = buf[:0]
 	for p, seg := range g.segments {
@@ -238,64 +204,47 @@ func (l *Local) pairBoundIdx(ra, rb int32, stop int) (sum, cost int) {
 		sum, cost = l.pairSumBits(ra, rb, m, stop)
 		return sum, cost + 1
 	}
-	h := l.entries
-	if l.masksBuilt {
-		w := l.mw
-		cost += w
-		// A saturated row's mask is the AND identity, so the pair's
-		// co-occupancy popcount is just the other row's occupancy counter —
-		// no mask memory is read. The charge stays w words, exactly what
-		// the scan below would have cost.
-		pc := 0
-		switch sat := int32(h); {
-		case l.occ[ra] == sat:
-			pc = int(l.occ[rb])
-		case l.occ[rb] == sat:
-			pc = int(l.occ[ra])
-		default:
-			ma := l.maskData[int(ra)*w : (int(ra)+1)*w]
-			mb := l.maskData[int(rb)*w : (int(rb)+1)*w]
-			for j := range ma {
-				pc += bits.OnesCount64(ma[j] & mb[j])
-			}
-		}
-		if pc == 0 {
-			return 0, cost
-		}
-		if pc >= stop {
-			return stop, cost
-		}
+	h, w := l.entries, l.mw
+	cost = w
+	// A saturated row's mask is the AND identity, so the pair's
+	// co-occupancy popcount is just the other row's occupancy counter — no
+	// mask memory is read. The charge stays w words, exactly what the
+	// mask scan would have cost.
+	pc := 0
+	switch sat := int32(h); {
+	case l.occ[ra] == sat:
+		pc = int(l.occ[rb])
+	case l.occ[rb] == sat:
+		pc = int(l.occ[ra])
+	default:
 		ma := l.maskData[int(ra)*w : (int(ra)+1)*w]
 		mb := l.maskData[int(rb)*w : (int(rb)+1)*w]
-		rowA := l.data[int(ra)*h : (int(ra)+1)*h]
-		rowB := l.data[int(rb)*h : (int(rb)+1)*h]
-		for wi := range ma {
-			for wv := ma[wi] & mb[wi]; wv != 0; wv &= wv - 1 {
-				j := wi*64 + bits.TrailingZeros64(wv)
-				cost++
-				min := rowA[j]
-				if rowB[j] < min {
-					min = rowB[j]
-				}
-				sum += int(min)
-				if sum >= stop {
-					return sum, cost
-				}
-			}
+		for j := range ma {
+			pc += bits.OnesCount64(ma[j] & mb[j])
 		}
-		return sum, cost
 	}
+	if pc == 0 {
+		return 0, cost
+	}
+	if pc >= stop {
+		return stop, cost
+	}
+	ma := l.maskData[int(ra)*w : (int(ra)+1)*w]
+	mb := l.maskData[int(rb)*w : (int(rb)+1)*w]
 	rowA := l.data[int(ra)*h : (int(ra)+1)*h]
 	rowB := l.data[int(rb)*h : (int(rb)+1)*h]
-	for j := range rowA {
-		cost++
-		min := rowA[j]
-		if rowB[j] < min {
-			min = rowB[j]
-		}
-		sum += int(min)
-		if sum >= stop {
-			return sum, cost
+	for wi := range ma {
+		for wv := ma[wi] & mb[wi]; wv != 0; wv &= wv - 1 {
+			j := wi*64 + bits.TrailingZeros64(wv)
+			cost++
+			min := rowA[j]
+			if rowB[j] < min {
+				min = rowB[j]
+			}
+			sum += int(min)
+			if sum >= stop {
+				return sum, cost
+			}
 		}
 	}
 	return sum, cost

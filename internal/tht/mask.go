@@ -1,7 +1,5 @@
 package tht
 
-import "pmihp/internal/itemset"
-
 // Per-item occupancy bitmasks over the THT slots. Intersecting the masks of
 // an itemset's members decides "can the IHP bound be nonzero at all?" in a
 // handful of word operations instead of a full slot scan — the decisive
@@ -9,12 +7,14 @@ import "pmihp/internal/itemset"
 // paper targets), where most candidate pairs never co-hash at all. The mask
 // is an implementation device for the same table the paper defines; work
 // charging for mask words uses the same CostTHTSlot rate as slot scans.
+// Retain and DecodeWire build the masks of every row they keep, so every
+// table a bound reads has them.
 
 // maskWords returns the number of 64-bit words covering the slot space.
 func (l *Local) maskWords() int { return l.mw }
 
-// BuildMasks materializes the occupancy masks for every current row. Call
-// after Retain; AddOccurrence after BuildMasks keeps masks in sync.
+// BuildMasks materializes the occupancy masks for every current row. Retain
+// runs it after compacting the kept rows.
 func (l *Local) BuildMasks() {
 	w := l.maskWords()
 	h := l.entries
@@ -22,8 +22,6 @@ func (l *Local) BuildMasks() {
 	// per run, right after Retain, when the live row count is known.
 	l.maskData = make([]uint64, len(l.rowItem)*w)
 	l.occ = make([]int32, len(l.rowItem))
-	l.masksBuilt = true
-	l.fast1 = w == 1
 	for r := range l.rowItem {
 		row := l.data[r*h : (r+1)*h]
 		mask := l.maskData[r*w : (r+1)*w]
@@ -36,13 +34,4 @@ func (l *Local) BuildMasks() {
 		}
 		l.occ[r] = n
 	}
-}
-
-// Mask returns the occupancy mask of an item (nil when masks are not built
-// or the item has no row).
-func (l *Local) Mask(it itemset.Item) []uint64 {
-	if !l.masksBuilt {
-		return nil
-	}
-	return l.mask(it)
 }

@@ -26,6 +26,14 @@ func makeDB(seed int64, docs, vocab, docLen int) *txdb.DB {
 	return txdb.New(txs, vocab)
 }
 
+// retained builds db's table set and keeps every row, so its masks are
+// built — the table a miner bounds with after the post-pass-1 Retain.
+func retained(db *txdb.DB, entries int) *Local {
+	l, _ := BuildLocalShards(db, entries, 1)
+	l.Retain(func(itemset.Item) bool { return true })
+	return l
+}
+
 func support(db *txdb.DB, x itemset.Itemset) int {
 	n := 0
 	db.Each(func(t *txdb.Transaction) {
@@ -36,12 +44,65 @@ func support(db *txdb.DB, x itemset.Itemset) int {
 	return n
 }
 
+// maxPossible is the IHP upper bound on the local support of x by its
+// definition — GetMaxPossibleCount: the sum over slots of the minimum
+// counter among x's items, zero when an item has no table. It reads the
+// counters only, and is the reference the threshold-bounded entry points
+// are tested against.
+func maxPossible(l *Local, x itemset.Itemset) int {
+	if len(x) == 0 {
+		return 0
+	}
+	var rowsBuf [maxStackItems][]uint32
+	rows, ok := l.fetchRows(x, &rowsBuf)
+	if !ok {
+		return 0
+	}
+	total := 0
+	for j := 0; j < l.entries; j++ {
+		min := rows[0][j]
+		for i := 1; i < len(rows); i++ {
+			if rows[i][j] < min {
+				min = rows[i][j]
+			}
+		}
+		total += int(min)
+	}
+	return total
+}
+
+// cascadeMaxPossible is the bound of the cascaded table by its definition:
+// the slot-minimum sum over the concatenation of every segment's rows,
+// where an item without a row in a segment reads as zeros there.
+func cascadeMaxPossible(g *Global, x itemset.Itemset) int {
+	if len(x) == 0 {
+		return 0
+	}
+	total := 0
+	for _, seg := range g.segments {
+		for j := 0; j < seg.entries; j++ {
+			min := ^uint32(0)
+			for _, it := range x {
+				c := uint32(0)
+				if row := seg.row(it); row != nil {
+					c = row[j]
+				}
+				if c < min {
+					min = c
+				}
+			}
+			total += int(min)
+		}
+	}
+	return total
+}
+
 // TestMaxPossibleIsUpperBound is the central IHP soundness property: the
 // bound never undershoots the true support, for any itemset and table size.
 func TestMaxPossibleIsUpperBound(t *testing.T) {
 	for _, entries := range []int{1, 3, 16, 50, 400} {
 		db := makeDB(int64(entries), 80, 120, 12)
-		local, counts := BuildLocal(db, entries)
+		local, counts := BuildLocalShards(db, entries, 1)
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 300; trial++ {
 			k := 1 + rng.Intn(3)
@@ -50,10 +111,10 @@ func TestMaxPossibleIsUpperBound(t *testing.T) {
 				raw[j] = uint32(rng.Intn(120))
 			}
 			x := itemset.New(raw...)
-			bound := local.MaxPossible(x)
+			bound := maxPossible(local, x)
 			sup := support(db, x)
 			if bound < sup {
-				t.Fatalf("entries=%d: MaxPossible(%v)=%d < support %d", entries, x, bound, sup)
+				t.Fatalf("entries=%d: maxPossible(%v)=%d < support %d", entries, x, bound, sup)
 			}
 			if len(x) == 1 && bound != counts[x[0]] {
 				t.Fatalf("1-itemset bound %d != count %d", bound, counts[x[0]])
@@ -63,29 +124,23 @@ func TestMaxPossibleIsUpperBound(t *testing.T) {
 }
 
 // TestBoundReachesAgreesWithMaxPossible: the early-exit decision must equal
-// the full bound comparison, with and without masks.
+// the full bound comparison.
 func TestBoundReachesAgreesWithMaxPossible(t *testing.T) {
 	db := makeDB(5, 60, 100, 10)
-	for _, withMasks := range []bool{false, true} {
-		local, _ := BuildLocal(db, 32)
-		if withMasks {
-			local.BuildMasks()
+	local := retained(db, 32)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		k := 1 + rng.Intn(3)
+		raw := make([]uint32, k)
+		for j := range raw {
+			raw[j] = uint32(rng.Intn(100))
 		}
-		rng := rand.New(rand.NewSource(11))
-		for trial := 0; trial < 500; trial++ {
-			k := 1 + rng.Intn(3)
-			raw := make([]uint32, k)
-			for j := range raw {
-				raw[j] = uint32(rng.Intn(100))
-			}
-			x := itemset.New(raw...)
-			threshold := 1 + rng.Intn(6)
-			want := local.MaxPossible(x) >= threshold
-			got, _ := local.BoundReaches(x, threshold)
-			if got != want {
-				t.Fatalf("masks=%v: BoundReaches(%v, %d) = %v, MaxPossible = %d",
-					withMasks, x, threshold, got, local.MaxPossible(x))
-			}
+		x := itemset.New(raw...)
+		threshold := 1 + rng.Intn(6)
+		want := maxPossible(local, x) >= threshold
+		got, _ := local.BoundReaches(x, threshold)
+		if got != want {
+			t.Fatalf("BoundReaches(%v, %d) = %v, maxPossible = %d", x, threshold, got, maxPossible(local, x))
 		}
 	}
 }
@@ -99,8 +154,7 @@ func TestCascadeBoundSound(t *testing.T) {
 	parts := db.SplitChronological(4)
 	locals := make([]*Local, 4)
 	for i, p := range parts {
-		locals[i], _ = BuildLocal(p, 16)
-		locals[i].BuildMasks()
+		locals[i] = retained(p, 16)
 	}
 	g := NewGlobal(locals)
 	ps := g.NewPairScan(identityUniverse(90))
@@ -114,13 +168,13 @@ func TestCascadeBoundSound(t *testing.T) {
 		x := itemset.New(raw...)
 		sum := 0
 		for _, l := range locals {
-			sum += l.MaxPossible(x)
+			sum += maxPossible(l, x)
 		}
-		if got := g.MaxPossible(x); got != sum {
-			t.Fatalf("cascade MaxPossible(%v) = %d, segment sum %d", x, got, sum)
+		if got := cascadeMaxPossible(g, x); got != sum {
+			t.Fatalf("cascade bound of %v = %d, segment sum %d", x, got, sum)
 		}
-		if sup := support(db, x); g.MaxPossible(x) < sup {
-			t.Fatalf("cascade bound %d < support %d for %v", g.MaxPossible(x), sup, x)
+		if sup := support(db, x); sum < sup {
+			t.Fatalf("cascade bound %d < support %d for %v", sum, sup, x)
 		}
 		threshold := 1 + rng.Intn(5)
 		want := sum >= threshold
@@ -137,6 +191,51 @@ func TestCascadeBoundSound(t *testing.T) {
 	}
 }
 
+// TestSegScanMatchesBoundReaches: the pass-2 pair kernel on one segment
+// decides and charges every pair exactly as Local.BoundReaches does, in
+// the one-word geometry, in a multi-word one whose rows are mostly
+// saturated (the occupancy-counter shortcut), and at the paper's 400
+// entries.
+func TestSegScanMatchesBoundReaches(t *testing.T) {
+	for _, tc := range []struct {
+		entries, docs, vocab, docLen int
+	}{
+		{16, 50, 60, 8},
+		{100, 400, 15, 12},
+		{400, 300, 60, 20},
+	} {
+		local := retained(makeDB(int64(tc.entries), tc.docs, tc.vocab, tc.docLen), tc.entries)
+		saturated := 0
+		for _, n := range local.occ {
+			if int(n) == tc.entries {
+				saturated++
+			}
+		}
+		if tc.entries == 100 && saturated == 0 {
+			t.Fatal("no saturated row in the saturated geometry")
+		}
+		ps := NewGlobal([]*Local{local}).NewPairScan(identityUniverse(tc.vocab))
+		for a := 0; a < tc.vocab; a++ {
+			ps.Hoist(a)
+			seg := ps.Seg(0)
+			for b := a + 1; b < tc.vocab; b++ {
+				x := itemset.New(uint32(a), uint32(b))
+				for _, threshold := range []int{1, 2, 5, tc.entries / 2, tc.entries, 4 * tc.entries} {
+					want, wantSlots := local.BoundReaches(x, threshold)
+					if want != (maxPossible(local, x) >= threshold) {
+						t.Fatalf("entries=%d: BoundReaches(%v, %d) = %v, maxPossible %d",
+							tc.entries, x, threshold, want, maxPossible(local, x))
+					}
+					if got, slots := seg.BoundReaches(b, threshold); got != want || slots != wantSlots {
+						t.Fatalf("entries=%d: SegScan(%v, %d) = %v/%d slots, BoundReaches %v/%d",
+							tc.entries, x, threshold, got, slots, want, wantSlots)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPositivePeersComplete: PollPeers must report every peer whose local
 // database contains the itemset.
 func TestPositivePeersComplete(t *testing.T) {
@@ -144,7 +243,7 @@ func TestPositivePeersComplete(t *testing.T) {
 	parts := db.SplitChronological(4)
 	locals := make([]*Local, 4)
 	for i, p := range parts {
-		locals[i], _ = BuildLocal(p, 8)
+		locals[i] = retained(p, 8)
 	}
 	g := NewGlobal(locals)
 	rng := rand.New(rand.NewSource(3))
@@ -169,90 +268,90 @@ func TestPositivePeersComplete(t *testing.T) {
 
 func TestRetainDropsRowsAndMasks(t *testing.T) {
 	db := makeDB(8, 30, 40, 6)
-	local, _ := BuildLocal(db, 8)
-	local.BuildMasks()
+	local, _ := BuildLocalShards(db, 8, 1)
 	local.Retain(func(it itemset.Item) bool { return it%2 == 0 })
 	for it := itemset.Item(0); it < 40; it++ {
-		row, mask := local.Row(it), local.Mask(it)
 		if it%2 == 0 {
 			continue
 		}
-		if row != nil || mask != nil {
-			t.Fatalf("odd item %d retained (row=%v mask=%v)", it, row != nil, mask != nil)
+		if local.row(it) != nil || local.rowIndex(it) >= 0 {
+			t.Fatalf("odd item %d retained", it)
 		}
 	}
+	for _, it := range local.rowItem {
+		if it%2 != 0 {
+			t.Fatalf("odd item %d kept a row", it)
+		}
+	}
+	// The masks are built for exactly the kept rows.
+	if len(local.maskData) != local.NumItems()*local.maskWords() || len(local.occ) != local.NumItems() {
+		t.Fatalf("%d mask words and %d occupancy counters for %d rows", len(local.maskData), len(local.occ), local.NumItems())
+	}
+	requireMasks(t, local)
 	// Dropped items bound any superset at zero.
-	if got := local.MaxPossible(itemset.New(1, 2)); got != 0 {
+	if got := maxPossible(local, itemset.New(1, 2)); got != 0 {
 		t.Fatalf("bound with dropped item = %d", got)
 	}
-}
-
-func TestMasksStayInSyncAfterAdd(t *testing.T) {
-	l := NewLocal(16)
-	l.BuildMasks()
-	l.AddOccurrence(5, 3)
-	if m := l.Mask(5); m == nil || m[0] != 1<<3 {
-		t.Fatalf("mask %v after AddOccurrence(5, tid 3), want slot 3 set", m)
-	}
-	ok, _ := l.BoundReaches(itemset.New(5), 1)
-	if !ok {
-		t.Fatal("bound lost occurrence")
+	if ok, slots := local.BoundReaches(itemset.New(1, 2), 1); ok || slots != 0 {
+		t.Fatalf("BoundReaches with dropped item = %v/%d slots", ok, slots)
 	}
 }
 
 func TestBytesAccounting(t *testing.T) {
-	l := NewLocal(10)
-	if l.Bytes() != 0 {
-		t.Fatal("empty table has bytes")
-	}
-	l.AddOccurrence(1, 0)
-	l.AddOccurrence(2, 0)
+	db := txdb.New([]txdb.Transaction{
+		{TID: 0, Items: itemset.New(1, 2)},
+		{TID: 1, Items: itemset.New(2)},
+	}, 4)
+	l, _ := BuildLocalShards(db, 10, 1)
 	if l.Bytes() != 2*(4+40) {
 		t.Fatalf("Bytes = %d", l.Bytes())
+	}
+	l.Retain(func(it itemset.Item) bool { return it == 2 })
+	if l.Bytes() != 4+40 {
+		t.Fatalf("Bytes after Retain = %d", l.Bytes())
+	}
+	l.Retain(func(itemset.Item) bool { return false })
+	if l.Bytes() != 0 {
+		t.Fatal("empty table has bytes")
 	}
 }
 
 func TestNewLocalPanicsOnBadEntries(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewLocal(0) should panic")
+			t.Fatal("newLocal(0, 1) should panic")
 		}
 	}()
-	NewLocal(0)
+	newLocal(0, 1)
 }
 
-func TestMasklessBoundPaths(t *testing.T) {
-	// Exercise the linear-scan fallbacks (no BuildMasks call): the pair
-	// scan must decide and charge as the general bound does.
+// TestMissingRowBoundsZero: every bound entry point bounds an itemset
+// with an absent row at zero, and charges nothing for it.
+func TestMissingRowBoundsZero(t *testing.T) {
+	const absent = 999
 	db := makeDB(9, 50, 60, 8)
-	local, _ := BuildLocal(db, 16)
-	universe := append(identityUniverse(60), 999)
-	ps := NewGlobal([]*Local{local}).NewPairScan(universe)
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 200; trial++ {
-		a, b := uint32(rng.Intn(60)), uint32(rng.Intn(60))
-		if a == b {
-			continue
+	local := retained(db, 16)
+	g := NewGlobal([]*Local{local, retained(db, 16)})
+	universe := append(identityUniverse(60), absent)
+	ps := g.NewPairScan(universe)
+	x := itemset.New(1, absent)
+	for _, hoist := range [][2]int{{len(universe) - 1, 1}, {1, len(universe) - 1}} {
+		ps.Hoist(hoist[0])
+		if ok, slots := ps.BoundReaches(hoist[1], 1); ok || slots != 0 {
+			t.Fatalf("missing row admitted by the pair scan (%v/%d slots)", ok, slots)
 		}
-		x := itemset.New(a, b)
-		threshold := 1 + rng.Intn(4)
-		want := local.MaxPossible(x) >= threshold
-		got, wantSlots := local.BoundReaches(x, threshold)
-		if got != want {
-			t.Fatalf("maskless bound (%d,%d,%d) = %v", a, b, threshold, got)
-		}
-		ps.Hoist(int(a))
-		if got, slots := ps.Seg(0).BoundReaches(int(b), threshold); got != want || slots != wantSlots {
-			t.Fatalf("maskless pair scan (%d,%d,%d) = %v/%d slots, want %v/%d", a, b, threshold, got, slots, want, wantSlots)
+		if ok, slots := ps.Seg(0).BoundReaches(hoist[1], 1); ok || slots != 0 {
+			t.Fatalf("missing row admitted by the segment scan (%v/%d slots)", ok, slots)
 		}
 	}
-	// Missing rows bound at zero in every entry point.
-	ps.Hoist(len(universe) - 1)
-	if ok, _ := ps.BoundReaches(1, 1); ok {
-		t.Fatal("missing row admitted by the pair scan")
+	if ok, slots := local.BoundReaches(x, 1); ok || slots != 0 {
+		t.Fatalf("missing row admitted by BoundReaches (%v/%d slots)", ok, slots)
 	}
-	if ok, _ := local.BoundReaches(itemset.New(999), 1); ok {
-		t.Fatal("missing row admitted by BoundReaches")
+	if ok, slots := g.BoundReaches(x, 1); ok || slots != 0 {
+		t.Fatalf("missing row admitted by the cascade (%v/%d slots)", ok, slots)
+	}
+	if peers, slots := g.PollPeers(x, 0, nil); len(peers) != 0 || slots != 0 {
+		t.Fatalf("missing row polled peers %v (%d slots)", peers, slots)
 	}
 }
 
@@ -269,8 +368,7 @@ func identityUniverse(n int) []itemset.Item {
 func TestGlobalAccessors(t *testing.T) {
 	db := makeDB(4, 40, 30, 6)
 	parts := db.SplitChronological(2)
-	l0, _ := BuildLocal(parts[0], 8)
-	l1, _ := BuildLocal(parts[1], 8)
+	l0, l1 := retained(parts[0], 8), retained(parts[1], 8)
 	g := NewGlobal([]*Local{l0, l1})
 	if g.NumSegments() != 2 || g.Segment(1) != l1 {
 		t.Fatal("segment accessors wrong")
@@ -278,9 +376,11 @@ func TestGlobalAccessors(t *testing.T) {
 	if l0.Entries() != 8 || l0.NumItems() == 0 {
 		t.Fatal("local accessors wrong")
 	}
-	g.Retain(func(it itemset.Item) bool { return false })
+	for p := 0; p < g.NumSegments(); p++ {
+		g.Segment(p).Retain(func(it itemset.Item) bool { return false })
+	}
 	if l0.NumItems() != 0 || l1.NumItems() != 0 {
-		t.Fatal("global Retain did not drop rows")
+		t.Fatal("per-segment Retain did not drop rows")
 	}
 	defer func() {
 		if recover() == nil {

@@ -29,18 +29,16 @@ import (
 // 1. nnz is the row's number of non-zero slots, 1..entries, and every
 // count is at least 1: only an occurrence creates a row.
 
-// AppendWire appends the wire encoding of the table set to b. It walks
-// the row index, so the matrix's row order never shows on the wire.
+// AppendWire appends the wire encoding of the table set to b. The matrix
+// holds its rows in ascending item order, which is the wire order.
 func (l *Local) AppendWire(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(l.entries))
 	b = binary.AppendUvarint(b, uint64(len(l.rowIdx)))
 	b = binary.AppendUvarint(b, uint64(len(l.rowItem)))
 	prev := -1
-	for it, r := range l.rowIdx {
-		if r < 0 {
-			continue
-		}
-		row := l.data[int(r)*l.entries : (int(r)+1)*l.entries]
+	for r, item := range l.rowItem {
+		it := int(item)
+		row := l.data[r*l.entries : (r+1)*l.entries]
 		nnz := 0
 		for _, c := range row {
 			if c > 0 {
@@ -84,14 +82,12 @@ func DecodeWire(b []byte, entries, numItems int) (*Local, error) {
 	if rows > uint64(numItems) || rows > uint64(len(b)-r.off)/4 {
 		return nil, fmt.Errorf("tht: wire segment claims %d rows in %d bytes", rows, len(b)-r.off)
 	}
-	l := NewLocalSized(entries, numItems)
+	l := newLocal(entries, numItems)
 	n, w := int(rows), l.maskWords()
 	l.rowItem = make([]itemset.Item, n)
 	l.data = make([]uint32, n*entries)
 	l.maskData = make([]uint64, n*w)
 	l.occ = make([]int32, n)
-	l.masksBuilt = true
-	l.fast1 = w == 1
 	item := -1
 	for row := 0; row < n; row++ {
 		gap := r.uvarint(1, uint64(numItems-1-item), "item gap")

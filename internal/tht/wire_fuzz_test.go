@@ -11,9 +11,9 @@ import (
 // FuzzTHTWire holds the segment codec to the transport codec's bar
 // (internal/transport/codec_fuzz_test.go). Arbitrary input decodes or
 // fails, never panics; whatever decodes re-encodes to the exact bytes it
-// came from — one canonical encoding per segment — with the masks
-// BuildMasks would derive. And a table built from a database seeded by
-// the input round-trips with every bound and slot charge intact.
+// came from — one canonical encoding per segment — with masks that match
+// its counters. And a table built from a database seeded by the input
+// round-trips with every bound and slot charge intact.
 func FuzzTHTWire(f *testing.F) {
 	f.Add(uint8(fixEntries), uint16(fixItems), buildWireFixture(f).AppendWire(nil))
 	f.Add(uint8(fixEntries), uint16(fixItems), []byte{})
@@ -27,7 +27,7 @@ func FuzzTHTWire(f *testing.F) {
 			if got := l.AppendWire(nil); !bytes.Equal(got, data) {
 				t.Fatalf("segment re-encode mismatch: %x vs %x", got, data)
 			}
-			requireBuiltMasks(t, l)
+			requireMasks(t, l)
 		}
 
 		h := fnv.New64a()
@@ -35,9 +35,8 @@ func FuzzTHTWire(f *testing.F) {
 		seed := int64(h.Sum64())
 		vocab := 8 + int(numItems)%40
 		db := makeDB(seed, 1+len(data)%40, vocab, 1+int(entries)%8)
-		l, _ := BuildLocal(db, e)
+		l, _ := BuildLocalShards(db, e, 1)
 		l.Retain(func(it itemset.Item) bool { return (int64(it)+seed)%4 != 0 })
-		l.BuildMasks()
 		enc := l.AppendWire(nil)
 		got, err := DecodeWire(enc, e, vocab)
 		if err != nil {
@@ -49,8 +48,8 @@ func FuzzTHTWire(f *testing.F) {
 		for a := 0; a < vocab; a++ {
 			for b := a + 1; b < vocab; b++ {
 				x := itemset.Itemset{itemset.Item(a), itemset.Item(b)}
-				if lb, gb := l.MaxPossible(x), got.MaxPossible(x); lb != gb {
-					t.Fatalf("MaxPossible(%v): built %d, decoded %d", x, lb, gb)
+				if lb, gb := maxPossible(l, x), maxPossible(got, x); lb != gb {
+					t.Fatalf("maxPossible(%v): built %d, decoded %d", x, lb, gb)
 				}
 				for _, threshold := range []int{1, 2, 5} {
 					lr, ls := l.BoundReaches(x, threshold)

@@ -23,22 +23,8 @@ func buildWireFixture(t testing.TB) *Local {
 		{TID: 2, Items: itemset.Itemset{0, 9}},
 		{TID: 3, Items: itemset.Itemset{5}},
 	}, fixItems)
-	l, _ := BuildLocal(db, fixEntries)
+	l, _ := BuildLocalShards(db, fixEntries, 1)
 	return l
-}
-
-// requireBuiltMasks asserts that a decoded segment's occupancy masks and
-// counters are exactly what BuildMasks derives from its rows.
-func requireBuiltMasks(t testing.TB, l *Local) {
-	t.Helper()
-	if !l.masksBuilt || l.fast1 != (l.maskWords() == 1) {
-		t.Fatalf("masks built %v, fast1 %v for %d mask words", l.masksBuilt, l.fast1, l.maskWords())
-	}
-	masks, occ := slices.Clone(l.maskData), slices.Clone(l.occ)
-	l.BuildMasks()
-	if !slices.Equal(masks, l.maskData) || !slices.Equal(occ, l.occ) {
-		t.Fatalf("decoded masks %x / occupancy %v, BuildMasks gives %x / %v", masks, occ, l.maskData, l.occ)
-	}
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -51,7 +37,7 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatalf("geometry: got %d/%d want %d/%d", got.Entries(), got.NumItems(), l.Entries(), l.NumItems())
 	}
 	for _, it := range []itemset.Item{0, 2, 5, 9, 3} {
-		a, b := l.Row(it), got.Row(it)
+		a, b := l.row(it), got.row(it)
 		if len(a) != len(b) {
 			t.Fatalf("item %d: row lengths %d vs %d", it, len(a), len(b))
 		}
@@ -63,11 +49,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	// Bounds must agree — that is what the cascade consumes.
 	for _, x := range []itemset.Itemset{{0, 5}, {2, 9}, {0, 2, 5}, {3, 5}} {
-		if a, b := l.MaxPossible(x), got.MaxPossible(x); a != b {
-			t.Fatalf("MaxPossible(%v): %d vs %d", x, a, b)
+		if a, b := maxPossible(l, x), maxPossible(got, x); a != b {
+			t.Fatalf("maxPossible(%v): %d vs %d", x, a, b)
 		}
 	}
-	requireBuiltMasks(t, got)
+	requireMasks(t, got)
 }
 
 func TestWireRoundTripAfterRetain(t *testing.T) {
@@ -77,37 +63,17 @@ func TestWireRoundTripAfterRetain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Row(0) != nil || got.Row(9) != nil {
+	if got.row(0) != nil || got.row(9) != nil {
 		t.Fatal("dropped rows survived the round trip")
 	}
-	if got.MaxPossible(itemset.Itemset{2, 5}) != l.MaxPossible(itemset.Itemset{2, 5}) {
+	if maxPossible(got, itemset.Itemset{2, 5}) != maxPossible(l, itemset.Itemset{2, 5}) {
 		t.Fatal("bound mismatch after Retain round trip")
 	}
 	// The decoder builds the masks a receiver bounds with; they must be
-	// the ones BuildMasks derives, and leave the bound unchanged.
-	requireBuiltMasks(t, got)
-	if got.MaxPossible(itemset.Itemset{2, 5}) != l.MaxPossible(itemset.Itemset{2, 5}) {
-		t.Fatal("bound changed by BuildMasks")
-	}
-}
-
-// The wire order is the item order, whatever order the matrix holds its
-// rows in.
-func TestWireIgnoresRowOrder(t *testing.T) {
-	l := NewLocalSized(fixEntries, fixItems)
-	for _, occ := range [][2]int{{9, 1}, {2, 0}, {9, 8}, {5, 3}} {
-		l.AddOccurrence(itemset.Item(occ[0]), txdb.TID(occ[1]))
-	}
-	enc := l.AppendWire(nil)
-	got, err := DecodeWire(enc, fixEntries, fixItems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got.rowItem, []itemset.Item{2, 5, 9}) {
-		t.Fatalf("decoded rows %v, want ascending items", got.rowItem)
-	}
-	if re := got.AppendWire(nil); !slices.Equal(re, enc) {
-		t.Fatalf("re-encode %x differs from %x", re, enc)
+	// the ones Retain built for the sender.
+	requireMasks(t, got)
+	if !slices.Equal(got.maskData, l.maskData) || !slices.Equal(got.occ, l.occ) {
+		t.Fatalf("decoded masks %x / occupancy %v, Retain built %x / %v", got.maskData, got.occ, l.maskData, l.occ)
 	}
 }
 
@@ -179,7 +145,7 @@ func TestDecodeWireRejectsForeignGeometry(t *testing.T) {
 		"count past u32": append(wireHeader(fixEntries, fixItems, 1), binary.AppendUvarint([]byte{3, 1, 4}, 1<<32)...),
 	}
 	good := append(wireHeader(fixEntries, fixItems, 1), row...)
-	if l, err := DecodeWire(good, fixEntries, fixItems); err != nil || l.Row(2)[3] != 1 {
+	if l, err := DecodeWire(good, fixEntries, fixItems); err != nil || l.row(2)[3] != 1 {
 		t.Fatalf("well-formed single-row segment: %v", err)
 	}
 	for name, blob := range cases {
@@ -241,7 +207,6 @@ func TestWireCascadeBoundFidelity(t *testing.T) {
 	decoded := make([]*Local, n)
 	for i, local := range locals {
 		local.Retain(func(it itemset.Item) bool { return globalCounts[it] >= globalMin })
-		local.BuildMasks()
 		blob := local.AppendWire(nil)
 		if decoded[i], err = DecodeWire(blob, entries, db.NumItems()); err != nil {
 			t.Fatal(err)

@@ -56,21 +56,6 @@ func DayFromDocno(doc Doc, _ int) int {
 	return n
 }
 
-// DayByIndex assigns days by evenly slicing the document sequence into the
-// given number of days — for collections without date information.
-func DayByIndex(days, total int) DayFunc {
-	return func(_ Doc, index int) int {
-		if total <= 0 || days <= 0 {
-			return 0
-		}
-		d := index * days / total
-		if d >= days {
-			d = days - 1
-		}
-		return d
-	}
-}
-
 // Parse reads every <DOC> block from r.
 func Parse(r io.Reader) ([]Doc, error) {
 	sc := bufio.NewScanner(r)

@@ -114,6 +114,21 @@ func TestPrepareDenseDays(t *testing.T) {
 	}
 }
 
+// DayByIndex assigns days by evenly slicing the document sequence into the
+// given number of days — for collections without date information.
+func DayByIndex(days, total int) DayFunc {
+	return func(_ Doc, index int) int {
+		if total <= 0 || days <= 0 {
+			return 0
+		}
+		d := index * days / total
+		if d >= days {
+			d = days - 1
+		}
+		return d
+	}
+}
+
 func TestDayByIndex(t *testing.T) {
 	f := DayByIndex(4, 100)
 	if f(Doc{}, 0) != 0 || f(Doc{}, 99) != 3 || f(Doc{}, 50) != 2 {

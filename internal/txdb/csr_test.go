@@ -1,6 +1,7 @@
 package txdb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -130,6 +131,19 @@ func TestCSRViewsShareBacking(t *testing.T) {
 	if wantOverhead := int64(4 * len(parts)); gotOverhead != wantOverhead {
 		t.Fatalf("view MemBytes sum %d: overhead %d, want %d", held, gotOverhead, wantOverhead)
 	}
+}
+
+// FromCSR wraps pre-built CSR arrays as a DB without copying. offsets must
+// have len(tids)+1 entries, ascending, with offsets[i] ≤ offsets[i+1] ≤
+// len(items); days may be nil when the corpus has no day structure.
+func FromCSR(items []itemset.Item, offsets []uint32, tids []TID, days []int32, numItems int) *DB {
+	if len(offsets) != len(tids)+1 {
+		panic(fmt.Sprintf("txdb: FromCSR offsets len %d for %d txs", len(offsets), len(tids)))
+	}
+	if days == nil {
+		days = make([]int32, len(tids))
+	}
+	return &DB{items: items, offsets: offsets, tids: tids, days: days, numItems: numItems}
 }
 
 // TestFromCSRRoundTrip: wrapping raw CSR arrays and reading them back via

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"pmihp/internal/itemset"
 )
@@ -139,27 +138,4 @@ func ReadDB(r io.Reader) (*DB, error) {
 		d.days = append(d.days, int32(day))
 	}
 	return d, nil
-}
-
-// Save writes the database to a file.
-func (d *DB) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := d.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a database from a file written by Save.
-func Load(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDB(f)
 }

@@ -2,6 +2,7 @@ package txdb
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -68,6 +69,29 @@ func TestReadDBRejectsCorruption(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+}
+
+// Save writes the database to a file.
+func (d *DB) Save(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := d.Encode(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// Load reads a database from a file written by Save.
+func Load(path string) (*DB, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadDB(f)
 }
 
 func TestSaveLoad(t *testing.T) {

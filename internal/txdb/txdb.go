@@ -72,19 +72,6 @@ func New(txs []Transaction, numItems int) *DB {
 	return d
 }
 
-// FromCSR wraps pre-built CSR arrays as a DB without copying. offsets must
-// have len(tids)+1 entries, ascending, with offsets[i] ≤ offsets[i+1] ≤
-// len(items); days may be nil when the corpus has no day structure.
-func FromCSR(items []itemset.Item, offsets []uint32, tids []TID, days []int32, numItems int) *DB {
-	if len(offsets) != len(tids)+1 {
-		panic(fmt.Sprintf("txdb: FromCSR offsets len %d for %d txs", len(offsets), len(tids)))
-	}
-	if days == nil {
-		days = make([]int32, len(tids))
-	}
-	return &DB{items: items, offsets: offsets, tids: tids, days: days, numItems: numItems}
-}
-
 // Len returns the number of transactions.
 func (d *DB) Len() int { return len(d.tids) }
 

@@ -22,7 +22,6 @@ type Work struct {
 	start  []uint32
 	count  []uint32
 	active []bool
-	live   int
 }
 
 // NewWork returns a working copy of db, with every transaction's items
@@ -56,7 +55,6 @@ func (w *Work) Reset() {
 		w.count[i] = w.db.offsets[i+1] - w.db.offsets[i]
 		w.active[i] = true
 	}
-	w.live = n
 }
 
 // ResetFiltered restores the Work from its source database keeping only the
@@ -69,7 +67,6 @@ func (w *Work) ResetFiltered(first itemset.Item, keep []bool, minItems int) (sca
 	n := w.db.Len()
 	src, offsets, _ := w.db.CSR()
 	w.arena = w.arena[:0]
-	w.live = n
 	for i := 0; i < n; i++ {
 		row := src[offsets[i]:offsets[i+1]]
 		scanned += int64(len(row))
@@ -84,7 +81,6 @@ func (w *Work) ResetFiltered(first itemset.Item, keep []bool, minItems int) (sca
 			w.arena = w.arena[:s]
 			w.start[i], w.count[i] = s, 0
 			w.active[i] = false
-			w.live--
 			continue
 		}
 		w.start[i], w.count[i] = s, kept
@@ -95,9 +91,6 @@ func (w *Work) ResetFiltered(first itemset.Item, keep []bool, minItems int) (sca
 
 // Len returns the total number of transactions, active or not.
 func (w *Work) Len() int { return len(w.tids) }
-
-// Live returns the number of still-active transactions.
-func (w *Work) Live() int { return w.live }
 
 // ItemsOf returns the current item list of transaction i (aliasing the
 // arena), regardless of its active flag.
@@ -122,7 +115,7 @@ func (v WorkView) Items(i int) itemset.Itemset {
 // View exposes the CSR arrays for the hot counting loops: each shard
 // iterates its own contiguous index range directly, with no per-transaction
 // callback. The arrays are owned by the Work; shards may only Trim or
-// PruneShard transactions inside their own range. The view is invalidated
+// Prune transactions inside their own range. The view is invalidated
 // by Reset/ResetFiltered.
 func (w *Work) View() WorkView {
 	return WorkView{TIDs: w.tids, Active: w.active, Start: w.start, Count: w.count, Arena: w.arena}
@@ -163,30 +156,10 @@ func (w *Work) Trim(i int, items itemset.Itemset) {
 	panic("txdb: Trim grew a transaction")
 }
 
-// Prune deactivates transaction i; it is skipped by future Each calls.
-func (w *Work) Prune(i int) {
-	if w.active[i] {
-		w.active[i] = false
-		w.live--
-	}
-}
-
-// PruneShard deactivates transaction i without touching the shared live
-// counter, so concurrent shards owning disjoint index ranges can prune
-// without synchronization. It reports whether the transaction was active;
-// the caller folds the per-shard totals back with AdjustLive after the
-// shards join.
-func (w *Work) PruneShard(i int) bool {
-	if w.active[i] {
-		w.active[i] = false
-		return true
-	}
-	return false
-}
-
-// AdjustLive applies a (negative) delta of pruned transactions accumulated
-// by PruneShard calls.
-func (w *Work) AdjustLive(delta int) { w.live += delta }
+// Prune deactivates transaction i; it is skipped by future Each calls. It
+// writes only transaction i's flag, so concurrent shards owning disjoint
+// index ranges can prune without synchronization.
+func (w *Work) Prune(i int) { w.active[i] = false }
 
 // TotalItems returns the summed length of all active transactions — the cost
 // proxy for a counting scan over the working database.
