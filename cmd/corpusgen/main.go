@@ -63,8 +63,8 @@ func main() {
 		cfg.Name, st.Docs, st.Days, st.UniqueItems, st.TotalItems)
 	fmt.Fprintf(os.Stderr, "mean %.1f distinct words/doc, median %.0f docs/day\n",
 		st.MeanLen, st.MedianDocsDay)
-	fmt.Fprintf(os.Stderr, "density: max df %d over TID span %d (%.3f); %d words dense at the default posting threshold\n",
-		st.MaxDF, st.TIDSpan, st.MaxDensity, st.DenseItems)
+	fmt.Fprintf(os.Stderr, "density: max df %d over TID span %d (%.3f)\n",
+		st.MaxDF, st.TIDSpan, st.MaxDensity)
 
 	if *out != "" {
 		if err := text.SaveDocuments(*out, generated); err != nil {

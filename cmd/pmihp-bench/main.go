@@ -7,7 +7,6 @@
 //	pmihp-bench -exp e1 [-scale small|harness|paper] [-v]
 //	pmihp-bench -exp all
 //	pmihp-bench -benchjson BENCH_dev.json [-rev dev] [-baseline BENCH_baseline.json]
-//	pmihp-bench -crossover
 //	pmihp-bench -exp e3 -cpuprofile cpu.prof -memprofile mem.prof
 //	pmihp-bench -serve-load http://127.0.0.1:8397 -serve-report load.json
 //
@@ -24,11 +23,6 @@
 // quantiles, and error counts per phase; -serve-report writes the full JSON
 // report. It exits nonzero when any request errors out.
 //
-// The -crossover mode sweeps posting-list density and times one pair
-// intersection under the all-compressed and all-bitmap layouts, reporting
-// the density where the bitmap kernel starts winning on this machine — a
-// tuning report for the -dense-threshold flag, not a gated check.
-//
 // -cpuprofile and -memprofile write pprof profiles covering the whole run
 // (any mode), for `go tool pprof`.
 package main
@@ -44,7 +38,6 @@ import (
 	"time"
 
 	"pmihp/internal/benchharness"
-	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/experiments"
 )
@@ -61,7 +54,6 @@ func realMain() int {
 		benchJSON  = flag.String("benchjson", "", "run the benchmark harness and write results to this JSON file")
 		rev        = flag.String("rev", "dev", "revision label recorded in -benchjson output")
 		baseline   = flag.String("baseline", "", "baseline JSON to compare -benchjson results against")
-		crossover  = flag.Bool("crossover", false, "sweep posting density and report the block/bitmap kernel crossover")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
@@ -115,10 +107,6 @@ func realMain() int {
 			ZipfS:    *serveZipfS,
 			Seed:     *serveSeed,
 		}, *serveReport)
-	}
-	if *crossover {
-		core.KernelCrossover(os.Stdout, 0)
-		return 0
 	}
 	if *list {
 		for _, e := range experiments.All() {

@@ -49,22 +49,6 @@ func main() {
 	}
 }
 
-// resolveDenseThreshold maps the -dense-threshold flag onto the library's
-// Options.DenseThreshold encoding: negative means "not set" (the zero
-// Options value selects mining.DefaultDenseThreshold), an explicit 0 means
-// every posting list becomes a bitmap, and any positive value — including
-// "inf", which disables bitmaps — passes through.
-func resolveDenseThreshold(v float64) float64 {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return mining.DenseThresholdAll
-	default:
-		return v
-	}
-}
-
 // printSchedule reports how a simulated parallel run's work landed on
 // its nodes: total time, per-node busy/idle split, and the pass
 // imbalance ratio (max busy x nodes / total busy, 1.0 when perfectly
@@ -102,7 +86,6 @@ func run(args []string, out io.Writer) error {
 		minsup       = fs.Float64("minsup", 0.02, "minimum support fraction")
 		minsupCount  = fs.Int("minsup-count", 0, "absolute minimum support count (overrides -minsup)")
 		maxK         = fs.Int("maxk", 0, "largest itemset size to mine (0 = unbounded)")
-		denseTh      = fs.Float64("dense-threshold", -1, "posting density cutoff: words in at least this fraction of the TID span get bitmap posting lists (0 = all bitmaps, >1 or inf = all compressed, -1 = library default 1/16); layout only — never changes results or simulated time")
 		partitioner  = fs.String("partitioner", "count", "database-to-node split: count (equal document counts, the paper's) | work (equal estimated counting work); placement only — never changes the frequent itemsets")
 		stragglerLag = fs.Int("straggler-lag", 0, "cluster runs: when a node's pass progress lags the fleet by this many passes, re-split the database without it (in scheduler mode, onto idle pool workers first) (0 = disabled)")
 		nodes        = fs.Int("nodes", 4, "simulated nodes for cd/dd/pmihp")
@@ -197,8 +180,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts := mining.Options{MinSupFrac: *minsup, MinSupCount: *minsupCount, MaxK: *maxK,
-		DenseThreshold: resolveDenseThreshold(*denseTh), Partitioner: part}
+	opts := mining.Options{MinSupFrac: *minsup, MinSupCount: *minsupCount, MaxK: *maxK, Partitioner: part}
 
 	// Observability is opt-in and out-of-band: the recorder taps pass,
 	// span, and poll events without influencing the mining itself.

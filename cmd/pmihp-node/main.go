@@ -26,13 +26,12 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "address to listen on (port 0 picks a free port)")
 	pool := flag.String("pool", "", "register with the scheduler pool at this address and serve sessions leased through it")
 	capacity := flag.Int64("capacity", 0, "session bytes admission control may reserve against this worker when pooled (0 = unlimited)")
-	heartbeat := flag.Duration("heartbeat", 0, "control-plane heartbeat interval when a session's Init does not set one (0 = 500ms)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live metrics on this address (/metrics, /snapshot, /debug/pprof)")
 	traceJSON := flag.String("trace-json", "", "write hosted nodes' pass/span/poll events as JSON lines to this file")
 	verbose := flag.Bool("v", false, "log session lifecycle to stderr")
 	flag.Parse()
 
-	opt := distmine.DaemonOptions{HeartbeatInterval: *heartbeat}
+	var opt distmine.DaemonOptions
 	if *verbose {
 		logger := log.New(os.Stderr, "", log.LstdFlags)
 		opt.Logf = logger.Printf

@@ -23,7 +23,9 @@ type PollCounter struct {
 
 // NewPollCounter returns a counter over db using up to workers goroutines
 // for the one-time posting build and for batch counting. denseThreshold
-// selects the hybrid posting layout (see mining.Options.DenseThreshold).
+// overrides the posting-density cut (see denseCutoff); 0 keeps the
+// default layout. The layout changes wall time and held bytes only,
+// never a count or a charge.
 func NewPollCounter(db *txdb.DB, workers int, denseThreshold float64) *PollCounter {
 	return &PollCounter{db: db, workers: workers, threshold: denseThreshold}
 }

@@ -207,7 +207,7 @@ func TestPostingsChargeMatchesSeedModel(t *testing.T) {
 	}{
 		{"compressed", math.Inf(1)},
 		{"hybrid", 0},
-		{"bitmap", mining.DenseThresholdAll},
+		{"bitmap", denseThresholdAll},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := mining.NewMetrics("test")

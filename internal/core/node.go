@@ -175,7 +175,7 @@ func (nd *node) run() error {
 	// only poll after completing that collective, which transitively
 	// guarantees this handler exists before the first request arrives.
 	// The exchange serializes handler calls.
-	pc := NewPollCounter(db, workers, p.Opts.DenseThreshold)
+	pc := NewPollCounter(db, workers, 0)
 	server := &out.Server
 	rec := p.Opts.Obs
 	clock, tally := h.clock, h.tally

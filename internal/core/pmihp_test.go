@@ -205,29 +205,29 @@ func TestPMIHPApproxDirectCountsMembership(t *testing.T) {
 }
 
 // TestPMIHPInvariantAcrossWorkersAndLayouts: the intra-node worker count
-// and the posting-density threshold are physical execution knobs. The
-// frequent itemsets, the simulated seconds, and the charged work units
-// must be identical for every combination; peak held bytes must not
-// depend on the worker count (it may depend on the threshold, which
-// changes what is resident). The whole invariant must hold under both
-// partitioners — the work split changes WHERE transactions live (so its
-// simulated seconds and work distribution differ from the count split's),
-// but within a partitioner every quantity is still byte-identical at
-// every worker count, and the frequent itemsets match across partitioners.
+// is a physical execution knob. The frequent itemsets, the simulated
+// seconds, the charged work units and the peak held bytes must be
+// identical at every worker count. The whole invariant must hold under
+// both partitioners — the work split changes WHERE transactions live (so
+// its simulated seconds and work distribution differ from the count
+// split's), but within a partitioner every quantity is still
+// byte-identical at every worker count, and the frequent itemsets match
+// across partitioners. The posting layouts (all-compressed, default,
+// all-bitmap) are checked at the poll counter, where they are chosen:
+// TestPollCounterLayoutsAndWorkers.
 func TestPMIHPInvariantAcrossWorkersAndLayouts(t *testing.T) {
 	cfg := corpus.CorpusB(corpus.Small)
 	db := smallDB(t, cfg)
 
-	run := func(p mining.Partitioner, workers int, threshold float64) *ParallelResult {
+	run := func(p mining.Partitioner, workers int) *ParallelResult {
 		opts := mining.Options{
 			MinSupCount: 2, MaxK: 3,
 			IntraNodeWorkers: workers,
-			DenseThreshold:   threshold,
 			Partitioner:      p,
 		}
 		par, err := MinePMIHP(db, PMIHPConfig{Nodes: 2}, opts)
 		if err != nil {
-			t.Fatalf("PMIHP(%v, workers=%d, threshold=%v): %v", p, workers, threshold, err)
+			t.Fatalf("PMIHP(%v, workers=%d): %v", p, workers, err)
 		}
 		return par
 	}
@@ -246,41 +246,29 @@ func TestPMIHPInvariantAcrossWorkersAndLayouts(t *testing.T) {
 		return b
 	}
 
-	countRef := run(mining.PartitionByCount, 1, math.Inf(1))
+	countRef := run(mining.PartitionByCount, 1)
 	for _, p := range []mining.Partitioner{mining.PartitionByCount, mining.PartitionByWork} {
-		ref := run(p, 1, math.Inf(1))
-		refWork := workUnits(ref)
+		ref := run(p, 1)
+		refWork, refHeld := workUnits(ref), heldBytes(ref)
 		if ok, diff := mining.SameFrequentSets(countRef.Result, ref.Result); !ok {
 			t.Fatalf("partitioner %v changed the answer: %s", p, diff)
 		}
-		for _, tc := range []struct {
-			name      string
-			threshold float64
-		}{
-			{"compressed", math.Inf(1)},
-			{"default", 0},
-			{"bitmap", mining.DenseThresholdAll},
-		} {
-			var held1 int64
-			for _, workers := range []int{1, 2, 4, 8} {
-				par := run(p, workers, tc.threshold)
-				if ok, diff := mining.SameFrequentSets(ref.Result, par.Result); !ok {
-					t.Fatalf("%v/%s/workers=%d changed the answer: %s", p, tc.name, workers, diff)
-				}
-				if par.TotalSeconds != ref.TotalSeconds {
-					t.Fatalf("%v/%s/workers=%d: simulated %g s, reference %g s",
-						p, tc.name, workers, par.TotalSeconds, ref.TotalSeconds)
-				}
-				if w := workUnits(par); w != refWork {
-					t.Fatalf("%v/%s/workers=%d: charged %d work units, reference %d",
-						p, tc.name, workers, w, refWork)
-				}
-				if workers == 1 {
-					held1 = heldBytes(par)
-				} else if h := heldBytes(par); h != held1 {
-					t.Fatalf("%v/%s/workers=%d: peak held %d bytes, single-worker run held %d",
-						p, tc.name, workers, h, held1)
-				}
+		for _, workers := range []int{2, 4, 8} {
+			par := run(p, workers)
+			if ok, diff := mining.SameFrequentSets(ref.Result, par.Result); !ok {
+				t.Fatalf("%v/workers=%d changed the answer: %s", p, workers, diff)
+			}
+			if par.TotalSeconds != ref.TotalSeconds {
+				t.Fatalf("%v/workers=%d: simulated %g s, reference %g s",
+					p, workers, par.TotalSeconds, ref.TotalSeconds)
+			}
+			if w := workUnits(par); w != refWork {
+				t.Fatalf("%v/workers=%d: charged %d work units, reference %d",
+					p, workers, w, refWork)
+			}
+			if h := heldBytes(par); h != refHeld {
+				t.Fatalf("%v/workers=%d: peak held %d bytes, single-worker run held %d",
+					p, workers, h, refHeld)
 			}
 		}
 	}
@@ -298,7 +286,7 @@ func TestPostingsCountMatchesScan(t *testing.T) {
 	}{
 		{"compressed", math.Inf(1)},
 		{"hybrid", 0},
-		{"bitmap", mining.DenseThresholdAll},
+		{"bitmap", denseThresholdAll},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := mining.NewMetrics("test")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"unsafe"
 
@@ -28,7 +29,7 @@ import (
 // and byte offset — in flat arrays indexed by a global block number, and
 // intersection gallops over the skip entries, decoding only blocks that can
 // contain a match. Items whose document frequency reaches a density cutoff
-// (mining.DenseCutoff of the node's TID span) are instead stored as flat
+// (denseCutoff of the node's TID span) are instead stored as flat
 // bitmap words: stopword-grade lists intersect by word-wise AND +
 // bits.OnesCount64, touching 64 candidate TIDs per word instead of decoding
 // varints. Three kernels cover the combinations — block×block
@@ -106,6 +107,33 @@ type plistRef struct {
 // exception.
 const gallopSkew = 16
 
+// defaultDenseThreshold is the density (document frequency over TID span)
+// at or above which a posting list is stored as a bitmap. At 1/16 a bitmap
+// costs at most 4x the worst-case 4-byte-per-TID flat list, while word-wise
+// AND+POPCNT processes 64 candidate TIDs per word. The cut sits well above
+// the wall-clock crossover of the block kernels on purpose: a bitmap holds
+// span/8 bytes per item regardless of df, so sparser lists stay compressed
+// for memory, not speed.
+const defaultDenseThreshold = 1.0 / 16
+
+// denseCutoff resolves a density threshold against a TID span into the
+// document frequency at or above which a posting list is bitmap-backed.
+// 0 selects defaultDenseThreshold; a threshold above 1 (or +Inf) returns
+// span+1, so no list qualifies; the cutoff never drops below one TID.
+func denseCutoff(threshold float64, span int) int {
+	if threshold == 0 {
+		threshold = defaultDenseThreshold
+	}
+	if threshold > 1 {
+		return span + 1
+	}
+	c := int(math.Ceil(threshold * float64(span)))
+	if c < 1 {
+		c = 1
+	}
+	return c
+}
+
 // buildPostings constructs the inverted file from the database's CSR
 // arrays in two sharded passes: first per-shard document frequencies,
 // then prefix sums position every shard's writes directly into one flat
@@ -156,7 +184,7 @@ func buildPostings(db *txdb.DB, m *mining.Metrics, workers int, denseThreshold f
 		p.tidBase = tids[0]
 	}
 	p.words = (span + 63) / 64
-	p.cutoff = int32(mining.DenseCutoff(denseThreshold, span))
+	p.cutoff = int32(denseCutoff(denseThreshold, span))
 
 	// Scratch accumulators only ever hold chains seeded from a sparse
 	// (block-encoded) list, so their capacity follows the largest sparse df;

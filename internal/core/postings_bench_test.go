@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pmihp/internal/corpus"
@@ -9,6 +10,40 @@ import (
 	"pmihp/internal/mining"
 	"pmihp/internal/txdb"
 )
+
+// pairDB builds a database of span transactions (TIDs 0..span-1) in which
+// items 0 and 1 each occur in an independently drawn random subset of
+// exactly round(density*span) documents. Counting the pair {0,1} against it
+// exercises one posting-list intersection at that density, which is what
+// the kernel benchmarks need; seed fixes the draw.
+func pairDB(span int, density0, density1 float64, seed int64) *txdb.DB {
+	rng := rand.New(rand.NewSource(seed))
+	member := func(density float64) []bool {
+		df := int(math.Round(density * float64(span)))
+		if df < 1 {
+			df = 1
+		}
+		perm := rng.Perm(span)
+		in := make([]bool, span)
+		for _, t := range perm[:df] {
+			in[t] = true
+		}
+		return in
+	}
+	in0, in1 := member(density0), member(density1)
+	txs := make([]txdb.Transaction, span)
+	for t := 0; t < span; t++ {
+		var raw []uint32
+		if in0[t] {
+			raw = append(raw, 0)
+		}
+		if in1[t] {
+			raw = append(raw, 1)
+		}
+		txs[t] = txdb.Transaction{TID: txdb.TID(t), Items: itemset.New(raw...)}
+	}
+	return txdb.New(txs, 2)
+}
 
 // benchPairCount measures one posting-list intersection — a support count of
 // the pair {0,1} — over a synthetic database where the two items occur at
@@ -35,24 +70,22 @@ func BenchmarkKernelBlockBlock(b *testing.B) {
 }
 
 func BenchmarkKernelBitmapBitmap(b *testing.B) {
-	benchPairCount(b, mining.DenseThresholdAll, 1.0/8, 1.0/8)
+	benchPairCount(b, denseThresholdAll, 1.0/8, 1.0/8)
 }
 
 // BenchmarkKernelBitmapBlock: item 0 sits below the default cutoff and item
-// 1 above it, so the default threshold decodes the sparse list once and
+// 1 above it, so the default layout decodes the sparse list once and
 // probes the dense item's bitmap (intersectBits).
 func BenchmarkKernelBitmapBlock(b *testing.B) {
-	benchPairCount(b, mining.DefaultDenseThreshold, 1.0/64, 1.0/4)
+	benchPairCount(b, 0, 1.0/64, 1.0/4)
 }
 
-// benchDenseMine mines the no-stoplist dense corpus end to end on 8 nodes
-// under a forced posting layout, so the hybrid layout's whole-run win over
-// compressed-only is a number (run both and compare):
-//
-//	go test -run '^$' -bench BenchmarkDenseMine ./internal/core/
-func benchDenseMine(b *testing.B, threshold float64) {
+// BenchmarkDenseMine mines the no-stoplist dense corpus end to end on 8
+// nodes, where stopword-grade lists make the poll service's bitmap kernels
+// carry the intersections.
+func BenchmarkDenseMine(b *testing.B) {
 	db := smallDB(b, corpus.CorpusDense(corpus.Small))
-	opts := mining.Options{MinSupFrac: 0.10, MaxK: 3, DenseThreshold: threshold}
+	opts := mining.Options{MinSupFrac: 0.10, MaxK: 3}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,9 +94,6 @@ func benchDenseMine(b *testing.B, threshold float64) {
 		}
 	}
 }
-
-func BenchmarkDenseMineHybrid(b *testing.B)     { benchDenseMine(b, 0) }
-func BenchmarkDenseMineCompressed(b *testing.B) { benchDenseMine(b, math.Inf(1)) }
 
 // BenchmarkKernelReference times the uncompressed gallop intersection the
 // equivalence tests compare every kernel against, at the block×block

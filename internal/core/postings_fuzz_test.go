@@ -38,7 +38,7 @@ func dbFromBytes(data []byte) *txdb.DB {
 // fuzzThresholds are the density thresholds the fuzz and equivalence tests
 // sweep: every list compressed, the default hybrid mix, a mid cut that mixes
 // representations aggressively, and every list a bitmap.
-var fuzzThresholds = []float64{math.Inf(1), 0, 0.25, mining.DenseThresholdAll}
+var fuzzThresholds = []float64{math.Inf(1), 0, 0.25, denseThresholdAll}
 
 // FuzzPostingsRoundTrip: for any database shape and any density threshold,
 // the hybrid encoding (delta-varint blocks below the cutoff, bitmaps at or

@@ -71,7 +71,7 @@ func TestPostingsMemBytesMatchesHeap(t *testing.T) {
 	}{
 		{"compressed", math.Inf(1)},
 		{"hybrid", 0},
-		{"bitmap", mining.DenseThresholdAll},
+		{"bitmap", denseThresholdAll},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			heap, p := measureBuild(db, tc.threshold)
@@ -107,7 +107,7 @@ func TestPostingsMemBytesOrdering(t *testing.T) {
 		t.Fatalf("MemBytes depends on workers: serial %d, 8-way %d", a, b)
 	}
 	hybrid := serial.MemBytes()
-	all := buildPostings(db, &m, 1, mining.DenseThresholdAll)
+	all := buildPostings(db, &m, 1, denseThresholdAll)
 	if allBytes := all.MemBytes(); allBytes <= hybrid {
 		t.Fatalf("all-bitmap layout accounted %d bytes <= hybrid's %d; bitmap storage is not being counted", allBytes, hybrid)
 	}

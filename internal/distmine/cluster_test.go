@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +30,10 @@ var (
 	buildErr error
 )
 
+// TestMain builds pmihp-node for the multi-process tests and, after the
+// suite, fails the run if goroutines outlive it.
 func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
 	dir, err := os.MkdirTemp("", "pmihp-node-bin")
 	if err != nil {
 		buildErr = err
@@ -45,7 +50,28 @@ func TestMain(m *testing.M) {
 	if dir != "" {
 		os.RemoveAll(dir)
 	}
+	if !goroutinesSettle(baseline) {
+		code = 1
+	}
 	os.Exit(code)
+}
+
+// goroutinesSettle waits up to 5 s for the goroutine count to fall back
+// to baseline. If it does not, it prints every goroutine's stack, so the
+// leaked wait names itself, and reports false.
+func goroutinesSettle(baseline int) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	n := runtime.NumGoroutine()
+	if n <= baseline {
+		return true
+	}
+	fmt.Fprintf(os.Stderr, "goroutines leaked: %d > baseline %d\n", n, baseline)
+	pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+	return false
 }
 
 func buildDB(t testing.TB, cfg corpus.Config) *txdb.DB {
@@ -416,7 +442,7 @@ func silentDaemon(t *testing.T) string {
 // the missing heartbeats and attributed in the error under the abort
 // policy.
 func TestClusterHeartbeatTimeout(t *testing.T) {
-	addrs := startDaemons(t, 2, DaemonOptions{HeartbeatInterval: 50 * time.Millisecond})
+	addrs := startDaemons(t, 2, DaemonOptions{})
 	addrs[1] = silentDaemon(t)
 
 	db := buildDB(t, corpus.CorpusB(corpus.Small))

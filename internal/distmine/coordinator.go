@@ -503,7 +503,6 @@ func (s *session) runAttempt() (*Result, error) {
 			PartitionSize:   int32(s.p.Opts.PartitionSize),
 			MaxK:            int32(s.p.Opts.MaxK),
 			Workers:         int32(s.p.Opts.IntraNodeWorkers),
-			DenseThreshold:  s.p.Opts.DenseThreshold,
 			Partitioner:     int32(s.partitioner),
 			HeartbeatMillis: int32(cfg.HeartbeatInterval / time.Millisecond),
 			PeerAddrs:       peerAddrs,

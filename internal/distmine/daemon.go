@@ -23,9 +23,6 @@ type DaemonOptions struct {
 	// defaults (30s / 120s).
 	IOTimeout   time.Duration
 	WaitTimeout time.Duration
-	// HeartbeatInterval is the control-plane liveness beacon interval
-	// used when a session's Init does not set one (zero: 500ms).
-	HeartbeatInterval time.Duration
 	// Retry bounds the exchange's dial/step retries.
 	Retry transport.RetryPolicy
 	// Logf, when non-nil, receives daemon lifecycle logs.
@@ -36,6 +33,12 @@ type DaemonOptions struct {
 	// the daemon's listen address.
 	Obs *obs.Recorder
 }
+
+// fallbackHeartbeat is the control-plane beacon interval for an Init
+// whose HeartbeatMillis is not positive. The coordinator always sends its
+// own interval; the fallback keeps a malformed Init from reaching
+// time.NewTicker, which panics on a non-positive interval.
+const fallbackHeartbeat = 500 * time.Millisecond
 
 // sessionKey identifies one logical node of one mining session. An
 // owner's resize may list an address more than once, stacking several
@@ -69,6 +72,11 @@ type Daemon struct {
 
 	mu       sync.Mutex
 	sessions map[sessionKey]*daemonSession
+	// registered is closed, and replaced, whenever a session registers:
+	// it wakes peer connections that arrived before their node's Init.
+	registered chan struct{}
+	// stopped is closed when Serve returns, ending those waits.
+	stopped chan struct{}
 }
 
 // NewDaemon returns a daemon with the given options.
@@ -79,13 +87,15 @@ func NewDaemon(opt DaemonOptions) *Daemon {
 	if opt.IOTimeout <= 0 {
 		opt.IOTimeout = 30 * time.Second
 	}
-	if opt.HeartbeatInterval <= 0 {
-		opt.HeartbeatInterval = 500 * time.Millisecond
-	}
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
-	return &Daemon{opt: opt, sessions: make(map[sessionKey]*daemonSession)}
+	return &Daemon{
+		opt:        opt,
+		sessions:   make(map[sessionKey]*daemonSession),
+		registered: make(chan struct{}),
+		stopped:    make(chan struct{}),
+	}
 }
 
 // ActiveSessions reports how many logical-node sessions the daemon
@@ -99,9 +109,11 @@ func (d *Daemon) ActiveSessions() int {
 }
 
 // Serve accepts and dispatches connections until the listener closes.
+// A daemon serves one listener: call Serve once.
 func (d *Daemon) Serve(ln net.Listener) error {
 	d.addr = ln.Addr().String()
 	d.opt.Obs.SetDaemon(d.addr)
+	defer close(d.stopped)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -144,21 +156,25 @@ func (d *Daemon) handleConn(conn net.Conn) {
 }
 
 // exchange waits for the logical node's session to be registered and
-// returns its exchange.
+// returns its exchange. The wait ends early when Serve returns.
 func (d *Daemon) exchange(clusterID uint64, node int32) (*transport.TCPExchange, error) {
 	key := sessionKey{clusterID, node}
-	deadline := time.Now().Add(d.opt.WaitTimeout)
+	timeout := time.NewTimer(d.opt.WaitTimeout)
+	defer timeout.Stop()
 	for {
 		d.mu.Lock()
-		ds := d.sessions[key]
+		ds, registered := d.sessions[key], d.registered
 		d.mu.Unlock()
 		if ds != nil {
 			return ds.x, nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-registered:
+		case <-d.stopped:
+			return nil, fmt.Errorf("no session for cluster %x node %d: daemon stopped", clusterID, node)
+		case <-timeout.C:
 			return nil, fmt.Errorf("no session for cluster %x node %d after %v", clusterID, node, d.opt.WaitTimeout)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -259,6 +275,8 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 		old := d.sessions[key]
 		if old == nil {
 			d.sessions[key] = ds
+			close(d.registered)
+			d.registered = make(chan struct{})
 			d.mu.Unlock()
 			break
 		}
@@ -304,7 +322,7 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 	var passes atomic.Int32
 	interval := time.Duration(init.HeartbeatMillis) * time.Millisecond
 	if interval <= 0 {
-		interval = d.opt.HeartbeatInterval
+		interval = fallbackHeartbeat
 	}
 	go func() {
 		tick := time.NewTicker(interval)
@@ -356,7 +374,6 @@ func (d *Daemon) handleControl(conn net.Conn, hello transport.Hello) {
 			PartitionSize:    int(init.PartitionSize),
 			MaxK:             int(init.MaxK),
 			IntraNodeWorkers: int(init.Workers),
-			DenseThreshold:   init.DenseThreshold,
 			Partitioner:      mining.Partitioner(init.Partitioner),
 			Obs:              d.opt.Obs,
 		},

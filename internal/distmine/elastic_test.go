@@ -303,7 +303,6 @@ func TestDaemonReInitSupersedesDrainingSession(t *testing.T) {
 		PartitionSize:   int32(p.Opts.PartitionSize),
 		MaxK:            int32(p.Opts.MaxK),
 		Workers:         1,
-		DenseThreshold:  p.Opts.DenseThreshold,
 		HeartbeatMillis: 20,
 		DB:              part,
 	}

@@ -7,7 +7,6 @@ package mining
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pmihp/internal/itemset"
 	"pmihp/internal/obs"
@@ -73,19 +72,6 @@ type Options struct {
 	// concurrently.
 	IntraNodeWorkers int
 
-	// DenseThreshold selects which posting lists the poll counter stores as
-	// flat bitmaps instead of compressed delta-varint blocks: an item is
-	// bitmap-backed when its document frequency is at least DenseThreshold
-	// times the node's TID span. 0 (the zero value) selects
-	// DefaultDenseThreshold; values above 1 (or +Inf) keep every list
-	// compressed; DenseThresholdAll stores every list as a bitmap. Like
-	// IntraNodeWorkers this is a physical-layout knob: intersection results
-	// and the closed-form merge charges depend only on posting-list
-	// cardinalities, so mining results and simulated-clock charges are
-	// identical for every value — only wall-clock time and PeakHeldBytes
-	// change.
-	DenseThreshold float64
-
 	// Partitioner selects how parallel miners split the database across
 	// nodes: PartitionByCount (the zero value) reproduces the paper's
 	// equal-document-count chronological split, PartitionByWork balances
@@ -94,36 +80,6 @@ type Options struct {
 	// by exact polling); per-node work units and simulated seconds differ
 	// by design — balancing them is what the work partitioner is for.
 	Partitioner Partitioner
-}
-
-// DefaultDenseThreshold is the density (document frequency over TID span) at
-// or above which a posting list is stored as a bitmap by default. At 1/16
-// density a bitmap costs at most 4x the worst-case 4-byte-per-TID flat list
-// while word-wise AND+POPCNT processes 64 candidate TIDs per word — well past
-// the measured crossover of the block kernels (see the kernel-crossover
-// report in internal/core).
-const DefaultDenseThreshold = 1.0 / 16
-
-// DenseThresholdAll is the resolved form of an "all bitmap" request: a
-// threshold so small that every non-empty posting list qualifies (the zero
-// value of Options.DenseThreshold is reserved for "use the default").
-const DenseThresholdAll = 1e-300
-
-// DenseCutoff resolves a DenseThreshold against a TID span into the absolute
-// document frequency at or above which a posting list is bitmap-backed. A
-// return above span means no list qualifies.
-func DenseCutoff(threshold float64, span int) int {
-	if threshold == 0 {
-		threshold = DefaultDenseThreshold
-	}
-	if threshold > 1 || math.IsInf(threshold, 1) {
-		return span + 1
-	}
-	c := int(math.Ceil(threshold * float64(span)))
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // Workers resolves IntraNodeWorkers (0 means GOMAXPROCS).

@@ -7,11 +7,11 @@ import (
 )
 
 // Partitioner selects how a parallel miner splits the database across its
-// nodes. Unlike IntraNodeWorkers and DenseThreshold this is NOT a pure
-// physical-layout knob: the partitioning decides each node's local
-// database and local support threshold, so per-node candidate sets, work
-// units, and simulated clocks legitimately differ between partitioners —
-// that difference is the point. The *frequent itemsets* are identical for
+// nodes. Unlike IntraNodeWorkers this is NOT a pure physical-layout
+// knob: the partitioning decides each node's local database and local
+// support threshold, so per-node candidate sets, work units, and
+// simulated clocks legitimately differ between partitioners — that
+// difference is the point. The *frequent itemsets* are identical for
 // every partitioner, because PMIHP resolves every global candidate by
 // exact polling against the union of the local databases, which every
 // partitioning preserves.

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +20,35 @@ import (
 	"pmihp/internal/transport"
 	"pmihp/internal/txdb"
 )
+
+// TestMain fails the run if goroutines outlive the suite: pools, members
+// and daemons must all wind down when their tests close them.
+func TestMain(m *testing.M) {
+	baseline := runtime.NumGoroutine()
+	code := m.Run()
+	if !goroutinesSettle(baseline) {
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// goroutinesSettle waits up to 5 s for the goroutine count to fall back
+// to baseline. If it does not, it prints every goroutine's stack, so the
+// leaked wait names itself, and reports false.
+func goroutinesSettle(baseline int) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	n := runtime.NumGoroutine()
+	if n <= baseline {
+		return true
+	}
+	fmt.Fprintf(os.Stderr, "goroutines leaked: %d > baseline %d\n", n, baseline)
+	pprof.Lookup("goroutine").WriteTo(os.Stderr, 2)
+	return false
+}
 
 var fastRetry = transport.RetryPolicy{Attempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}
 

@@ -221,7 +221,7 @@ func (m *Miner) remineWeighted(win *txdb.DB, days []*txdb.DB) error {
 	}
 	sums := make([]float64, len(sets))
 	for i, day := range days {
-		counts := core.NewPollCounter(day, opts.Workers(), opts.DenseThreshold).CountBatch(sets, &res.Metrics)
+		counts := core.NewPollCounter(day, opts.Workers(), 0).CountBatch(sets, &res.Metrics)
 		for j, c := range counts {
 			sums[j] += float64(c) * weights[i]
 		}

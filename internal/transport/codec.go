@@ -44,13 +44,6 @@ type Init struct {
 	MaxK          int32
 	Workers       int32 // intra-node workers (0 = GOMAXPROCS)
 
-	// DenseThreshold is the poll counter's posting-density cut, resolved
-	// at the coordinator so every node prices its inverted file by the
-	// same rule (0 selects the library default; see
-	// mining.Options.DenseThreshold). A physical-layout knob only: it
-	// never changes counts or simulated charges.
-	DenseThreshold float64
-
 	// Partitioner records how the coordinator cut the session's
 	// partitions (mining.PartitionByCount or mining.PartitionByWork).
 	// The partition a node receives is already cut; the field makes the
@@ -201,7 +194,6 @@ func AppendInit(b []byte, m Init) []byte {
 	} {
 		b = appendU32(b, uint32(v))
 	}
-	b = appendF64(b, m.DenseThreshold)
 	b = appendU32(b, uint32(len(m.PeerAddrs)))
 	for _, a := range m.PeerAddrs {
 		b = appendStr(b, a)
@@ -479,7 +471,6 @@ func DecodeInit(b []byte) (Init, error) {
 	} {
 		*p = r.i32()
 	}
-	m.DenseThreshold = r.f64()
 	nAddrs := r.count(4) // a string needs at least its 4-byte length
 	for i := 0; i < nAddrs && r.err == nil; i++ {
 		m.PeerAddrs = append(m.PeerAddrs, r.str())
@@ -491,8 +482,6 @@ func DecodeInit(b []byte) (Init, error) {
 			r.fail("invalid geometry: node %d of %d", m.NodeID, m.Nodes)
 		} else if len(m.PeerAddrs) != int(m.Nodes) {
 			r.fail("init lists %d peer addresses for %d nodes", len(m.PeerAddrs), m.Nodes)
-		} else if m.DenseThreshold < 0 || math.IsNaN(m.DenseThreshold) {
-			r.fail("invalid dense threshold %v", m.DenseThreshold)
 		} else if !mining.Partitioner(m.Partitioner).Valid() {
 			r.fail("invalid partitioner %d", m.Partitioner)
 		}

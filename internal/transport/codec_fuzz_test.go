@@ -17,8 +17,7 @@ func FuzzCodec(f *testing.F) {
 	f.Add(uint8(MsgInit), AppendInit(nil, Init{
 		ClusterID: 9, NodeID: 0, Nodes: 2, TotalDocs: 10, NumItems: 20,
 		GlobalMin: 2, THTEntries: 100, PartitionSize: 50, MaxK: 4, Workers: 1,
-		DenseThreshold: 0.0625,
-		PeerAddrs:      []string{"127.0.0.1:7001", "127.0.0.1:7002"}, DB: []byte("PMDB"),
+		PeerAddrs: []string{"127.0.0.1:7001", "127.0.0.1:7002"}, DB: []byte("PMDB"),
 	}))
 	f.Add(uint8(MsgCubeBlock), AppendCubeBlock(nil, CubeBlock{
 		Phase: PhaseTHT, Step: 1, From: 3,

@@ -97,7 +97,6 @@ func TestInitRoundTrip(t *testing.T) {
 		ClusterID: 7, NodeID: 1, Nodes: 3,
 		TotalDocs: 1000, NumItems: 5000, GlobalMin: 10,
 		THTEntries: 400, PartitionSize: 100, MaxK: 8, Workers: 2,
-		DenseThreshold:  0.0625,
 		Partitioner:     1,
 		HeartbeatMillis: 250,
 		PeerAddrs:       []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
@@ -111,27 +110,11 @@ func TestInitRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("got %+v want %+v", out, in)
 	}
-	// +Inf (force-compressed) must survive the wire; it is a legal
-	// resolved threshold, not a sentinel.
-	inf := in
-	inf.DenseThreshold = math.Inf(1)
-	if out, err := DecodeInit(AppendInit(nil, inf)); err != nil || !math.IsInf(out.DenseThreshold, 1) {
-		t.Fatalf("inf threshold: got %v, %v", out.DenseThreshold, err)
-	}
 
 	bad := in
 	bad.PeerAddrs = bad.PeerAddrs[:2]
 	if _, err := DecodeInit(AppendInit(nil, bad)); err == nil {
 		t.Fatal("want error for peer-address/node-count mismatch")
-	}
-	bad = in
-	bad.DenseThreshold = -1
-	if _, err := DecodeInit(AppendInit(nil, bad)); err == nil {
-		t.Fatal("want error for negative dense threshold")
-	}
-	bad.DenseThreshold = math.NaN()
-	if _, err := DecodeInit(AppendInit(nil, bad)); err == nil {
-		t.Fatal("want error for NaN dense threshold")
 	}
 	bad = in
 	bad.Partitioner = 7

@@ -30,8 +30,9 @@ import (
 // membership messages (PurposePool, MsgPoolJoin/MsgPoolLeave) and the
 // NodeDone busy-seconds field. Version 6 made the item-count and THT
 // segment blobs of the exchanges sparse (AppendItemCounts,
-// tht.Local.AppendWire).
-const WireVersion = 6
+// tht.Local.AppendWire). Version 7 dropped the Init posting-density
+// threshold: the posting layout is fixed inside each node.
+const WireVersion = 7
 
 // MaxFrame bounds a frame payload; oversized length prefixes are
 // rejected before any allocation (a corrupt or hostile peer cannot make

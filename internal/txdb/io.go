@@ -20,6 +20,10 @@ import (
 const (
 	dbMagic   = "PMDB"
 	dbVersion = 1
+
+	// readPrealloc caps how many transactions ReadDB sizes its arrays for
+	// from the header alone (12 bytes each).
+	readPrealloc = 1 << 12
 )
 
 // Encode serializes the database.
@@ -98,10 +102,14 @@ func ReadDB(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The header's count is untrusted: reserve room for at most
+	// readPrealloc transactions and let append grow past that, so a
+	// hostile count costs no more than the records actually present.
+	hint := min(int(numTxs), readPrealloc)
 	d := &DB{
-		offsets:  make([]uint32, 1, numTxs+1),
-		tids:     make([]TID, 0, numTxs),
-		days:     make([]int32, 0, numTxs),
+		offsets:  make([]uint32, 1, hint+1),
+		tids:     make([]TID, 0, hint),
+		days:     make([]int32, 0, hint),
 		numItems: int(numItems),
 	}
 	for i := 0; i < int(numTxs); i++ {

@@ -2,8 +2,11 @@ package txdb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -57,16 +60,34 @@ func TestReadDBRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	// header is a bare 16-byte header (10 items) claiming numTxs records.
+	header := func(numTxs uint32) []byte {
+		h := binary.LittleEndian.AppendUint32([]byte(dbMagic), dbVersion)
+		h = binary.LittleEndian.AppendUint32(h, 10)
+		return binary.LittleEndian.AppendUint32(h, numTxs)
+	}
 
 	cases := map[string][]byte{
 		"empty":       {},
 		"bad magic":   append([]byte("XXXX"), good[4:]...),
 		"bad version": append(append([]byte{}, good[:4]...), append([]byte{99, 0, 0, 0}, good[8:]...)...),
 		"truncated":   good[:len(good)-3],
+		// A count far past the records must cost no more than the
+		// records: sized from the header, 2^32-1 overflows a numTxs+1
+		// capacity and 10^8 reserves 1.1 GB before the EOF.
+		"claims 2^32-1 txs": header(math.MaxUint32),
+		"claims 1e8 txs":    header(100_000_000),
 	}
 	for name, data := range cases {
-		if _, err := ReadDB(bytes.NewReader(data)); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadDB(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before failing", name, alloc)
 		}
 	}
 }

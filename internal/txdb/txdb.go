@@ -15,7 +15,6 @@ package txdb
 
 import (
 	"fmt"
-	"math"
 
 	"pmihp/internal/itemset"
 )
@@ -277,16 +276,7 @@ type Stats struct {
 	TIDSpan    int     // maxTID-minTID+1
 	MaxDF      int     // largest document frequency of any item
 	MaxDensity float64 // MaxDF / TIDSpan
-	// DenseItems counts items whose document frequency reaches the default
-	// density threshold (mining.DefaultDenseThreshold of the span) — the
-	// lists a default-configured poll counter stores as bitmaps.
-	DenseItems int
 }
-
-// defaultDenseThreshold mirrors mining.DefaultDenseThreshold (txdb sits
-// below mining in the dependency order, so the constant is restated here;
-// a test in internal/mining pins the two together).
-const defaultDenseThreshold = 1.0 / 16
 
 // ComputeStats scans the database once and returns its summary.
 func (d *DB) ComputeStats() Stats {
@@ -303,21 +293,12 @@ func (d *DB) ComputeStats() Stats {
 		}
 	}
 	s.TIDSpan = d.TIDSpan()
-	// The same rounding as mining.DenseCutoff, so DenseItems is exactly the
-	// list count a default-configured poll counter encodes as bitmaps.
-	cut := int(math.Ceil(defaultDenseThreshold * float64(s.TIDSpan)))
-	if cut < 1 {
-		cut = 1
-	}
 	for _, df := range dfs {
 		if df > 0 {
 			s.UniqueItems++
 		}
 		if df > s.MaxDF {
 			s.MaxDF = df
-		}
-		if df >= cut {
-			s.DenseItems++
 		}
 	}
 	if s.TIDSpan > 0 {

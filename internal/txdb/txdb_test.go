@@ -131,12 +131,17 @@ func TestComputeStats(t *testing.T) {
 	txs := []Transaction{
 		{TID: 0, Day: 0, Items: itemset.New(1, 2)},
 		{TID: 1, Day: 0, Items: itemset.New(2, 3, 4)},
-		{TID: 2, Day: 1, Items: itemset.New(2)},
+		{TID: 3, Day: 1, Items: itemset.New(2)},
 	}
 	db := New(txs, 6)
 	st := db.ComputeStats()
 	if st.Docs != 3 || st.Days != 2 || st.UniqueItems != 4 || st.TotalItems != 6 {
 		t.Fatalf("stats = %+v", st)
+	}
+	// Item 2 is in every document, over TIDs 0..3.
+	if st.MaxDF != 3 || st.TIDSpan != 4 || st.MaxDensity != 0.75 {
+		t.Fatalf("density profile: MaxDF=%d TIDSpan=%d MaxDensity=%g, want 3/4/0.75",
+			st.MaxDF, st.TIDSpan, st.MaxDensity)
 	}
 	if st.MeanLen != 2.0 {
 		t.Fatalf("MeanLen = %g", st.MeanLen)
