@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,16 +27,24 @@ var sharedTestAPI = map[string]bool{
 // name appearing at the call site.
 var interfaceMethods = map[string]bool{"Error": true, "Unwrap": true, "String": true}
 
-// TestNoTestOnlyExports fails on every exported top-level func, method,
-// type, var or const under internal/ whose identifier appears in no
-// non-test Go file of the module, the examples or perfbench/ except as
-// its own declaration. Such a name is API that only tests call: delete
-// it, or move it into its package's _test.go.
-func TestNoTestOnlyExports(t *testing.T) {
+// apiDecl is one top-level func, method, type, var or const of a non-test
+// file: its package directory, its package-qualified key and its name.
+type apiDecl struct{ pkg, key, name string }
+
+// apiScan is one parse of every non-test .go file under internal/, cmd/,
+// examples/ and perfbench/.
+type apiScan struct {
+	decls []apiDecl
+	// uses counts each identifier's occurrences outside top-level
+	// declaration names, over all the files; pkgUses counts them per
+	// package directory.
+	uses    map[string]int
+	pkgUses map[string]map[string]int
+}
+
+var scanModule = sync.OnceValues(func() (*apiScan, error) {
+	s := &apiScan{uses: map[string]int{}, pkgUses: map[string]map[string]int{}}
 	fset := token.NewFileSet()
-	uses := map[string]int{} // identifier → occurrences outside top-level declaration names
-	type decl struct{ key, name string }
-	var decls []decl
 	for _, root := range []string{"internal", "cmd", "examples", "perfbench"} {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -47,12 +56,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			declared := map[*ast.Ident]bool{}
 			pkg := filepath.ToSlash(filepath.Dir(path))
-			exported := strings.HasPrefix(pkg, "internal/") && !strings.HasPrefix(pkg, "internal/integration")
 			note := func(id *ast.Ident, key string) {
 				declared[id] = true
-				if exported && id.IsExported() {
-					decls = append(decls, decl{pkg + "." + key, id.Name})
-				}
+				s.decls = append(s.decls, apiDecl{pkg, pkg + "." + key, id.Name})
 			}
 			for _, dl := range f.Decls {
 				switch dl := dl.(type) {
@@ -79,28 +85,81 @@ func TestNoTestOnlyExports(t *testing.T) {
 					}
 				}
 			}
+			if s.pkgUses[pkg] == nil {
+				s.pkgUses[pkg] = map[string]int{}
+			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok && !declared[id] {
-					uses[id.Name]++
+					s.uses[id.Name]++
+					s.pkgUses[pkg][id.Name]++
 				}
 				return true
 			})
 			return nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
+	return s, nil
+})
+
+// reportOffenders fails t once per key, in sorted order.
+func reportOffenders(t *testing.T, offenders []string, why string) {
+	t.Helper()
+	sort.Strings(offenders)
+	for _, o := range offenders {
+		t.Errorf("%s %s", o, why)
+	}
+}
+
+// TestNoTestOnlyExports fails on every exported top-level func, method,
+// type, var or const under internal/ whose identifier appears in no
+// non-test Go file of the module, the examples or perfbench/ except as
+// its own declaration. Such a name is API that only tests call: delete
+// it, or move it into its package's _test.go.
+func TestNoTestOnlyExports(t *testing.T) {
+	s, err := scanModule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var offenders []string
-	for _, d := range decls {
-		if uses[d.name] == 0 && !sharedTestAPI[d.key] {
+	for _, d := range s.decls {
+		if !ast.IsExported(d.name) || !strings.HasPrefix(d.pkg, "internal/") || strings.HasPrefix(d.pkg, "internal/integration") {
+			continue
+		}
+		if s.uses[d.name] == 0 && !sharedTestAPI[d.key] {
 			offenders = append(offenders, d.key)
 		}
 	}
-	sort.Strings(offenders)
-	for _, o := range offenders {
-		t.Errorf("%s is exported but no non-test code uses it", o)
+	reportOffenders(t, offenders, "is exported but no non-test code uses it")
+}
+
+// TestNoUnusedUnexported fails on every unexported top-level func,
+// method, type, var or const under internal/, cmd/ or examples/ whose
+// identifier appears in no non-test file of its own package except as
+// its own declaration. Such code is dead, or only tests call it: delete
+// it, or move it into its package's _test.go. Uses count per package, so
+// one package's helper cannot hide behind another's of the same name.
+func TestNoUnusedUnexported(t *testing.T) {
+	s, err := scanModule()
+	if err != nil {
+		t.Fatal(err)
 	}
+	var offenders []string
+	for _, d := range s.decls {
+		if ast.IsExported(d.name) || strings.HasPrefix(d.pkg, "perfbench") {
+			continue
+		}
+		switch d.name {
+		case "_", "init", "main":
+			continue
+		}
+		if s.pkgUses[d.pkg][d.name] == 0 {
+			offenders = append(offenders, d.key)
+		}
+	}
+	reportOffenders(t, offenders, "is unexported but no non-test code of its package uses it")
 }
 
 // recvName returns the type name of a method receiver expression.

@@ -6,16 +6,17 @@
 //	pmihp-bench -list
 //	pmihp-bench -exp e1 [-scale small|harness|paper] [-v]
 //	pmihp-bench -exp all
-//	pmihp-bench -benchjson BENCH_dev.json [-rev dev] [-baseline BENCH_baseline.json]
+//	pmihp-bench -benchjson bench.json [-scale small|harness|paper] [-v]
 //	pmihp-bench -exp e3 -cpuprofile cpu.prof -memprofile mem.prof
 //	pmihp-bench -serve-load http://127.0.0.1:8397 -serve-report load.json
 //
-// The -benchjson mode runs the E1–E9 benchmark workloads under the standard
-// Go benchmark driver and writes ns/op, allocs/op, bytes held, and simulated
-// seconds per figure as JSON. With -baseline it exits nonzero when any
-// workload's wall-clock or held memory regresses by more than 20% or any
-// simulated time drifts. A baseline written before the current report
-// schema is an error, not a weaker comparison: regenerate it.
+// The -benchjson mode runs the figure workloads (internal/benchharness)
+// under testing.Benchmark and writes each one's ns/op and allocs/op
+// beside its outcome — simulated seconds, bytes held, charged work units,
+// and candidates and frequent itemsets per k — as JSON. It gates nothing:
+// the outcomes are pinned at small scale by
+// benchharness.TestFigureOutcomesGolden, and wall-clock time is compared
+// only against the parent commit on the same host, by perfbench/.
 //
 // The -serve-load mode drives a running pmihp-serve daemon with concurrent
 // clients issuing Zipf-distributed /expand queries, a cold-cache phase and
@@ -52,8 +53,6 @@ func realMain() int {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		verbose    = flag.Bool("v", false, "log progress to stderr")
 		benchJSON  = flag.String("benchjson", "", "run the benchmark harness and write results to this JSON file")
-		rev        = flag.String("rev", "dev", "revision label recorded in -benchjson output")
-		baseline   = flag.String("baseline", "", "baseline JSON to compare -benchjson results against")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 
@@ -125,7 +124,7 @@ func realMain() int {
 		return runSchedCompare(sc, *schedReport, *verbose)
 	}
 	if *benchJSON != "" {
-		return runBenchHarness(*benchJSON, *rev, *baseline, sc, *verbose)
+		return runBenchHarness(*benchJSON, sc, *verbose)
 	}
 	if *expID == "" {
 		fmt.Fprintln(os.Stderr, "pmihp-bench: -exp required (or -list, -benchjson); e.g. -exp e1")
@@ -251,15 +250,13 @@ func runServeLoad(cfg benchharness.LoadConfig, reportPath string) int {
 	return 0
 }
 
-// runBenchHarness measures the E1–E9 workloads, writes the JSON report, and
-// (when a baseline is given) fails on wall-clock or held-memory regressions
-// beyond 20% or any simulated-time drift.
-func runBenchHarness(path, rev, baselinePath string, sc corpus.Scale, verbose bool) int {
+// runBenchHarness measures the figure workloads and writes the JSON report.
+func runBenchHarness(path string, sc corpus.Scale, verbose bool) int {
 	var log io.Writer
 	if verbose {
 		log = os.Stderr
 	}
-	rep, err := benchharness.Run(rev, sc, log)
+	rep, err := benchharness.Run(sc, log)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
 		return 1
@@ -268,31 +265,6 @@ func runBenchHarness(path, rev, baselinePath string, sc corpus.Scale, verbose bo
 		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
 		return 1
 	}
-	fmt.Printf("wrote %s (%d workloads, rev %s, scale %s)\n", path, len(rep.Workloads), rep.Rev, rep.Scale)
-	if baselinePath == "" {
-		return 0
-	}
-	base, err := benchharness.ReadJSON(baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 1
-	}
-	if missing := benchharness.MissingFromBase(base, rep); len(missing) > 0 {
-		fmt.Printf("note: baseline %s predates %d workload(s) — %s — which therefore ran ungated; regenerate the baseline to gate them\n",
-			baselinePath, len(missing), strings.Join(missing, ", "))
-	}
-	bad, err := benchharness.Compare(base, rep, 0.20)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmihp-bench: %s: %v\n", baselinePath, err)
-		return 1
-	}
-	if len(bad) > 0 {
-		fmt.Fprintln(os.Stderr, "pmihp-bench: regressions vs", baselinePath)
-		for _, line := range bad {
-			fmt.Fprintln(os.Stderr, "  "+line)
-		}
-		return 1
-	}
-	fmt.Printf("no regressions vs %s\n", baselinePath)
+	fmt.Printf("wrote %s (%d workloads, scale %s)\n", path, len(rep.Workloads), rep.Scale)
 	return 0
 }

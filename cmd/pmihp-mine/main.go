@@ -51,27 +51,22 @@ func main() {
 
 // printSchedule reports how a simulated parallel run's work landed on
 // its nodes: total time, per-node busy/idle split, and the pass
-// imbalance ratio (max busy x nodes / total busy, 1.0 when perfectly
-// balanced) — the same figure the /metrics endpoint exports as
+// imbalance ratio (core.ImbalanceRatio, 1.0 when perfectly balanced) —
+// the same figure the /metrics endpoint exports as
 // pmihp_pass_imbalance_ratio.
 func printSchedule(out io.Writer, nodes int, pr *core.ParallelResult) {
 	fmt.Fprintf(out, "simulated total time on %d nodes: %.1fs\n", nodes, pr.TotalSeconds)
-	var maxBusy, sumBusy float64
-	for _, n := range pr.Nodes {
-		busy := n.Metrics.Work.Seconds()
-		if maxBusy < busy {
-			maxBusy = busy
-		}
-		sumBusy += busy
-		idle := pr.TotalSeconds - busy
+	busy := make([]float64, len(pr.Nodes))
+	for i, n := range pr.Nodes {
+		busy[i] = n.Metrics.Work.Seconds()
+		idle := pr.TotalSeconds - busy[i]
 		if idle < 0 {
 			idle = 0
 		}
-		fmt.Fprintf(out, "  node %2d: %d docs, busy %7.2fs, idle %7.2fs\n", n.Node, n.Docs, busy, idle)
+		fmt.Fprintf(out, "  node %2d: %d docs, busy %7.2fs, idle %7.2fs\n", n.Node, n.Docs, busy[i], idle)
 	}
-	if sumBusy > 0 {
-		fmt.Fprintf(out, "pass imbalance ratio: %.3f (1.0 = perfectly balanced)\n",
-			maxBusy*float64(len(pr.Nodes))/sumBusy)
+	if ratio := core.ImbalanceRatio(busy); ratio > 0 {
+		fmt.Fprintf(out, "pass imbalance ratio: %.3f (1.0 = perfectly balanced)\n", ratio)
 	}
 }
 

@@ -19,6 +19,7 @@
 //   - examples/: runnable end-to-end programs
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
-// substitutions, and EXPERIMENTS.md for the paper-vs-measured record. The
-// benchmarks in bench_test.go regenerate the workload behind each figure.
+// substitutions, and EXPERIMENTS.md for the paper-vs-measured record.
+// internal/benchharness holds the workload behind each figure: its golden
+// test pins what each one reproduces, and BenchmarkFigures times them.
 package pmihp

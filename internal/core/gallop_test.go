@@ -247,3 +247,81 @@ func TestPostingsChargeMatchesSeedModel(t *testing.T) {
 		})
 	}
 }
+
+// gallopSkew is the length ratio beyond which intersectInto switches from a linear merge to galloping (binary-skip)
+// search through the longer list. Text collections are Zipfian, so a rare
+// term polled against a stopword-grade list is the common case, not the
+// exception.
+const gallopSkew = 16
+
+// intersectInto appends the intersection of the ascending duplicate-free
+// lists a and b (len(a) <= len(b)) to dst. When b dwarfs a it gallops:
+// for each element of a, an exponential probe from the current position in
+// b brackets the target, then a binary search pins it. This is the
+// uncompressed reference intersection; the counting path uses the hybrid
+// kernels, and the equivalence tests check each of them against this.
+func intersectInto(dst, a, b []txdb.TID) []txdb.TID {
+	if len(b) >= gallopSkew*len(a) {
+		j := 0
+		for _, v := range a {
+			if j >= len(b) {
+				break
+			}
+			if b[j] < v {
+				lo, step := j, 1
+				for lo+step < len(b) && b[lo+step] < v {
+					lo += step
+					step <<= 1
+				}
+				hi := lo + step
+				if hi > len(b) {
+					hi = len(b)
+				}
+				// b[lo] < v <= b[hi] (or hi == len(b)); binary search (lo, hi].
+				s, e := lo+1, hi
+				for s < e {
+					mid := int(uint(s+e) >> 1)
+					if b[mid] < v {
+						s = mid + 1
+					} else {
+						e = mid
+					}
+				}
+				j = s
+			}
+			if j < len(b) && b[j] == v {
+				dst = append(dst, v)
+				j++
+			}
+		}
+		return dst
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return dst
+}
+
+// row returns item it's posting list decoded into a fresh slice. It is the
+// reference accessor the kernel tests compare against; the counting path
+// never materializes full lists except for the smallest one.
+func (p *postings) row(it itemset.Item) []txdb.TID {
+	if int(it)+1 >= len(p.blockOf) {
+		return nil
+	}
+	df := p.dfOf(it)
+	if df == 0 {
+		return nil
+	}
+	return p.decodeAll(it, make([]txdb.TID, 0, df))
+}

@@ -790,20 +790,6 @@ func (lm *localMiner) accumFor(accum map[int]*itemset.Set, k int) *itemset.Set {
 	return s
 }
 
-// freqAbove returns the globally frequent items strictly greater than a.
-func (lm *localMiner) freqAbove(a itemset.Item) []itemset.Item {
-	lo, hi := 0, len(lm.freqItems)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if lm.freqItems[mid] <= a {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lm.freqItems[lo:]
-}
-
 func pairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // pairSet materializes a packed pair as a 2-itemset from the set arena
@@ -813,9 +799,4 @@ func (lm *localMiner) pairSet(key uint64) itemset.Itemset {
 	s := lm.setArena.Alloc(2)
 	s[0], s[1] = itemset.Item(key>>32), itemset.Item(key&0xffffffff)
 	return s
-}
-
-// pairSetOf is pairSet without a miner (tests and tallies).
-func pairSetOf(key uint64) itemset.Itemset {
-	return itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
 }

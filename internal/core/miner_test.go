@@ -219,3 +219,8 @@ func TestPMIHPWithSkewAwareSplitGivesSameAnswer(t *testing.T) {
 		}
 	}
 }
+
+// pairSetOf is pairSet without a miner .
+func pairSetOf(key uint64) itemset.Itemset {
+	return itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
+}

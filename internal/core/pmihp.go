@@ -128,6 +128,25 @@ func (r *ParallelResult) AvgCandidates(k int) float64 {
 	return float64(sum) / float64(len(r.Nodes))
 }
 
+// ImbalanceRatio is the pass-imbalance ratio max(busy)·n/sum(busy) over
+// n nodes' busy seconds: 1.0 is a perfectly balanced split, n is one node
+// doing all the work, and 0 means no node reported busy time. The
+// simulator's and the cluster coordinator's pass_imbalance_ratio gauges
+// both come from it.
+func ImbalanceRatio(busy []float64) float64 {
+	var maxBusy, sumBusy float64
+	for _, b := range busy {
+		if b > maxBusy {
+			maxBusy = b
+		}
+		sumBusy += b
+	}
+	if sumBusy <= 0 {
+		return 0
+	}
+	return maxBusy * float64(len(busy)) / sumBusy
+}
+
 // MinePMIHP runs the parallel MIHP algorithm over the database split
 // across cfg.Nodes simulated processing nodes — chronologically by equal
 // document counts by default, or by estimated counting work when
@@ -221,22 +240,18 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 	// ratio (max busy over mean busy, 1.0 = perfectly balanced) is the
 	// quantity the work partitioner exists to minimize.
 	if r := opts.Obs; r.Enabled() {
-		var maxBusy, sumBusy float64
+		busy := make([]float64, n)
 		for i := range out.Nodes {
-			busy := out.Nodes[i].Metrics.Work.Seconds()
-			r.SetNodeFloatGauge("busy_seconds", i, busy)
-			idle := out.TotalSeconds - busy
+			busy[i] = out.Nodes[i].Metrics.Work.Seconds()
+			r.SetNodeFloatGauge("busy_seconds", i, busy[i])
+			idle := out.TotalSeconds - busy[i]
 			if idle < 0 {
 				idle = 0
 			}
 			r.SetNodeFloatGauge("idle_seconds", i, idle)
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-			sumBusy += busy
 		}
-		if sumBusy > 0 {
-			r.SetFloatGauge("pass_imbalance_ratio", maxBusy*float64(n)/sumBusy)
+		if ratio := ImbalanceRatio(busy); ratio > 0 {
+			r.SetFloatGauge("pass_imbalance_ratio", ratio)
 		}
 	}
 	return out, nil

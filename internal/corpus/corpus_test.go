@@ -201,3 +201,14 @@ func TestWordListOrderedDistinct(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCorpusGeneration times generating small corpus B.
+func BenchmarkCorpusGeneration(b *testing.B) {
+	cfg := CorpusB(Small)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -129,7 +129,7 @@ func CorpusB(s Scale) Config {
 // a large fraction of them. Their posting lists are dense over the TID
 // span, which is the regime the hybrid bitmap/compressed posting layout is
 // built for; the bench harness mines it as E9Dense to keep the bitmap
-// kernels' wall-clock win visible (and regressing) per revision.
+// kernels on a timed workload.
 func CorpusDense(s Scale) Config {
 	cfg := CorpusB(s)
 	cfg.Name = "wsj-8day-nostop(D)"

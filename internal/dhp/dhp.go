@@ -260,10 +260,6 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	return res, nil
 }
 
-func bucketHash3(a, b, c itemset.Item) int {
-	return bucketOfSet(itemset.Itemset{a, b, c})
-}
-
 // hashSubsets hashes every k-subset of items into the bucket array and
 // reports whether it enumerated completely. Bucket counts must upper-bound
 // true supports for the filter to be sound, so when a long text transaction

@@ -740,7 +740,7 @@ func (s *session) runAttempt() (*Result, error) {
 			res.Metrics.WireSeconds += sec
 		}
 	}
-	res.Imbalance = imbalanceRatio(busy)
+	res.Imbalance = core.ImbalanceRatio(busy)
 	if res.Imbalance > 0 {
 		cfg.Obs.SetFloatGauge("pass_imbalance_ratio", res.Imbalance)
 	}

@@ -40,25 +40,8 @@ type Result struct {
 	// fields, plus the session's recovery counters.
 	Metrics mining.Metrics
 	Nodes   []NodeStats
-	// Imbalance is the run's pass-imbalance ratio max(busy)*n/sum(busy)
-	// over the nodes' modeled busy seconds: 1.0 is a perfectly balanced
-	// split, n is one node doing all the work. Deterministic for a given
+	// Imbalance is the run's pass-imbalance ratio (core.ImbalanceRatio)
+	// over the nodes' modeled busy seconds. Deterministic for a given
 	// database and partitioning.
 	Imbalance float64
-}
-
-// imbalanceRatio computes max(busy)*n/sum(busy) (0 when no node
-// reported busy time).
-func imbalanceRatio(busy []float64) float64 {
-	var max, sum float64
-	for _, b := range busy {
-		if b > max {
-			max = b
-		}
-		sum += b
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return max * float64(len(busy)) / sum
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 
 	"pmihp/internal/corpus"
@@ -218,13 +217,3 @@ func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 func count(n int) string { return fmt.Sprintf("%d", n) }
 
 func fcount(n float64) string { return fmt.Sprintf("%.0f", n) }
-
-// sortedKeys returns the sorted keys of an int-keyed map.
-func sortedKeys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}

@@ -6,8 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"pmihp/internal/core"
+	"pmihp/internal/corpus"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
+	"pmihp/internal/text"
 	"pmihp/internal/txdb"
 )
 
@@ -165,5 +168,20 @@ func TestWriteJSON(t *testing.T) {
 		if d["confidence"].(float64) < 0.75 {
 			t.Fatalf("confidence lost: %v", d)
 		}
+	}
+}
+
+// BenchmarkRuleGeneration times rule generation from the frequent itemsets
+// of small corpus B (minimum support count 4, up to 3-itemsets).
+func BenchmarkRuleGeneration(b *testing.B) {
+	db, _ := text.ToDB(corpus.MustGenerate(corpus.CorpusB(corpus.Small)), nil)
+	res, err := core.MineMIHP(db, mining.Options{MinSupCount: 4, MaxK: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Generate(res.Frequent, db.Len(), 0.8)
 	}
 }

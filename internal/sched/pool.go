@@ -319,16 +319,3 @@ func (p *Pool) Release(addrs []string, perWorker int64) {
 	}
 	p.cond.Broadcast()
 }
-
-// idleCount reports members with no active lease (test hook).
-func (p *Pool) idleCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, m := range p.members {
-		if m.sessions == 0 {
-			n++
-		}
-	}
-	return n
-}

@@ -432,3 +432,16 @@ func TestSchedulerElasticGrow(t *testing.T) {
 	}, "daemon sessions to drain")
 	waitFor(t, 5*time.Second, func() bool { return pool.idleCount() == 4 }, "grown leases to be released")
 }
+
+// idleCount reports members with no active lease.
+func (p *Pool) idleCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, m := range p.members {
+		if m.sessions == 0 {
+			n++
+		}
+	}
+	return n
+}

@@ -69,24 +69,6 @@ func (idx *Index) SearchAny(words ...string) []txdb.TID {
 	return out
 }
 
-func intersect(a, b []txdb.TID) []txdb.TID {
-	var out []txdb.TID
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Expansion is a query word together with the expansion terms the rule base
 // licenses for it.
 type Expansion struct {

@@ -192,10 +192,11 @@ func (s *Server) CacheStats() (hits, misses, coalesced int64) {
 	return hits, misses, coalesced
 }
 
-// latencyHist is a lock-free log-spaced latency histogram: bucket i
-// counts queries with latency in [2^i, 2^(i+1)) microseconds. Quantiles
-// report the upper bound of the covering bucket — coarse (a factor of
-// two) but allocation-free, monotone, and cheap enough for the hot path.
+// latencyHist is a lock-free log-spaced latency histogram: bucket 0
+// counts queries under 1 microsecond, and bucket i > 0 those with latency
+// in [2^(i-1), 2^i) microseconds. Quantiles report 2^i µs, the upper bound
+// of the covering bucket — coarse (a factor of two) but allocation-free,
+// monotone, and cheap enough for the hot path.
 type latencyHist struct {
 	buckets [32]atomic.Int64
 	count   atomic.Int64

@@ -38,9 +38,9 @@ const (
 	// GlobalCounts holds the cluster-wide per-item support vector.
 	StageItemCounts uint8 = 1
 	// StageStream: an incremental-mining snapshot (internal/streammine) —
-	// Stream holds the miner's encoded window state (retained per-day
-	// counts, window bounds, frequent sets). Stream checkpoints never
-	// carry the cluster-collective payloads of the other stages.
+	// Stream holds the miner's encoded window state (the window's
+	// transactions and bounds, and its frequent sets). Stream checkpoints
+	// never carry the cluster-collective payloads of the other stages.
 	StageStream uint8 = 2
 )
 
