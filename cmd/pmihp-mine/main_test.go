@@ -15,7 +15,7 @@ import (
 
 func TestRunMissingCorpusFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nope.txt")
-	err := run([]string{"-in", path}, &strings.Builder{})
+	err := run([]string{"mine", "-in", path}, &strings.Builder{})
 	if err == nil {
 		t.Fatal("expected an error for a missing corpus file")
 	}
@@ -29,7 +29,7 @@ func TestRunEmptyCorpusFile(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run([]string{"-in", path}, &strings.Builder{})
+	err := run([]string{"mine", "-in", path}, &strings.Builder{})
 	if err == nil {
 		t.Fatal("expected an error for an empty corpus")
 	}
@@ -40,7 +40,7 @@ func TestRunEmptyCorpusFile(t *testing.T) {
 
 func TestRunPresetCorpus(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-corpus", "b", "-scale", "small", "-algo", "pmihp", "-minsup-count", "2", "-maxk", "3", "-rules", "0"}, &out)
+	err := run([]string{"mine", "-corpus", "b", "-scale", "small", "-algo", "pmihp", "-minsup-count", "2", "-maxk", "3", "-rules", "0"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestRunPresetCorpus(t *testing.T) {
 func TestRunRulesOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rules.json")
 	var out strings.Builder
-	err := run([]string{"-corpus", "b", "-scale", "small", "-minsup-count", "3", "-maxk", "3",
+	err := run([]string{"mine", "-corpus", "b", "-scale", "small", "-minsup-count", "3", "-maxk", "3",
 		"-rules", "0", "-minconf", "0.5", "-rules-out", path}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -82,17 +82,56 @@ func TestRunRulesOut(t *testing.T) {
 	}
 
 	// An unwritable path must fail loudly, not export silently.
-	err = run([]string{"-corpus", "b", "-scale", "small", "-minsup-count", "3", "-maxk", "3",
+	err = run([]string{"mine", "-corpus", "b", "-scale", "small", "-minsup-count", "3", "-maxk", "3",
 		"-rules", "0", "-rules-out", filepath.Join(t.TempDir(), "no", "such", "dir.json")}, &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "rules export") {
 		t.Fatalf("expected export error, got %v", err)
 	}
 }
 
+// TestRunClusterAndSpawnExclusive requires cluster to name its workers
+// exactly one way: pre-started (-addrs) or spawned (-spawn).
 func TestRunClusterAndSpawnExclusive(t *testing.T) {
-	err := run([]string{"-cluster", "x:1", "-spawn", "2"}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("expected mutual-exclusion error, got %v", err)
+	for _, args := range [][]string{{"cluster", "-addrs", "x:1", "-spawn", "2"}, {"cluster"}} {
+		err := run(args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), "exactly one of -addrs and -spawn") {
+			t.Errorf("run(%q) = %v, want an exactly-one error", args, err)
+		}
+	}
+}
+
+// TestRunUsageErrors checks the subcommand is required and that each
+// subcommand's flag set holds only what its runtime reads: a flag of
+// another runtime, or a removed one, fails instead of being dropped.
+func TestRunUsageErrors(t *testing.T) {
+	const usage, undefined = "mine|cluster|stream|sched", "flag provided but not defined"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, usage},
+		{[]string{"-corpus", "b"}, usage},
+		{[]string{"bogus"}, usage},
+		{[]string{"stream", "-trace-json", "x"}, undefined},
+		{[]string{"stream", "-metrics-addr", "x"}, undefined},
+		{[]string{"stream", "-algo", "apriori"}, undefined},
+		{[]string{"stream", "-rules-out", "x"}, undefined},
+		{[]string{"stream", "-partitioner", "work"}, undefined},
+		{[]string{"cluster", "-algo", "apriori"}, undefined},
+		{[]string{"cluster", "-nodes", "8"}, undefined},
+		{[]string{"cluster", "-window", "3"}, undefined},
+		{[]string{"mine", "-addrs", "x"}, undefined},
+		{[]string{"mine", "-window", "3"}, undefined},
+		{[]string{"mine", "-listen", "x"}, undefined},
+		{[]string{"sched", "-spawn", "2"}, undefined},
+		{[]string{"mine", "-heartbeat", "1s"}, undefined},
+		{[]string{"mine", "-metrics-linger", "1s"}, undefined},
+		{[]string{"mine", "-stream"}, undefined},
+	} {
+		err := run(tc.args, &strings.Builder{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }
 
@@ -110,7 +149,7 @@ func TestRunClusterMode(t *testing.T) {
 	}
 	var out strings.Builder
 	err := run([]string{
-		"-cluster", strings.Join(addrs, ","),
+		"cluster", "-addrs", strings.Join(addrs, ","),
 		"-corpus", "b", "-scale", "small", "-minsup-count", "2", "-maxk", "3", "-rules", "0",
 	}, &out)
 	if err != nil {
@@ -129,10 +168,10 @@ func TestRunStream(t *testing.T) {
 	dir := t.TempDir()
 	reportPath := filepath.Join(dir, "stream.json")
 	var out strings.Builder
-	err := run([]string{"-corpus", "b", "-scale", "small", "-minsup-count", "3", "-maxk", "3",
-		"-stream", "-stream-window", "3", "-stream-verify", "2",
-		"-stream-checkpoint", filepath.Join(dir, "stream.ckpt"), "-stream-crash-step", "4",
-		"-stream-json", reportPath}, &out)
+	err := run([]string{"stream", "-corpus", "b", "-scale", "small", "-minsup-count", "3", "-maxk", "3",
+		"-window", "3", "-verify", "2",
+		"-checkpoint", filepath.Join(dir, "stream.ckpt"), "-crash-step", "4",
+		"-json", reportPath}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

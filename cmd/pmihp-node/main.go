@@ -1,7 +1,8 @@
 // Command pmihp-node is a PMIHP cluster worker: a daemon that serves
-// mining sessions driven by a pmihp-mine coordinator. It announces its
-// bound address on stdout ("pmihp-node listening on HOST:PORT") so
-// spawners can start it on an ephemeral port, then serves until killed.
+// mining sessions driven by a `pmihp-mine cluster` coordinator, or leased
+// to it by a `pmihp-mine sched` pool. It announces its bound address on
+// stdout ("pmihp-node listening on HOST:PORT") so spawners can start it
+// on an ephemeral port, then serves until killed.
 //
 // Usage:
 //

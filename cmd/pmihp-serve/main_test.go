@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -31,8 +30,8 @@ func writeRules(t *testing.T) string {
 
 func TestParseFlagsValidation(t *testing.T) {
 	for _, args := range [][]string{
-		{},                            // neither source
-		{"-rules", "r.json", "-mine"}, // both sources
+		{},                            // no -rules
+		{"-rules", "r.json", "-mine"}, // the removed startup miner
 		{"-bogus"},                    // unknown flag
 	} {
 		if _, err := parseFlags(args); err == nil {
@@ -48,19 +47,21 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 }
 
+// TestLoadInitialErrors requires the daemon to refuse to start when the
+// -rules file it would serve as generation 1 is missing or malformed. The
+// context is already canceled, so a daemon that started anyway returns
+// nil at once instead of serving.
 func TestLoadInitialErrors(t *testing.T) {
-	if _, _, err := loadInitial(&options{rules: "/does/not/exist.json"}, io.Discard); err == nil {
-		t.Fatal("missing rules file accepted")
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{not rules"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadInitial(&options{rules: bad}, io.Discard); err == nil {
-		t.Fatal("malformed rules file accepted")
-	}
-	if _, _, err := loadInitial(&options{mine: true, corpusID: "nope", scale: "small"}, io.Discard); err == nil {
-		t.Fatal("unknown corpus accepted")
+	for _, path := range []string{"/does/not/exist.json", bad} {
+		if err := run([]string{"-rules", path, "-addr", "127.0.0.1:0"}, io.Discard, ctx); err == nil {
+			t.Errorf("rules file %s accepted", path)
+		}
 	}
 }
 
@@ -174,60 +175,5 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "shut down") {
 		t.Fatalf("missing shutdown line in output:\n%s", out.String())
-	}
-}
-
-// TestRunMineOnStart boots with -mine (no export file) and checks a
-// mined generation is announced and served.
-func TestRunMineOnStart(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var out syncWriter
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"-mine", "-corpus", "b", "-scale", "small",
-			"-minsup-count", "3", "-maxk", "3", "-minconf", "0.5",
-			"-addr", "127.0.0.1:0", "-replicas", "1"}, &out, ctx)
-	}()
-	base := out.baseURL(t)
-
-	resp, err := http.Get(base + "/admin/heads?limit=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("heads = %d: %s", resp.StatusCode, body)
-	}
-	var hb struct {
-		Heads []struct {
-			Word  string `json:"word"`
-			Rules int    `json:"rules"`
-		} `json:"heads"`
-	}
-	if err := json.Unmarshal(body, &hb); err != nil || len(hb.Heads) == 0 {
-		t.Fatalf("heads body %s: %v", body, err)
-	}
-	resp, err = http.Get(base + fmt.Sprintf("/expand?q=%s", hb.Heads[0].Word))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("expand mined head = %d", resp.StatusCode)
-	}
-
-	cancel()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("run returned %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon did not shut down")
-	}
-	if !strings.Contains(out.String(), "mined") {
-		t.Fatalf("missing mine line:\n%s", out.String())
 	}
 }

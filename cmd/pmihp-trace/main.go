@@ -1,9 +1,10 @@
 // Command pmihp-trace validates and replays an observability trace
-// written by pmihp-mine/pmihp-node's -trace-json flag. Every line is
-// checked against the event schema; a malformed trace fails with a
-// line-attributed error and a non-zero exit, which is what CI's smoke
-// job relies on. On success it prints the replayed totals — the same
-// Summary the /snapshot endpoint serves.
+// written by the -trace-json flag of pmihp-node or of pmihp-mine's mine,
+// cluster and sched subcommands. Every line is checked against the event
+// schema; a malformed trace fails with a line-attributed error and a
+// non-zero exit, which is what CI's smoke job relies on. On success it
+// prints the replayed totals — the same Summary the /snapshot endpoint
+// serves.
 //
 // Usage:
 //

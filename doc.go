@@ -15,7 +15,14 @@
 //
 //   - internal/core: MineMIHP and MinePMIHP (the paper's algorithms)
 //   - internal/experiments: one runner per figure/table of the evaluation
-//   - cmd/pmihp-mine, cmd/pmihp-bench, cmd/corpusgen: command-line tools
+//   - cmd/pmihp-mine: mine a corpus in process (mine), on pmihp-node
+//     workers (cluster), through a worker pool (sched) or as a day stream
+//     (stream)
+//   - cmd/pmihp-node: the cluster worker daemon
+//   - cmd/pmihp-serve: serves a mined rule export over HTTP
+//   - cmd/pmihp-trace: validates and replays an observability trace
+//   - cmd/pmihp-bench: the figure experiments and the serving load test
+//   - cmd/corpusgen: writes a synthetic corpus
 //   - examples/: runnable end-to-end programs
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and

@@ -41,6 +41,10 @@ type Outcome struct {
 	// cluster time for parallel workloads), 0 when the workload does not
 	// simulate a cluster.
 	SimSeconds float64 `json:"sim_seconds"`
+	// GlobalCountSeconds is Figure 8's quantity, the simulated global
+	// support counting phase of a deferred-polling PMIHP run
+	// (core.ParallelResult.GlobalCountSeconds); 0 for every other workload.
+	GlobalCountSeconds float64 `json:"global_count_seconds,omitempty"`
 	// BytesHeld is the run's resident-structure footprint
 	// (mining.Metrics.PeakHeldBytes summed across nodes): the CSR database
 	// and working copies, THT matrices, compressed inverted files, and
@@ -166,7 +170,9 @@ func workloads() []workload {
 		if err != nil {
 			return Outcome{}, err
 		}
-		return outcomeOf(r.Result, r.TotalSeconds), nil
+		o := outcomeOf(r.Result, r.TotalSeconds)
+		o.GlobalCountSeconds = r.GlobalCountSeconds
+		return o, nil
 	}
 	pmihp := func(nodes int, mode core.PollMode, opts mining.Options, db int) func(*corpora) (Outcome, error) {
 		return func(dbs *corpora) (Outcome, error) {

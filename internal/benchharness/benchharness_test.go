@@ -91,6 +91,9 @@ func diffOutcome(got, want Outcome) []string {
 	if got.SimSeconds != want.SimSeconds {
 		d = append(d, fmt.Sprintf("sim_seconds %v, golden %v", got.SimSeconds, want.SimSeconds))
 	}
+	if got.GlobalCountSeconds != want.GlobalCountSeconds {
+		d = append(d, fmt.Sprintf("global_count_seconds %v, golden %v", got.GlobalCountSeconds, want.GlobalCountSeconds))
+	}
 	if got.BytesHeld != want.BytesHeld {
 		d = append(d, fmt.Sprintf("bytes_held %d, golden %d", got.BytesHeld, want.BytesHeld))
 	}

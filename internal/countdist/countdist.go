@@ -29,8 +29,9 @@ type Config struct {
 	Nodes int
 }
 
-// Mine runs Count Distribution over the database split chronologically
-// across cfg.Nodes nodes. It returns mining.ErrMemoryExceeded when the
+// Mine runs Count Distribution over the database split across cfg.Nodes
+// nodes by opts.Partitioner (by default the paper's equal-count
+// chronological split). It returns mining.ErrMemoryExceeded when the
 // replicated candidate set outgrows opts.MemoryBudget at any node, which is
 // the regime where the paper could not run CD below 2% support.
 func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, error) {
@@ -40,7 +41,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	opts = opts.WithDefaults()
 	n := cfg.Nodes
 	minCount := opts.MinCount(db.Len())
-	parts := db.SplitChronological(n)
+	parts := opts.Partitioner.Split(db, n)
 	fabric := cluster.New(n, cluster.FastEthernet)
 
 	metrics := make([]mining.Metrics, n)

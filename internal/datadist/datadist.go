@@ -29,8 +29,9 @@ type Config struct {
 	Nodes int
 }
 
-// Mine runs Data Distribution over the database split chronologically
-// across cfg.Nodes nodes. Memory accounting covers each node's candidate
+// Mine runs Data Distribution over the database split across cfg.Nodes
+// nodes by opts.Partitioner (by default the paper's equal-count
+// chronological split). Memory accounting covers each node's candidate
 // share; mining.ErrMemoryExceeded is returned when that share outgrows
 // opts.MemoryBudget.
 func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, error) {
@@ -40,7 +41,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	opts = opts.WithDefaults()
 	n := cfg.Nodes
 	minCount := opts.MinCount(db.Len())
-	parts := db.SplitChronological(n)
+	parts := opts.Partitioner.Split(db, n)
 	fabric := cluster.New(n, cluster.FastEthernet)
 
 	// Per-node database sizes in bytes, for the data broadcast each pass.

@@ -86,7 +86,7 @@ type ClusterConfig struct {
 	StragglerLagPasses int
 	// Respawn, when non-nil, starts a replacement daemon and returns its
 	// address; the replacement takes a dead daemon's roster entry instead
-	// of the roster shrinking. Used by pmihp-mine -spawn.
+	// of the roster shrinking. Used by pmihp-mine cluster -spawn.
 	Respawn func() (string, error)
 	// Elastic, when non-nil, lets the session's owner change the roster
 	// mid-run (see ElasticControl): the attempt aborts, the database is

@@ -7,6 +7,7 @@ package integration
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -218,6 +219,45 @@ func TestParallelMinersAcrossNodeCounts(t *testing.T) {
 		}
 		if ok, diff := mining.SameFrequentSets(ref, r.Result); !ok {
 			t.Fatalf("%s: %s", name, diff)
+		}
+	}
+}
+
+// TestBaselinesHonorPartitioner runs Count and Data Distribution on the
+// skewed corpus at 4 nodes under both partitioners. The work split must
+// give each node the documents txdb.SplitByWork gives it, and change no
+// frequent itemset or count.
+func TestBaselinesHonorPartitioner(t *testing.T) {
+	db := buildDB(t, corpus.CorpusSkewed(corpus.Small))
+	var want []int
+	for _, p := range db.SplitByWork(4) {
+		want = append(want, p.Len())
+	}
+	for name, mine := range map[string]func(mining.Options) (*core.ParallelResult, error){
+		"cd": func(o mining.Options) (*core.ParallelResult, error) {
+			return countdist.Mine(db, countdist.Config{Nodes: 4}, o)
+		},
+		"dd": func(o mining.Options) (*core.ParallelResult, error) {
+			return datadist.Mine(db, datadist.Config{Nodes: 4}, o)
+		},
+	} {
+		byCount, err := mine(mining.Options{MinSupCount: 3, MaxK: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		byWork, err := mine(mining.Options{MinSupCount: 3, MaxK: 3, Partitioner: mining.PartitionByWork})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if ok, diff := mining.SameFrequentSets(byCount.Result, byWork.Result); !ok {
+			t.Errorf("%s: work split changed the frequent sets: %s", name, diff)
+		}
+		var docs []int
+		for _, n := range byWork.Nodes {
+			docs = append(docs, n.Docs)
+		}
+		if !slices.Equal(docs, want) {
+			t.Errorf("%s: per-node docs %v under the work split, want SplitByWork's %v", name, docs, want)
 		}
 	}
 }

@@ -286,8 +286,8 @@ func (s *Server) PublishObs(rec *obs.Recorder) {
 //	/metrics, /snapshot, /debug/...   the obs endpoint (when rec != nil),
 //	                                  refreshed with serving gauges per scrape
 //
-// Like the obs endpoint, the mux is unauthenticated — /admin/swap reads
-// server-local files — and must only bind trusted interfaces.
+// Like the obs endpoint, the mux is unauthenticated — /admin/swap
+// replaces the served rule set — and must only bind trusted interfaces.
 func (s *Server) Handler(rec *obs.Recorder) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/expand", func(w http.ResponseWriter, r *http.Request) { s.serveExpand(w, r) })
@@ -486,23 +486,18 @@ type swapBody struct {
 	Stats      Stats `json:"stats"`
 }
 
-// serveSwap answers POST /admin/swap?path=/abs/rules.json (load a file
-// from the server's filesystem) or POST /admin/swap with a WriteJSON
-// rule array as the request body.
+// serveSwap answers POST /admin/swap with a WriteJSON rule array as the
+// request body. It never opens a file a client names; the operator
+// reloads the daemon's own rules file with SIGHUP.
 func (s *Server) serveSwap(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 		return
 	}
+	ws, err := rules.ParseJSON(r.Body)
 	var g *Generation
-	var err error
-	if path := r.URL.Query().Get("path"); path != "" {
-		g, err = s.SwapFromFile(path)
-	} else {
-		var ws []rules.WordRule
-		if ws, err = rules.ParseJSON(r.Body); err == nil {
-			g, err = s.Swap(ws, "POST /admin/swap")
-		}
+	if err == nil {
+		g, err = s.Swap(ws, "POST /admin/swap")
 	}
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})

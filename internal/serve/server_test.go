@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -156,9 +158,6 @@ func TestBadRequests(t *testing.T) {
 	if rr := post(h, "/admin/swap", strings.NewReader("not json")); rr.Code != http.StatusUnprocessableEntity {
 		t.Errorf("bad swap body = %d", rr.Code)
 	}
-	if rr := post(h, "/admin/swap?path=/does/not/exist.json", nil); rr.Code != http.StatusUnprocessableEntity {
-		t.Errorf("bad swap path = %d", rr.Code)
-	}
 	if errs := s.errorCount.Load(); errs == 0 {
 		t.Error("error counter never moved")
 	}
@@ -180,6 +179,30 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 	if g := s.Generation(); g.inflight.Load() != 0 {
 		t.Fatalf("generation still pinned: %d", g.inflight.Load())
+	}
+}
+
+// TestAdminSwapIgnoresPath requires /admin/swap to take the rule set
+// from the request body only: naming a valid rules file on the server's
+// disk with ?path= and sending no body must answer 422 and leave the
+// served generation where it was.
+func TestAdminSwapIgnoresPath(t *testing.T) {
+	fx := fixture(t)
+	var buf bytes.Buffer
+	if err := rules.WriteJSON(&buf, fx.rs, fx.vocab.Word); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "rules.json")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := loadedServer(t, Config{Replicas: 1})
+	rr := post(s.Handler(nil), "/admin/swap?path="+url.QueryEscape(path), nil)
+	if rr.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("swap with ?path= = %d: %s", rr.Code, rr.Body.String())
+	}
+	if id := s.Generation().ID; id != 1 {
+		t.Fatalf("generation %d after a refused swap, want 1", id)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // Miner batch by batch, as if the archive were arriving live, and after
 // every step optionally prove the miner's results byte-identical to an
 // independent from-scratch mine of the same window. This is both
-// the `pmihp-mine -stream` execution path and the engine under the
+// the `pmihp-mine stream` execution path and the engine under the
 // equivalence test suite and the stream-smoke CI job.
 
 // ReplayConfig configures a replay run.

@@ -10,9 +10,9 @@ import (
 )
 
 // The documents line format: one document per line, "day word word ...".
-// It is the interchange format between corpusgen, pmihp-mine and external
-// tools — trivially greppable and diffable, and loss-free for preprocessed
-// documents (which are just day-stamped word sets).
+// It is the interchange format between corpusgen, pmihp-mine's -in flag
+// and external tools — trivially greppable and diffable, and loss-free for
+// preprocessed documents (which are just day-stamped word sets).
 
 // WriteDocuments writes documents in the line format.
 func WriteDocuments(w io.Writer, docs []Document) error {

@@ -45,7 +45,7 @@ m0=$(sed -n 's|.*metrics on http://\([0-9.:]*\)/metrics.*|\1|p' "$out/node0.out"
     echo "workers failed to announce"; cat "$out/node0.out" "$out/node1.out"; exit 1; }
 
 echo "== mine on cluster $a0,$a1 (worker metrics at $m0)"
-"$out/pmihp-mine" -cluster "$a0,$a1" -corpus b -scale small \
+"$out/pmihp-mine" cluster -addrs "$a0,$a1" -corpus b -scale small \
     -minsup-count 2 -maxk 3 -rules 0 -top 3 \
     -trace-json "$out/coord-trace.jsonl" | tee "$out/mine.out"
 

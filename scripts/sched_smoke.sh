@@ -38,11 +38,11 @@ trap cleanup EXIT INT TERM
 
 # The pool must be listening before workers can register, and the mine
 # process IS the pool, so: start it first on a fixed port with
-# -pool-wait, then point the workers at it.
+# sched -wait, then point the workers at it.
 pool_addr=127.0.0.1:19710
 
 echo "== multi-tenant: 2 concurrent sessions on a 4-worker pool"
-"$out/pmihp-mine" -pool-listen "$pool_addr" -pool-wait 4 \
+"$out/pmihp-mine" sched -listen "$pool_addr" -wait 4 \
     -sessions 2 -nodes 2 -corpus skewed -scale small -minsup-count 2 \
     -rules 0 -top 0 >"$out/tenants.out" 2>&1 &
 mine_pid=$!
@@ -57,7 +57,7 @@ grep -q 'session 2: admitted #2' "$out/tenants.out" ||
     { echo "admission was not FIFO"; cat "$out/tenants.out"; exit 1; }
 
 echo "== elastic: one session growing 2 -> 4 nodes mid-run"
-"$out/pmihp-mine" -pool-listen "$pool_addr" -pool-wait 4 \
+"$out/pmihp-mine" sched -listen "$pool_addr" -wait 4 \
     -sessions 1 -nodes 2 -grow 4 -corpus skewed -scale small -minsup-count 2 \
     -rules 0 -top 0 >"$out/grow.out" 2>&1 ||
     { echo "elastic grow run failed"; cat "$out/grow.out"; exit 1; }

@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
 # Serving smoke test: builds the binaries, mines a small rule set and
-# exports it with pmihp-mine -rules-out, starts pmihp-serve on a
+# exports it with pmihp-mine mine -rules-out, starts pmihp-serve on a
 # loopback ephemeral port, drives a short Zipf load burst through both
 # cache phases with pmihp-bench -serve-load (which exits nonzero on any
-# request error), exercises a hot swap over /admin/swap, and scrapes
-# /metrics for the serving gauge families. Artifacts land in $OUT_DIR
-# (default ./serve-smoke) so CI can upload them.
+# request error), exercises a hot swap by POSTing the export to
+# /admin/swap, and scrapes /metrics for the serving gauge families.
+# Artifacts land in $OUT_DIR (default ./serve-smoke) so CI can upload
+# them.
 #
 # Usage: scripts/serve_smoke.sh [out_dir]
 set -eu
@@ -20,7 +21,7 @@ go build -o "$out/pmihp-serve" ./cmd/pmihp-serve
 go build -o "$out/pmihp-bench" ./cmd/pmihp-bench
 
 echo "== mine and export rules"
-"$out/pmihp-mine" -corpus b -scale small -minsup-count 3 -maxk 3 \
+"$out/pmihp-mine" mine -corpus b -scale small -minsup-count 3 -maxk 3 \
     -minconf 0.5 -rules 0 -top 0 -rules-out "$out/rules.json" | tee "$out/mine.out"
 [ -s "$out/rules.json" ] || { echo "rules export is empty"; exit 1; }
 
@@ -58,8 +59,7 @@ grep -q '"errors": *0' "$out/load-report.json" ||
     { echo "load report counted errors"; cat "$out/load-report.json"; exit 1; }
 
 echo "== hot swap under a fresh generation"
-rules_abs="$(cd "$out" && pwd)/rules.json"
-curl -fsS -X POST "$base/admin/swap?path=$rules_abs" >"$out/swap.json"
+curl -fsS --data-binary @"$out/rules.json" "$base/admin/swap" >"$out/swap.json"
 grep -q '"generation": *2' "$out/swap.json" ||
     { echo "swap did not advance the generation"; cat "$out/swap.json"; exit 1; }
 curl -fsS "$base/expand?q=$head_word&limit=3" | grep -q '"generation": *2' ||

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Streaming smoke test: replays a preset corpus through the incremental
-# windowed miner (pmihp-mine -stream) with the equivalence gate on —
+# windowed miner (pmihp-mine stream) with the equivalence gate on —
 # every step's frequent sets must be byte-identical to a from-scratch
 # mine of the same window — including a scripted crash-and-resume
 # through the PMCK stream checkpoint. A second replay publishes each
@@ -20,10 +20,10 @@ go build -o "$out/pmihp-mine" ./cmd/pmihp-mine
 go build -o "$out/pmihp-serve" ./cmd/pmihp-serve
 
 echo "== replay with equivalence gate and crash-resume at step 4"
-"$out/pmihp-mine" -corpus b -scale small -minsup-count 3 -maxk 3 \
-    -stream -stream-window 3 -stream-verify 2 \
-    -stream-checkpoint "$out/stream.ckpt" -stream-crash-step 4 \
-    -stream-json "$out/stream-report.json" | tee "$out/stream.out"
+"$out/pmihp-mine" stream -corpus b -scale small -minsup-count 3 -maxk 3 \
+    -window 3 -verify 2 \
+    -checkpoint "$out/stream.ckpt" -crash-step 4 \
+    -json "$out/stream-report.json" | tee "$out/stream.out"
 grep -q 'verified equivalent to from-scratch' "$out/stream.out" ||
     { echo "replay did not report verification"; exit 1; }
 grep -q '"allEquivalent": *true' "$out/stream-report.json" ||
@@ -32,14 +32,14 @@ grep -q '"resumedFromCheckpoint": *true' "$out/stream-report.json" ||
     { echo "crash step never resumed from checkpoint"; exit 1; }
 
 echo "== replay with day decay, equivalence vs weighted from-scratch"
-"$out/pmihp-mine" -corpus b -scale small -minsup-count 3 -maxk 3 \
-    -stream -stream-window 4 -stream-decay 0.8 -stream-verify 2 \
-    -stream-json "$out/decay-report.json" | tee "$out/decay.out"
+"$out/pmihp-mine" stream -corpus b -scale small -minsup-count 3 -maxk 3 \
+    -window 4 -decay 0.8 -verify 2 \
+    -json "$out/decay-report.json" | tee "$out/decay.out"
 grep -q '"allEquivalent": *true' "$out/decay-report.json" ||
     { echo "decay equivalence gate failed"; cat "$out/decay-report.json"; exit 1; }
 
 echo "== seed a rule export for the serve daemon"
-"$out/pmihp-mine" -corpus b -scale small -minsup-count 3 -maxk 3 \
+"$out/pmihp-mine" mine -corpus b -scale small -minsup-count 3 -maxk 3 \
     -minconf 0.5 -rules 0 -top 0 -rules-out "$out/rules.json" >/dev/null
 [ -s "$out/rules.json" ] || { echo "rules export is empty"; exit 1; }
 
@@ -60,9 +60,9 @@ base=$(sed -n 's|.*serving on \(http://[0-9.:]*\).*|\1|p' "$out/serve.out" | hea
 [ -n "$base" ] || { echo "daemon never announced"; cat "$out/serve.out"; exit 1; }
 
 echo "== stream replay publishing each step into $base"
-"$out/pmihp-mine" -corpus b -scale small -minsup-count 3 -maxk 3 \
-    -stream -stream-window 3 -stream-verify 0 -stream-serve "$base" \
-    -stream-json "$out/publish-report.json" | tee "$out/publish.out"
+"$out/pmihp-mine" stream -corpus b -scale small -minsup-count 3 -maxk 3 \
+    -window 3 -verify 0 -serve "$base" \
+    -json "$out/publish-report.json" | tee "$out/publish.out"
 steps=$(grep -c '"step":' "$out/publish-report.json")
 [ "$steps" -gt 0 ] || { echo "publish replay ran no steps"; exit 1; }
 
