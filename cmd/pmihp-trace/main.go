@@ -58,7 +58,8 @@ func main() {
 	}
 	fmt.Printf("pruned: %d THT, %d subset; trimmed %d items, pruned %d transactions\n",
 		sum.PrunedTHT, sum.PrunedSubset, sum.TrimmedItems, sum.PrunedTx)
-	fmt.Printf("scan %.3fs, exchange %.3fs, %d wire bytes\n", sum.ScanSeconds, sum.ExchangeSeconds, sum.WireBytes)
+	fmt.Printf("scan %.3fs, generation %.3fs, exchange %.3fs, %d wire bytes\n",
+		sum.ScanSeconds, sum.GenSeconds, sum.ExchangeSeconds, sum.WireBytes)
 	names := make([]string, 0, len(sum.SpanSeconds))
 	for name := range sum.SpanSeconds {
 		names = append(names, name)

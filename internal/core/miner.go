@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -42,10 +43,13 @@ type localMiner struct {
 	// pairScan resolves pass-2 pair-bound row lookups once per run; posOf
 	// maps a frequent item to its position in freqItems (the scan universe);
 	// selfPresent lists, ascending, the freqItems positions with a row in
-	// this node's own segment — the only possible pass-2 partners.
+	// this node's own segment — the only possible pass-2 partners; slots
+	// transposes that segment's masks over selfPresent, naming the
+	// partners whose self-segment bound can be positive.
 	pairScan    *tht.PairScan
 	posOf       []int32
 	selfPresent []int32
+	slots       *tht.SlotIndex
 
 	freqItems  []itemset.Item   // globally frequent items, ascending
 	freqArr    []bool           // indexed by item: globally frequent?
@@ -123,15 +127,16 @@ type minerShard struct {
 
 // genShard is the per-worker scratch of the sharded pass-2 candidate
 // generation: a fork of the run's PairScan (shared row tables, private
-// hoist register), the candidate keys of every chunk this worker claimed,
-// and its work tallies. Key order within one worker follows claim order,
-// which is racy — so each chunk's keys are recorded as a segment tagged
-// with the chunk's partition-range start, and the merge re-orders segments
-// by range start. Chunks tile the partition range, so the ordered
-// concatenation — and with it every downstream count, charge, and emitted
-// set — is identical to the serial generation.
+// hoist register), the slot-union buffer, the candidate keys of every
+// chunk this worker claimed, and its work tallies. Key order within one
+// worker follows claim order, which is racy — so each chunk's keys are
+// recorded as a segment tagged with the chunk's partition-range start, and
+// the merge re-orders segments by range start. Chunks tile the partition
+// range, so the ordered concatenation — and with it every downstream
+// count, charge, and emitted set — is identical to the serial generation.
 type genShard struct {
 	scan            *tht.PairScan
+	union           []uint64
 	keys            []uint64
 	segs            []keySeg
 	pairsConsidered int64
@@ -180,16 +185,7 @@ func (lm *localMiner) run() {
 		lm.freqArr[it] = true
 	}
 	lm.inPart = make([]bool, numItems)
-	lm.posOf = make([]int32, numItems)
-	for i, it := range lm.freqItems {
-		lm.posOf[it] = int32(i)
-	}
-	lm.pairScan = lm.global.NewPairScan(lm.freqItems)
-	for pos := range lm.freqItems {
-		if lm.pairScan.Present(lm.self, pos) {
-			lm.selfPresent = append(lm.selfPresent, int32(pos))
-		}
-	}
+	lm.preparePairs(numItems)
 	if lm.opts.MaxK == 0 || lm.opts.MaxK >= 3 {
 		lm.accum2 = mining.NewPairTable(0)
 	}
@@ -215,6 +211,23 @@ func (lm *localMiner) run() {
 	}
 }
 
+// preparePairs resolves the run's pass-2 pair state from the retained
+// tables: the universe positions, the pair scan, the locally present
+// positions and their slot index.
+func (lm *localMiner) preparePairs(numItems int) {
+	lm.posOf = make([]int32, numItems)
+	for i, it := range lm.freqItems {
+		lm.posOf[it] = int32(i)
+	}
+	lm.pairScan = lm.global.NewPairScan(lm.freqItems)
+	for pos := range lm.freqItems {
+		if lm.pairScan.Present(lm.self, pos) {
+			lm.selfPresent = append(lm.selfPresent, int32(pos))
+		}
+	}
+	lm.slots = lm.pairScan.NewSlotIndex(lm.self, lm.selfPresent)
+}
+
 // passProbe snapshots the miner's metrics at the start of one counting
 // pass (candidate generation through scan) so the pass's observability
 // event can report deltas. The zero probe — returned when observability
@@ -223,8 +236,8 @@ func (lm *localMiner) run() {
 type passProbe struct {
 	rec                                     *obs.Recorder
 	prunedTHT, prunedSub, trimmed, prunedTx int64
-	scanT0                                  time.Time
-	scanSeconds                             float64
+	genT0, scanT0                           time.Time
+	genSeconds, scanSeconds                 float64
 }
 
 // beginPass opens a probe at the start of a pass's candidate generation.
@@ -240,12 +253,15 @@ func (lm *localMiner) beginPass() passProbe {
 		prunedSub: m.PrunedBySubset,
 		trimmed:   m.TrimmedItems,
 		prunedTx:  m.PrunedTx,
+		genT0:     time.Now(),
 	}
 }
 
+// startScan closes the pass's generation time and opens its scan time.
 func (p *passProbe) startScan() {
 	if p.rec.Enabled() {
 		p.scanT0 = time.Now()
+		p.genSeconds = p.scanT0.Sub(p.genT0).Seconds()
 	}
 }
 
@@ -272,6 +288,7 @@ func (lm *localMiner) endPass(p *passProbe, k, candidates int) {
 		PrunedSubset: m.PrunedBySubset - p.prunedSub,
 		TrimmedItems: m.TrimmedItems - p.trimmed,
 		PrunedTx:     m.PrunedTx - p.prunedTx,
+		GenSeconds:   p.genSeconds,
 		ScanSeconds:  p.scanSeconds,
 	})
 }
@@ -383,14 +400,12 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 			inPart[it] = false
 		}
 	}()
-	// Candidate generation with IHP pair pruning. All row lookups go
-	// through the run's PairScan: the self-segment check and the cascaded
-	// check evaluate by matrix row number, materializing counter rows only
-	// when the mask fast path cannot decide. The outer-item loop runs on
-	// the chunk-queue scheduler — each worker walks the chunks it claims
-	// with a forked scan and records each chunk's keys as a segment, and
-	// the merge re-orders segments by partition-range start, so the key
-	// sequence (and every tally, being a sum) is the serial one.
+	// Candidate generation with IHP pair pruning (genOuter). The
+	// outer-item loop runs on the chunk-queue scheduler — each worker
+	// walks the chunks it claims with a forked scan and records each
+	// chunk's keys as a segment, and the merge re-orders segments by
+	// partition-range start, so the key sequence (and every tally, being
+	// a sum) is the serial one.
 	lm.pairTab.Reset()
 	cands := lm.pairTab // pair key -> candidate index
 	nGen := mining.NumShards(len(part), lm.workers)
@@ -403,48 +418,11 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 		g.segs = g.segs[:0]
 		g.pairsConsidered, g.slotsTotal, g.prunedTHT = 0, 0, 0
 	}
-	self := lm.self
-	cascade := lm.global.NumSegments() > 1
 	mining.RunShards(len(part), lm.workers, func(s, glo, ghi int) {
 		g := lm.genShards[s]
-		ps := g.scan
 		segStart := len(g.keys)
 		for _, a := range part[glo:ghi] {
-			aPos := int(lm.posOf[a])
-			if !ps.Present(self, aPos) {
-				continue // item absent from the local database
-			}
-			ps.Hoist(aPos)
-			ss := ps.Seg(self)
-			// Locally absent items cannot form a countable pair (the seed
-			// path skipped them pair by pair, uncharged); jump straight to
-			// the locally present positions above a.
-			lo, hi := 0, len(lm.selfPresent)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if int(lm.selfPresent[mid]) <= aPos {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			for _, p32 := range lm.selfPresent[lo:] {
-				bPos := int(p32)
-				b := lm.freqItems[bPos]
-				g.pairsConsidered++
-				ok, slots := ss.BoundReaches(bPos, lm.minLocal)
-				g.slotsTotal += int64(slots)
-				if ok && cascade {
-					var gslots int
-					ok, gslots = ps.BoundReaches(bPos, lm.minPrune)
-					g.slotsTotal += int64(gslots)
-				}
-				if !ok {
-					g.prunedTHT++
-					continue
-				}
-				g.keys = append(g.keys, pairKey(a, b))
-			}
+			lm.genOuter(g, a)
 		}
 		g.segs = append(g.segs, keySeg{lo: glo, start: segStart, end: len(g.keys)})
 	})
@@ -509,6 +487,68 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 	lm.endPass(&probe, 2, len(keys))
 	lm.afterPass()
 	return frequent
+}
+
+// genOuter appends to g's keys the pass-2 candidates whose first item is
+// a, ascending by second item, and tallies the work of deciding them. The
+// cost model prices the paper's loop: the self-segment bound of every
+// locally present partner above a, then the cascaded bound of the pairs
+// that pass it. Only the partners that share an occupied self slot with a
+// are visited (the slot index's union); every other partner has disjoint
+// masks, so that loop would have rejected it at one mask test, and it is
+// charged exactly that test: a considered pair, the segment's mask words
+// and a THT prune.
+func (lm *localMiner) genOuter(g *genShard, a itemset.Item) {
+	ps := g.scan
+	aPos := int(lm.posOf[a])
+	if !ps.Present(lm.self, aPos) {
+		return // item absent from the local database
+	}
+	ps.Hoist(aPos)
+	ss := ps.Seg(lm.self)
+	// Locally absent items cannot form a countable pair (the seed path
+	// skipped them pair by pair, uncharged); a itself is present, at
+	// selfPresent[lo-1], and its partners are the positions after it.
+	lo, hi := 0, len(lm.selfPresent)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if int(lm.selfPresent[mid]) <= aPos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	partners := int64(len(lm.selfPresent) - lo)
+	g.pairsConsidered += partners
+	union, base := lm.slots.Meets(lo-1, g.union)
+	g.union = union
+	disjoint := partners
+	for k, w := range union {
+		for ; w != 0; w &= w - 1 {
+			disjoint--
+			lm.tryPair(g, ss, a, int(lm.selfPresent[(base+k)*64+bits.TrailingZeros64(w)]))
+		}
+	}
+	g.slotsTotal += disjoint * int64(lm.slots.MaskWords())
+	g.prunedTHT += disjoint
+}
+
+// tryPair runs the self-segment bound and then the cascaded bound on the
+// pair of the hoisted item a and universe position bPos, keeping it as a
+// candidate when both reach their thresholds.
+func (lm *localMiner) tryPair(g *genShard, ss tht.SegScan, a itemset.Item, bPos int) {
+	ok, slots := ss.BoundReaches(bPos, lm.minLocal)
+	g.slotsTotal += int64(slots)
+	if ok && lm.global.NumSegments() > 1 {
+		var gslots int
+		ok, gslots = g.scan.BoundReaches(bPos, lm.minPrune)
+		g.slotsTotal += int64(gslots)
+	}
+	if !ok {
+		g.prunedTHT++
+		return
+	}
+	g.keys = append(g.keys, pairKey(a, lm.freqItems[bPos]))
 }
 
 // countPass2 scans the working database once, counting candidate pairs and

@@ -108,8 +108,9 @@ type ClusterConfig struct {
 	Logf func(format string, args ...any)
 	// Obs, when non-nil, receives the coordinator's session telemetry:
 	// per-node heartbeat liveness, checkpoint-stage and failover gauges,
-	// and recovery-attempt spans. Worker pass events stay on the daemons'
-	// own recorders — they are separate processes.
+	// recovery-attempt spans and one cluster:session span for the whole
+	// call. Worker pass events stay on the daemons' own recorders — they
+	// are separate processes.
 	Obs *obs.Recorder
 }
 
@@ -124,8 +125,19 @@ type ClusterConfig struct {
 // partition per daemon, and the next attempt resumes from the item-count
 // checkpoint. The frequent list is byte-identical to core.MinePMIHP's in
 // exact mode on the same inputs, recoveries included, because PMIHP's
-// output does not depend on how the database is cut.
-func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (*Result, error) {
+// output does not depend on how the database is cut. The session's wall
+// clock goes to cfg.Obs as one cluster:session span (node -1), carrying
+// the error when the session fails.
+func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (res *Result, err error) {
+	start := time.Now()
+	cfg.Obs.SetDaemon("coordinator")
+	defer func() {
+		ev := obs.SpanEvent{Name: "cluster:session", Node: -1, Seconds: time.Since(start).Seconds()}
+		if err != nil {
+			ev.Err = err.Error()
+		}
+		cfg.Obs.RecordSpan(ev)
+	}()
 	if len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("distmine: no node addresses")
 	}
@@ -164,7 +176,6 @@ func MineCluster(db *txdb.DB, cfg ClusterConfig, opts mining.Options) (*Result, 
 	if err := s.split(cfg.Addrs, s.p.Opts.Partitioner); err != nil {
 		return nil, err
 	}
-	cfg.Obs.SetDaemon("coordinator")
 
 	for {
 		res, cause := s.runAttempt()

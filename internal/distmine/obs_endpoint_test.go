@@ -103,3 +103,51 @@ func TestMetricsEndpointLiveCluster(t *testing.T) {
 		t.Errorf("/snapshot tracks pass progress for %d nodes, want %d", len(snap.PassK), nodes)
 	}
 }
+
+// TestCoordinatorRecordsSessionSpan: a coordinator-only recorder gets one
+// cluster:session span per MineCluster call, on node -1 labeled
+// coordinator with the call's wall clock — and nothing else span-shaped
+// when the session is healthy — while a failed session's span carries its
+// error, including a call that fails before any daemon is dialed.
+func TestCoordinatorRecordsSessionSpan(t *testing.T) {
+	sessionSpans := func(rec *obs.Recorder) (session []obs.SpanEvent, other []string) {
+		for _, ev := range rec.Events() {
+			switch {
+			case ev.Type != obs.TypeSpan:
+			case ev.Span.Name == "cluster:session":
+				session = append(session, *ev.Span)
+			default:
+				other = append(other, ev.Span.Name)
+			}
+		}
+		return session, other
+	}
+	db := buildDB(t, corpus.CorpusB(corpus.Small))
+
+	rec := obs.New(obs.Config{Keep: true})
+	addrs := startDaemons(t, 2, DaemonOptions{})
+	if _, err := MineCluster(db, ClusterConfig{Addrs: addrs, Retry: fastRetry, Obs: rec},
+		mining.Options{MinSupCount: 2, MaxK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	spans, other := sessionSpans(rec)
+	if len(spans) != 1 || len(other) != 0 {
+		t.Fatalf("healthy session traced %d cluster:session spans and %v; want exactly one session span", len(spans), other)
+	}
+	if s := spans[0]; s.Node != -1 || s.Seconds <= 0 || s.Err != "" || s.Daemon != "coordinator" {
+		t.Fatalf("session span %+v: want node -1, positive seconds, no error, daemon coordinator", s)
+	}
+
+	for name, cfg := range map[string]ClusterConfig{
+		"dead daemon":  {Addrs: []string{deadAddr(t)}, Retry: fastRetry},
+		"no addresses": {},
+	} {
+		cfg.Obs = obs.New(obs.Config{Keep: true})
+		if _, err := MineCluster(db, cfg, mining.Options{MinSupCount: 2}); err == nil {
+			t.Fatalf("%s: session succeeded", name)
+		}
+		if spans, _ := sessionSpans(cfg.Obs); len(spans) != 1 || spans[0].Err == "" || spans[0].Node != -1 || spans[0].Daemon != "coordinator" {
+			t.Fatalf("%s: failed session traced %+v; want one coordinator cluster:session span on node -1 carrying the error", name, spans)
+		}
+	}
+}

@@ -26,6 +26,7 @@ func normalizePassEvents(evs []obs.Event) []obs.PassEvent {
 			continue
 		}
 		p := *ev.Pass
+		p.GenSeconds = 0
 		p.ScanSeconds = 0
 		p.ExchangeSeconds = 0
 		p.WireBytes = 0

@@ -282,7 +282,7 @@ func TestMIHPBruteForceQuick(t *testing.T) {
 			MinSupCount:   2 + int(minRaw)%3,
 			MaxK:          4,
 			PartitionSize: 1 + int(partRaw)%40,
-			THTEntries:    1 + int(thtRaw)%64,
+			THTEntries:    1 + int(thtRaw)%130,
 		}
 		want := mining.BruteForce(db, opts)
 		got, err := core.MineMIHP(db, opts)

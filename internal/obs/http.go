@@ -107,6 +107,8 @@ func writeProm(w http.ResponseWriter, s Snapshot) {
 	counter("pmihp_pruned_tx_total", "Transactions pruned from working copies.")
 	fmt.Fprintf(w, "pmihp_pruned_tx_total %d\n", s.PrunedTx)
 
+	counter("pmihp_gen_seconds_total", "Wall clock spent in candidate generation and pruning.")
+	fmt.Fprintf(w, "pmihp_gen_seconds_total %g\n", s.GenSeconds)
 	counter("pmihp_scan_seconds_total", "Wall clock spent in counting scans.")
 	fmt.Fprintf(w, "pmihp_scan_seconds_total %g\n", s.ScanSeconds)
 	counter("pmihp_exchange_seconds_total", "Per-pass collective time attached to pass events.")

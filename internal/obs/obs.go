@@ -44,11 +44,14 @@ type PassEvent struct {
 	TrimmedItems int64 `json:"trimmed_items"`
 	PrunedTx     int64 `json:"pruned_tx"`
 
-	// ScanSeconds is measured wall clock of the counting scan.
-	// ExchangeSeconds is the collective time attached to this pass
-	// (Count Distribution's per-pass all-reduce; 0 for PMIHP, whose
-	// collectives are span events instead). WireBytes is the wire
-	// traffic of that collective when one exists.
+	// GenSeconds is measured wall clock of the pass's candidate
+	// generation and pruning, up to the start of its scan (MIHP and
+	// PMIHP nodes; 0 for Count Distribution). ScanSeconds is measured wall
+	// clock of the counting scan. ExchangeSeconds is the collective time
+	// attached to this pass (Count Distribution's per-pass all-reduce; 0
+	// for PMIHP, whose collectives are span events instead). WireBytes
+	// is the wire traffic of that collective when one exists.
+	GenSeconds      float64 `json:"gen_seconds,omitempty"`
 	ScanSeconds     float64 `json:"scan_seconds"`
 	ExchangeSeconds float64 `json:"exchange_seconds,omitempty"`
 	WireBytes       int64   `json:"wire_bytes,omitempty"`
@@ -128,6 +131,7 @@ type Recorder struct {
 	prunedSubset int64
 	trimmedItems int64
 	prunedTx     int64
+	genSeconds   float64
 	scanSeconds  float64
 	exchSeconds  float64
 	wireBytes    int64
@@ -188,6 +192,7 @@ func (r *Recorder) Pass(ev PassEvent) {
 	r.prunedSubset += ev.PrunedSubset
 	r.trimmedItems += ev.TrimmedItems
 	r.prunedTx += ev.PrunedTx
+	r.genSeconds += ev.GenSeconds
 	r.scanSeconds += ev.ScanSeconds
 	r.exchSeconds += ev.ExchangeSeconds
 	r.wireBytes += ev.WireBytes
@@ -350,6 +355,7 @@ type Snapshot struct {
 	PrunedSubset  int64                      `json:"pruned_subset"`
 	TrimmedItems  int64                      `json:"trimmed_items"`
 	PrunedTx      int64                      `json:"pruned_tx"`
+	GenSeconds    float64                    `json:"gen_seconds"`
 	ScanSeconds   float64                    `json:"scan_seconds"`
 	ExchSeconds   float64                    `json:"exchange_seconds"`
 	WireBytes     int64                      `json:"wire_bytes"`
@@ -379,6 +385,7 @@ func (r *Recorder) Snap() Snapshot {
 		PrunedSubset:  r.prunedSubset,
 		TrimmedItems:  r.trimmedItems,
 		PrunedTx:      r.prunedTx,
+		GenSeconds:    r.genSeconds,
 		ScanSeconds:   r.scanSeconds,
 		ExchSeconds:   r.exchSeconds,
 		WireBytes:     r.wireBytes,

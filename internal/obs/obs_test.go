@@ -43,8 +43,8 @@ func TestRecorderAggregatesAndTraceRoundTrip(t *testing.T) {
 	r := New(Config{Writer: &buf, Keep: true})
 	r.SetDaemon("127.0.0.1:9000")
 
-	r.Pass(PassEvent{Node: 0, Partition: 1, K: 2, Candidates: 10, PrunedTHT: 3, PrunedSubset: 2, TrimmedItems: 7, PrunedTx: 1, ScanSeconds: 0.5})
-	r.Pass(PassEvent{Node: 1, Partition: 0, K: 3, Candidates: 4, ScanSeconds: 0.25, ExchangeSeconds: 0.125, WireBytes: 64})
+	r.Pass(PassEvent{Node: 0, Partition: 1, K: 2, Candidates: 10, PrunedTHT: 3, PrunedSubset: 2, TrimmedItems: 7, PrunedTx: 1, GenSeconds: 1.5, ScanSeconds: 0.5})
+	r.Pass(PassEvent{Node: 1, Partition: 0, K: 3, Candidates: 4, GenSeconds: 0.5, ScanSeconds: 0.25, ExchangeSeconds: 0.125, WireBytes: 64})
 	r.Poll(PollEvent{Node: 0, K: 2, Sets: 6})
 	r.RecordSpan(SpanEvent{Name: "exchange:item-counts", Node: 1, Seconds: 0.5, Bytes: 100})
 	r.RecordSpan(SpanEvent{Name: "checkpoint:write", Node: -1, Seconds: 0.0625})
@@ -86,7 +86,7 @@ func TestRecorderAggregatesAndTraceRoundTrip(t *testing.T) {
 	if sum.PrunedTHT != 3 || sum.PrunedSubset != 2 || sum.TrimmedItems != 7 || sum.PrunedTx != 1 {
 		t.Fatalf("pruning totals = %+v", sum)
 	}
-	if sum.ScanSeconds != 0.75 || sum.ExchangeSeconds != 0.125 {
+	if sum.GenSeconds != 2 || sum.ScanSeconds != 0.75 || sum.ExchangeSeconds != 0.125 {
 		t.Fatalf("time totals = %+v", sum)
 	}
 	if sum.WireBytes != 64+100 {
@@ -99,7 +99,8 @@ func TestRecorderAggregatesAndTraceRoundTrip(t *testing.T) {
 	// Snapshot must agree with the replay.
 	snap := r.Snap()
 	if snap.Passes != sum.Passes || snap.WireBytes != sum.WireBytes ||
-		snap.ScanSeconds != sum.ScanSeconds || snap.ExchSeconds != sum.ExchangeSeconds {
+		snap.GenSeconds != sum.GenSeconds || snap.ScanSeconds != sum.ScanSeconds ||
+		snap.ExchSeconds != sum.ExchangeSeconds {
 		t.Fatalf("snapshot %+v disagrees with replay %+v", snap, sum)
 	}
 	if snap.PassK[0] != 2 || snap.PassK[1] != 3 {
@@ -226,7 +227,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("boom") }
 
 func TestHTTPEndpoint(t *testing.T) {
 	r := New(Config{})
-	r.Pass(PassEvent{Node: 0, K: 2, Candidates: 11, ScanSeconds: 0.5})
+	r.Pass(PassEvent{Node: 0, K: 2, Candidates: 11, GenSeconds: 0.25, ScanSeconds: 0.5})
 	r.Beat(0)
 	r.SetGauge("failovers_total", 2)
 	r.SetNodeGauge("peak_held_bytes", 0, 4096)
@@ -257,6 +258,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"pmihp_passes_total 1",
 		`pmihp_candidates_total{k="2"} 11`,
+		"pmihp_gen_seconds_total 0.25",
 		`pmihp_pass_current{node="0"} 2`,
 		"pmihp_failovers_total 2",
 		`pmihp_peak_held_bytes{node="0"} 4096`,
@@ -271,7 +273,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(get("/snapshot")), &snap); err != nil {
 		t.Fatalf("/snapshot not JSON: %v", err)
 	}
-	if snap.Passes != 1 || snap.CandidatesByK[2] != 11 {
+	if snap.Passes != 1 || snap.CandidatesByK[2] != 11 || snap.GenSeconds != 0.25 {
 		t.Fatalf("/snapshot = %+v", snap)
 	}
 

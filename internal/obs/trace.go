@@ -106,6 +106,7 @@ type Summary struct {
 	PrunedSubset    int64
 	TrimmedItems    int64
 	PrunedTx        int64
+	GenSeconds      float64
 	ScanSeconds     float64
 	ExchangeSeconds float64            // pass-attached collective time
 	SpanSeconds     map[string]float64 // by span name
@@ -141,6 +142,7 @@ func Summarize(events []Event) Summary {
 			s.PrunedSubset += p.PrunedSubset
 			s.TrimmedItems += p.TrimmedItems
 			s.PrunedTx += p.PrunedTx
+			s.GenSeconds += p.GenSeconds
 			s.ScanSeconds += p.ScanSeconds
 			s.ExchangeSeconds += p.ExchangeSeconds
 			s.WireBytes += p.WireBytes

@@ -1,7 +1,9 @@
 package tht
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -388,4 +390,72 @@ func TestGlobalAccessors(t *testing.T) {
 		}
 	}()
 	NewGlobal(nil)
+}
+
+// TestSlotIndexMeetsExactly: the slot index's union for an outer index
+// lists, ascending, exactly the later present positions whose masks meet
+// the outer row's, across one-word and multi-word geometries, saturated
+// rows (whose union is every later position) and universes with absent
+// items.
+func TestSlotIndexMeetsExactly(t *testing.T) {
+	saturated := 0
+	for _, tc := range []struct {
+		entries, docs, vocab, docLen int
+	}{
+		{1, 20, 40, 3},
+		{16, 50, 60, 8},
+		{64, 120, 150, 6},
+		{65, 300, 70, 4},
+		{100, 400, 15, 12},
+		{129, 200, 200, 9},
+	} {
+		local := retained(makeDB(int64(tc.entries), tc.docs, tc.vocab, tc.docLen), tc.entries)
+		// Every third item is missing from the universe's table view.
+		local.Retain(func(it itemset.Item) bool { return it%3 != 0 })
+		ps := NewGlobal([]*Local{local}).NewPairScan(identityUniverse(tc.vocab))
+		var present []int32
+		for pos := 0; pos < tc.vocab; pos++ {
+			if ps.Present(0, pos) {
+				present = append(present, int32(pos))
+			}
+		}
+		si := ps.NewSlotIndex(0, present)
+		if si.MaskWords() != local.mw {
+			t.Fatalf("entries=%d: MaskWords %d, want %d", tc.entries, si.MaskWords(), local.mw)
+		}
+		w := local.mw
+		var buf []uint64
+		for i, pa := range present {
+			ra := int(local.rowIdx[pa])
+			if int(local.occ[ra]) == tc.entries {
+				saturated++
+			}
+			var want []int
+			for k := i + 1; k < len(present); k++ {
+				rb := int(local.rowIdx[present[k]])
+				for j := 0; j < w; j++ {
+					if local.maskData[ra*w+j]&local.maskData[rb*w+j] != 0 {
+						want = append(want, k)
+						break
+					}
+				}
+			}
+			var union []uint64
+			var base int
+			union, base = si.Meets(i, buf)
+			buf = union
+			var got []int
+			for k, v := range union {
+				for ; v != 0; v &= v - 1 {
+					got = append(got, (base+k)*64+bits.TrailingZeros64(v))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("entries=%d: Meets(%d) = %v, want %v", tc.entries, i, got, want)
+			}
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no geometry has a saturated row")
+	}
 }

@@ -206,8 +206,9 @@ func (d *DB) SplitSkewAware(n int) []*DB {
 // far better than equalizing document counts when document length is
 // skewed by day. Like SplitChronological, each cut snaps to a day boundary
 // within Len/(4n) transactions when one exists, cuts stay strictly
-// increasing so every part is non-empty, and parts are CSR views into this
-// database's backing, not copies.
+// increasing so every part is non-empty (the leading parts are empty only
+// when there are fewer than n transactions), and parts are CSR views into
+// this database's backing, not copies.
 func (d *DB) SplitByWork(n int) []*DB {
 	offsets := d.offsets
 	return d.SplitByWeight(n, func(i int) int64 {
@@ -266,6 +267,8 @@ func (d *DB) SplitByWeight(n int, weight func(i int) int64) []*DB {
 		if max := d.Len() - (n - p); cut > max {
 			cut = max
 		}
+		// With fewer transactions than parts, the leading parts are empty.
+		cut = max(cut, cuts[len(cuts)-1])
 		cuts = append(cuts, cut)
 	}
 	cuts = append(cuts, d.Len())

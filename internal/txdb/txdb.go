@@ -197,6 +197,7 @@ func (d *DB) view(lo, hi int) *DB {
 // Day boundaries are respected when possible: the split point is moved to
 // the nearest day boundary that keeps every part non-empty; when the
 // database has no day structure (all Day==0) the split is purely by count.
+// A database of fewer than n transactions leaves its leading parts empty.
 // Parts are CSR views into this database's backing, not copies.
 func (d *DB) SplitChronological(n int) []*DB {
 	if n <= 0 {
@@ -232,6 +233,8 @@ func (d *DB) SplitChronological(n int) []*DB {
 		if max := d.Len() - (n - p); cut > max {
 			cut = max
 		}
+		// With fewer transactions than parts, the leading parts are empty.
+		cut = max(cut, cuts[len(cuts)-1])
 		cuts = append(cuts, cut)
 	}
 	cuts = append(cuts, d.Len())

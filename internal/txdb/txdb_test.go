@@ -98,6 +98,37 @@ func TestSplitChronologicalPartsCoverAll(t *testing.T) {
 	}
 }
 
+// TestSplitFewerTransactionsThanParts: both splits of a database with
+// fewer transactions than parts return n ordered parts that tile it, the
+// leading ones empty, instead of slicing out of range.
+func TestSplitFewerTransactionsThanParts(t *testing.T) {
+	for docs := 0; docs < 4; docs++ {
+		db := build(docs, 2, 10)
+		for _, n := range []int{2, 3, 5, 8} {
+			for name, parts := range map[string][]*DB{
+				"chronological": db.SplitChronological(n),
+				"by-work":       db.SplitByWork(n),
+			} {
+				if len(parts) != n {
+					t.Fatalf("%s docs=%d n=%d: %d parts", name, docs, n, len(parts))
+				}
+				next := 0
+				for _, p := range parts {
+					for i := 0; i < p.Len(); i++ {
+						if int(p.TIDOf(i)) != next {
+							t.Fatalf("%s docs=%d n=%d: TID %d, want %d", name, docs, n, p.TIDOf(i), next)
+						}
+						next++
+					}
+				}
+				if next != docs {
+					t.Fatalf("%s docs=%d n=%d: parts cover %d transactions", name, docs, n, next)
+				}
+			}
+		}
+	}
+}
+
 func TestSplitChronologicalBalance(t *testing.T) {
 	db := build(1427, 8, 60) // the paper's corpus B shape
 	parts := db.SplitChronological(8)

@@ -2,10 +2,11 @@
 # Observability smoke test: builds the binaries, starts a loopback
 # cluster with one worker exporting -metrics-addr and -trace-json,
 # mines corpus B over it, scrapes the worker's Prometheus endpoint
-# while the session's recorder is still live, and validates both the
-# scrape and the JSON trace (via pmihp-trace, which schema-checks every
-# line). Artifacts land in $OUT_DIR (default ./obs-smoke) so CI can
-# upload them.
+# while the session's recorder is still live, and validates the scrape
+# and both JSON traces (via pmihp-trace, which schema-checks every line):
+# the worker's must replay passes, the coordinator's must hold exactly
+# one cluster:session span. Artifacts land in $OUT_DIR (default
+# ./obs-smoke) so CI can upload them.
 #
 # Usage: scripts/obs_smoke.sh [out_dir]
 set -eu
@@ -75,5 +76,10 @@ echo "== validate traces against the event schema"
 "$out/pmihp-trace" -json "$out/node0-trace.jsonl" >"$out/node0-summary.json"
 passes=$("$out/pmihp-trace" "$out/node0-trace.jsonl" | sed -n 's/.*events, \([0-9]*\) passes.*/\1/p')
 [ "${passes:-0}" -gt 0 ] || { echo "worker trace recorded no passes"; exit 1; }
+# The coordinator records one cluster:session span per MineCluster call.
+"$out/pmihp-trace" "$out/coord-trace.jsonl"
+sessions=$(grep -c '"name":"cluster:session"' "$out/coord-trace.jsonl" || true)
+[ "$sessions" = 1 ] || {
+    echo "coordinator trace holds ${sessions:-0} cluster:session spans, want 1"; cat "$out/coord-trace.jsonl"; exit 1; }
 
-echo "== ok: worker trace replayed $passes passes, artifacts in $out/"
+echo "== ok: worker trace replayed $passes passes, coordinator trace one session span, artifacts in $out/"
