@@ -18,26 +18,20 @@ func MineMIHP(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	res := &mining.Result{Metrics: mining.NewMetrics("mihp")}
 	m := &res.Metrics
 
-	// Pass 1 (pseudo-code lines 5-12): count items and build the THTs.
-	local, counts := tht.BuildLocalShards(db, opts.THTEntries, opts.Workers())
+	// Pass 1 (pseudo-code lines 5-12): count items and build the THTs of
+	// the frequent ones, which are all the first pass keeps.
+	counts := db.ItemCounts()
+	freq, f1 := frequentItems(counts, minCount)
+	local := tht.Build(db, opts.THTEntries, counts, freq)
 	m.Passes++
 	m.AddCandidates(1, db.NumItems())
-	totalItems := db.TotalItems()
 	// Each occurrence is read and hashed into the item's THT.
-	m.Work.Charge(int64(totalItems), mining.CostScanItem+mining.CostTHTSlot)
-
-	var f1 []itemset.Item
-	freq := make(map[itemset.Item]bool)
-	for it, c := range counts {
-		if c >= minCount {
-			f1 = append(f1, itemset.Item(it))
-			freq[itemset.Item(it)] = true
-			res.Frequent = append(res.Frequent, itemset.Counted{
-				Set: itemset.Itemset{itemset.Item(it)}, Count: c,
-			})
-		}
+	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem+mining.CostTHTSlot)
+	for _, it := range f1 {
+		res.Frequent = append(res.Frequent, itemset.Counted{
+			Set: itemset.Itemset{it}, Count: counts[it],
+		})
 	}
-	local.Retain(func(it itemset.Item) bool { return freq[it] })
 	m.NoteCandidateBytes(int64(local.Bytes()))
 
 	if opts.MaxK == 1 || len(f1) < 2 {

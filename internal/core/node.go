@@ -107,8 +107,9 @@ type node struct {
 	pollErr   error
 }
 
-// RunNode executes the PMIHP node protocol over the exchange: pass-1 THT
-// build, item-count and THT exchanges over the n-cube, local MIHP that
+// RunNode executes the PMIHP node protocol over the exchange: pass-1 item
+// counts, the item-count exchange, the fill of the globally frequent
+// items' THT rows and the THT exchange over the n-cube, local MIHP that
 // polls peers for global candidates — after any pass that leaves
 // Opts.GlobalCandidateBatch of them queued (Interleaved), or behind a
 // barrier once every node finished mining (Deferred) — and the final
@@ -144,11 +145,14 @@ func (nd *node) run() error {
 		return fmt.Errorf("resume checkpoint for %d nodes, this session has %d", h.Resume.Nodes, n)
 	}
 
-	// ---- Pass 1: local THT build and item counts.
-	local, counts := tht.BuildLocalShards(db, entries, workers)
+	// ---- Pass 1, first half: local item counts. The THT rows wait for
+	// the global counts, which name the only items whose rows survive.
+	counts := db.ItemCounts()
 	if c := h.clock; c != nil {
-		// Pass-1 work advances the clock but stays out of Metrics.Work,
-		// which the busy/idle gauges read as mining plus poll service.
+		// The paper's pass 1 reads and hashes every occurrence, and the
+		// clock charges all of it here, before the count exchange. It
+		// stays out of Metrics.Work, which the busy/idle gauges read as
+		// mining plus poll service.
 		c.AdvanceWork(int64(db.TotalItems()) * (mining.CostScanItem + mining.CostTHTSlot))
 	}
 
@@ -195,10 +199,12 @@ func (nd *node) run() error {
 		return counts
 	})
 
-	// ---- Exchange: local THTs (frequent rows only), cascade assembly.
-	// Every run, resumed or not, passes through this collective, and
-	// exiting it is what licenses peers to start polling.
-	local.Retain(func(it itemset.Item) bool { return freq[it] })
+	// ---- Pass 1, second half: fill the THT rows of the globally
+	// frequent items this node holds. Then exchange the local THTs and
+	// assemble the cascade. Every run, resumed or not, passes through
+	// this collective, and exiting it is what licenses peers to start
+	// polling.
+	local := tht.Build(db, entries, counts, freq)
 	if err := nd.exchangeTHT(local); err != nil {
 		return err
 	}
@@ -357,13 +363,15 @@ func (nd *node) gather(phase transport.Phase, slot int, name string, v any, byte
 func barrierBlob() []byte { return []byte{1} }
 
 // measure starts timing a phase. The returned stop adds the wall clock
-// since to PhaseSeconds[slot] and returns the wire bytes moved meanwhile
-// (0 when observability is off).
+// since to PhaseSeconds[slot] and returns the wire bytes the node's own
+// traffic moved meanwhile (0 when observability is off). Polls the node
+// served for its peers during the phase are not its own traffic: how
+// many land inside the phase depends on goroutine scheduling.
 func (nd *node) measure(slot int) (stop func() int64) {
 	traced := nd.p.Opts.Obs.Enabled()
 	var before int64
 	if traced {
-		before = nd.x.Stats().Snapshot().TotalBytes()
+		before = nd.x.Stats().OwnBytes()
 	}
 	t0 := time.Now()
 	return func() int64 {
@@ -371,7 +379,7 @@ func (nd *node) measure(slot int) (stop func() int64) {
 		if !traced {
 			return 0
 		}
-		return nd.x.Stats().Snapshot().TotalBytes() - before
+		return nd.x.Stats().OwnBytes() - before
 	}
 }
 

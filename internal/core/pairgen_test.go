@@ -124,8 +124,7 @@ func TestPairGenMatchesPerPairLoop(t *testing.T) {
 		dbs := make([]*txdb.DB, nseg)
 		for p := range segs {
 			dbs[p] = skewedDB(rng, entries, numItems, saturate)
-			segs[p], _ = tht.BuildLocalShards(dbs[p], entries, 1)
-			segs[p].Retain(func(it itemset.Item) bool { return freqArr[it] })
+			segs[p] = tht.Build(dbs[p], entries, dbs[p].ItemCounts(), freqArr)
 		}
 		g := tht.NewGlobal(segs)
 		for self := 0; self < nseg; self++ {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pmihp/internal/corpus"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
+	"pmihp/internal/obs"
 )
 
 // requireSameList asserts two frequent lists are byte-identical: the
@@ -163,6 +165,45 @@ func TestPMIHPDeferredMode(t *testing.T) {
 	}
 	if def.GlobalCountSeconds < 0 {
 		t.Fatalf("negative global counting phase: %g", def.GlobalCountSeconds)
+	}
+}
+
+// TestPMIHPSpanBytesDeterministic: a node's phase spans charge only the
+// wire traffic of its own collectives and polls, so three identical traced
+// 8-node runs record the same bytes for every span on every node, however
+// the polls the nodes serve for each other interleave with their phases.
+func TestPMIHPSpanBytesDeterministic(t *testing.T) {
+	db := smallDB(t, corpus.CorpusB(corpus.Small))
+	var want map[string]int64
+	for run := 0; run < 3; run++ {
+		rec := obs.New(obs.Config{Keep: true})
+		if _, err := MinePMIHP(db, PMIHPConfig{Nodes: 8}, mining.Options{MinSupCount: 3, MaxK: 3, Obs: rec}); err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]int64)
+		for _, ev := range rec.Events() {
+			if sp := ev.Span; sp != nil {
+				got[fmt.Sprintf("node %d %s", sp.Node, sp.Name)] += sp.Bytes
+			}
+		}
+		if run == 0 {
+			want = got
+			polled := int64(0)
+			for key, b := range got {
+				if strings.HasSuffix(key, " poll:resolve") {
+					polled += b
+				}
+			}
+			if len(got) != 8*4 || polled == 0 {
+				t.Fatalf("%d node spans moving %d poll bytes; want 4 spans on each of 8 nodes, and polls", len(got), polled)
+			}
+			continue
+		}
+		for key, b := range want {
+			if got[key] != b {
+				t.Errorf("run %d: %s moved %d bytes, run 0 %d", run, key, got[key], b)
+			}
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"pmihp/internal/core"
 	"pmihp/internal/corpus"
-	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
 	"pmihp/internal/tht"
 )
@@ -80,21 +79,11 @@ func TestInProcessWireBytesUnderDense(t *testing.T) {
 	requireIdentical(t, pmihpRef(t, db, n, opts), got)
 
 	resolved := opts.WithDefaults()
-	parts := resolved.Partitioner.Split(db, n)
-	locals := make([]*tht.Local, n)
-	global := make([]int, db.NumItems())
-	for i, part := range parts {
-		var counts []int
-		locals[i], counts = tht.BuildLocalShards(part, max(resolved.THTEntries/n, 4), 1)
-		for it, c := range counts {
-			global[it] += c
-		}
-	}
-	freq, _, _ := core.FrequentItems(global, opts.MinSupCount)
+	freq, _, _ := core.FrequentItems(db.ItemCounts(), opts.MinSupCount)
 	// Each node's blob reaches the n-1 others, one send per reception.
 	var dense int64
-	for _, l := range locals {
-		l.Retain(func(it itemset.Item) bool { return freq[it] })
+	for _, part := range resolved.Partitioner.Split(db, n) {
+		l := tht.Build(part, max(resolved.THTEntries/n, 4), part.ItemCounts(), freq)
 		countBlob := 4 + 4*int64(db.NumItems()) // u32 length + one u32 per item
 		thtBlob := 12 + int64(l.Bytes())        // u32 geometry header + dense rows
 		dense += (n - 1) * (countBlob + thtBlob)

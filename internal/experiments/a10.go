@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pmihp/internal/cluster"
+	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/tht"
 )
@@ -34,18 +35,16 @@ func RunA10(p Params) (fmt.Stringer, error) {
 			continue
 		}
 		// Measure the real per-node THT payload: local tables over the
-		// node's slice, retained to the globally frequent items.
+		// node's slice, holding the globally frequent items' rows.
 		parts := b.db.SplitChronological(n)
-		globalMin := 2
-		counts := b.db.ItemCounts()
+		keep, _, _ := core.FrequentItems(b.db.ItemCounts(), 2)
 		entries := 400 / n
 		if entries < 4 {
 			entries = 4
 		}
 		maxBytes := int64(0)
 		for _, part := range parts {
-			local, _ := tht.BuildLocalShards(part, entries, 1)
-			local.Retain(func(it uint32) bool { return counts[it] >= globalMin })
+			local := tht.Build(part, entries, part.ItemCounts(), keep)
 			if bs := int64(local.Bytes()); bs > maxBytes {
 				maxBytes = bs
 			}

@@ -13,7 +13,8 @@ import (
 // proves a zero bound, a popcount at or above the threshold proves the
 // bound reaches it (every intersecting slot contributes at least one), and
 // otherwise only the few intersecting slots are summed. Every entry point
-// reads tables that Retain or DecodeWire returned, whose masks are built.
+// reads tables that Build, Retain or DecodeWire returned, whose masks are
+// built.
 //
 // This makes the evaluation cost proportional to the number of slots
 // where the items actually co-hash rather than to the table size —
@@ -27,7 +28,7 @@ import (
 // threshold. slots is the number of table slots (or mask words, charged at
 // the same rate) examined. A false result proves the bound — the sum over
 // slots of the minimum counter among x's items — is below threshold. l
-// must be a table that Retain or DecodeWire returned.
+// must be a table that Build, Retain or DecodeWire returned.
 func (l *Local) BoundReaches(x itemset.Itemset, threshold int) (reaches bool, slots int) {
 	sum, cost := l.boundUpTo(x, threshold)
 	return sum >= threshold, cost
@@ -139,8 +140,8 @@ func (l *Local) positiveBound(x itemset.Itemset) (positive bool, cost int) {
 
 // BoundReaches is the cascaded-table analogue: per-segment partial sums
 // accumulate across segments and evaluation stops as soon as the running
-// total reaches threshold. Every segment must be a table that Retain or
-// DecodeWire returned.
+// total reaches threshold. Every segment must be a table that Build,
+// Retain or DecodeWire returned.
 func (g *Global) BoundReaches(x itemset.Itemset, threshold int) (reaches bool, slots int) {
 	sum, total := 0, 0
 	for _, seg := range g.segments {
@@ -159,7 +160,7 @@ func (g *Global) BoundReaches(x itemset.Itemset, threshold int) (reaches bool, s
 // the extended slice with the total slot cost. It is the batch-classification
 // kernel behind flush: one call replaces a BoundReaches(x, 1) per peer,
 // with identical slot charges but no row fetches or allocations. Every
-// segment must be a table that Retain or DecodeWire returned.
+// segment must be a table that Build, Retain or DecodeWire returned.
 func (g *Global) PollPeers(x itemset.Itemset, self int, buf []int) (peers []int, slots int) {
 	peers = buf[:0]
 	for p, seg := range g.segments {
@@ -276,7 +277,7 @@ func (l *Local) pairSumBits(ra, rb int32, m uint64, stop int) (sum, cost int) {
 // (a mining run's globally frequent items) with every row lookup resolved
 // up front: per segment, the matrix row number of each universe position.
 // Row indexes stay valid until the next Retain, so a scan is built once per
-// run, after the post-pass-1 Retain, and reused for every partition.
+// run, after pass 1 built the kept rows, and reused for every partition.
 type PairScan struct {
 	g    *Global
 	rows [][]int32 // [segment][pos] row number of universe[pos], -1 absent
@@ -392,8 +393,8 @@ func (ps *PairScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) 
 // bound 0, so the slots of an outer row name exactly the partners whose
 // bound can be positive; Meets ORs those slots' bitsets together instead
 // of testing the outer row's mask against every partner's. Like a
-// PairScan, an index is built once per run, after the post-pass-1 Retain,
-// stays valid until the next Retain, and is read-only, so concurrent
+// PairScan, an index is built once per run, after pass 1 built the kept
+// rows, stays valid until the next Retain, and is read-only, so concurrent
 // generation workers share one.
 type SlotIndex struct {
 	l     *Local

@@ -7,19 +7,19 @@ package tht
 // paper targets), where most candidate pairs never co-hash at all. The mask
 // is an implementation device for the same table the paper defines; work
 // charging for mask words uses the same CostTHTSlot rate as slot scans.
-// Retain and DecodeWire build the masks of every row they keep, so every
-// table a bound reads has them.
+// Build, Retain and DecodeWire build the masks of every row they keep, so
+// every table a bound reads has them.
 
 // maskWords returns the number of 64-bit words covering the slot space.
 func (l *Local) maskWords() int { return l.mw }
 
-// BuildMasks materializes the occupancy masks for every current row. Retain
-// runs it after compacting the kept rows.
+// BuildMasks materializes the occupancy masks for every current row. Build
+// runs it after filling the kept rows, Retain after compacting them.
 func (l *Local) BuildMasks() {
 	w := l.maskWords()
 	h := l.entries
 	// One flat mask matrix, row-aligned with the counter matrix: built once
-	// per run, right after Retain, when the live row count is known.
+	// per run, when the live row count is known.
 	l.maskData = make([]uint64, len(l.rowItem)*w)
 	l.occ = make([]int32, len(l.rowItem))
 	for r := range l.rowItem {

@@ -44,24 +44,37 @@ func requireMasks(t testing.TB, l *Local) {
 	}
 }
 
-// TestMasksMatchCounters: every table a bound can read — a build at any
-// worker count followed by Retain, or a decoded peer segment — carries
-// masks that match its counters, in one-word and multi-word geometries.
+// TestMasksMatchCounters: every table a bound can read — a build of the
+// kept rows, BuildLocalShards at any worker count followed by Retain, or
+// a decoded peer segment — carries masks that match its counters, in
+// one-word and multi-word geometries, and the Retain path yields the
+// table Build does.
 func TestMasksMatchCounters(t *testing.T) {
 	db := makeDB(13, 300, 200, 25)
 	keep := func(it itemset.Item) bool { return it%5 != 0 }
-	for _, entries := range []int{16, 50, 400} {
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("entries=%d/workers=%d", entries, workers), func(t *testing.T) {
-				l, _ := BuildLocalShards(db, entries, workers)
-				l.Retain(keep)
-				requireMasks(t, l)
-				got, err := DecodeWire(l.AppendWire(nil), entries, db.NumItems())
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireMasks(t, got)
-			})
+	requireMasksRoundTrip := func(t *testing.T, l *Local, entries int) {
+		t.Helper()
+		requireMasks(t, l)
+		got, err := DecodeWire(l.AppendWire(nil), entries, db.NumItems())
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireMasks(t, got)
+	}
+	for _, entries := range []int{16, 50, 400} {
+		t.Run(fmt.Sprintf("entries=%d", entries), func(t *testing.T) {
+			want := built(db, entries, keep)
+			requireMasksRoundTrip(t, want, entries)
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					l, _ := BuildLocalShards(db, entries, workers)
+					l.Retain(keep)
+					requireMasksRoundTrip(t, l, entries)
+					if err := sameTable(l, want); err != "" {
+						t.Fatalf("BuildLocalShards then Retain against Build: %s", err)
+					}
+				})
+			}
+		})
 	}
 }

@@ -18,27 +18,25 @@
 // Tables are stored as one row-major counter matrix: all rows live in a
 // single []uint32 with stride Entries, addressed through a dense item→row
 // index. The bound evaluations that run once per candidate pair cost an
-// array index instead of a map probe, consecutive rows share cache lines,
-// and dropping pruned rows (Retain) compacts the matrix in place, so the
-// resident table size tracks the live vocabulary, not the initial one.
-// Retain then builds the per-row occupancy masks (mask.go) that every
-// bound reads.
+// array index instead of a map probe, and consecutive rows share cache
+// lines. Pass 1 counts the items first and then fills rows only for the
+// items it keeps (Build), so the matrix is sized for the live vocabulary,
+// not the whole one. Build then builds the per-row occupancy masks
+// (mask.go) that every bound reads.
 package tht
 
 import (
 	"fmt"
 
 	"pmihp/internal/itemset"
-	"pmihp/internal/mining"
 	"pmihp/internal/txdb"
 )
 
 // Local is the TID hash table set of one processing node: one counter row
-// of Entries slots per item that occurs in the node's local database, all
-// rows backed by a single row-major matrix in ascending item order.
-// BuildLocalShards builds one; Retain prunes it and builds the occupancy
-// masks that every bound reads (DecodeWire builds them for a peer's
-// segment).
+// of Entries slots per kept item that occurs in the node's local database,
+// all rows backed by a single row-major matrix in ascending item order.
+// Build fills one and builds the occupancy masks that every bound reads
+// (DecodeWire builds them for a peer's segment).
 type Local struct {
 	entries int
 	mw      int // maskWords(entries), cached: fetches run once per candidate pair
@@ -51,7 +49,7 @@ type Local struct {
 	// data is the counter matrix: row r is data[r*entries : (r+1)*entries].
 	data []uint32
 	// maskData is the occupancy-mask matrix (stride maskWords), row-aligned
-	// with data, built by Retain or DecodeWire.
+	// with data, built by Build, Retain or DecodeWire.
 	maskData []uint64
 	// occ[r] is the number of occupied slots of row r (the popcount of its
 	// mask), maintained alongside maskData. A saturated row — every slot
@@ -91,96 +89,56 @@ func (l *Local) NumItems() int { return len(l.rowItem) }
 // order, so modulo hashing spreads them uniformly.
 func (l *Local) hash(tid txdb.TID) int { return int(tid) % l.entries }
 
-// newLocalFromCounts returns a Local whose matrix is exactly sized for the
-// items with a positive count, rows in item order. The counters are zero;
-// the caller fills them.
-func newLocalFromCounts(entries int, counts []int) *Local {
-	l := newLocal(entries, len(counts))
-	rows := 0
-	for _, c := range counts {
-		if c > 0 {
-			rows++
-		}
-	}
-	l.rowItem = make([]itemset.Item, 0, rows)
-	l.data = make([]uint32, rows*entries)
+// Build fills the table set of IHP's first pass once the items are
+// counted: a counter row for every item that keep selects and that occurs
+// in db, in ascending item order, and the occupancy masks of those rows.
+// counts are db's item counts (db.ItemCounts()) and keep is indexed by
+// item id; a kept item that db does not hold gets no row. The matrix is
+// sized for the kept rows before one serial scan fills it, so pass 1
+// never allocates a row it would drop ("after the first pass we can
+// remove the THTs of the items which are not contained in the set of
+// frequent 1-itemsets"). The hash slot — a function of the TID alone —
+// is computed once per transaction, not once per occurrence.
+func Build(db *txdb.DB, entries int, counts []int, keep []bool) *Local {
+	l := fill(db, entries, counts, keep)
+	l.BuildMasks()
+	return l
+}
+
+// fill is Build without the masks.
+func fill(db *txdb.DB, entries int, counts []int, keep []bool) *Local {
+	l := newLocal(entries, db.NumItems())
 	for it, c := range counts {
-		if c > 0 {
+		if c > 0 && keep[it] {
 			l.rowIdx[it] = int32(len(l.rowItem))
 			l.rowItem = append(l.rowItem, itemset.Item(it))
+		}
+	}
+	l.data = make([]uint32, len(l.rowItem)*entries)
+	items, offsets, tids := db.CSR()
+	for i, tid := range tids {
+		j := l.hash(tid)
+		for _, it := range items[offsets[i]:offsets[i+1]] {
+			if r := l.rowIdx[it]; r >= 0 {
+				l.data[int(r)*entries+j]++
+			}
 		}
 	}
 	return l
 }
 
-// BuildLocalShards scans a database once — the first pass of IHP — and
-// returns its table set alongside the per-item occurrence counts (the
-// support of each 1-itemset). The scan is sharded across up to workers
-// goroutines: each shard builds a private table over a contiguous
-// transaction range, and the shards merge by entrywise summation, so the
-// result is identical for every worker count. The scan walks the
-// database's CSR arrays directly in two passes — item counts first, then
-// counter fills into an exactly-sized matrix, so the build never grows
-// (and never re-copies) the backing. The hash slot — a function of the TID
-// alone — is computed once per transaction, not once per occurrence.
+// BuildLocalShards returns db's item counts and a maskless table with a
+// row for every item that occurs in db, for a caller that picks the kept
+// rows afterwards with Retain, which builds their masks. It ignores
+// workers. Miners call Build with the kept items instead, which never
+// allocates the rows Retain would drop.
 func BuildLocalShards(db *txdb.DB, entries, workers int) (*Local, []int) {
-	n := db.Len()
-	numItems := db.NumItems()
-	items, offsets, tids := db.CSR()
-	build := func(lo, hi int) (*Local, []int) {
-		counts := make([]int, numItems)
-		for _, it := range items[offsets[lo]:offsets[hi]] {
-			counts[it]++
-		}
-		l := newLocalFromCounts(entries, counts)
-		for i := lo; i < hi; i++ {
-			j := l.hash(tids[i])
-			for _, it := range items[offsets[i]:offsets[i+1]] {
-				l.data[int(l.rowIdx[it])*entries+j]++
-			}
-		}
-		return l, counts
+	counts := db.ItemCounts()
+	all := make([]bool, len(counts))
+	for it := range all {
+		all[it] = true
 	}
-	// Each shard allocates and fills a whole Local for its range, so the
-	// build uses the static one-range-per-shard partition: the chunk-queue
-	// scheduler would construct (and merge) one table per chunk.
-	shards := mining.NumStatic(n, workers)
-	if shards <= 1 {
-		return build(0, n)
-	}
-	locals := make([]*Local, shards)
-	countsByShard := make([][]int, shards)
-	mining.RunStatic(n, workers, func(s, lo, hi int) {
-		locals[s], countsByShard[s] = build(lo, hi)
-	})
-	counts := countsByShard[0]
-	for s := 1; s < shards; s++ {
-		for it, c := range countsByShard[s] {
-			counts[it] += c
-		}
-	}
-	// The union matrix is exactly sized from the merged counts, so folding
-	// the shard tables in never adds a row.
-	merged := newLocalFromCounts(entries, counts)
-	for _, l := range locals {
-		merged.addFrom(l)
-	}
-	return merged, counts
-}
-
-// addFrom folds a shard's table into l by entrywise summation (the shard
-// merge of BuildLocalShards). l is sized from the merged counts, so every
-// row of the shard already has its row in l.
-func (l *Local) addFrom(o *Local) {
-	h := l.entries
-	for r, it := range o.rowItem {
-		src := o.data[r*h : (r+1)*h]
-		dr := int(l.rowIdx[it])
-		dst := l.data[dr*h : (dr+1)*h]
-		for j, c := range src {
-			dst[j] += c
-		}
-	}
+	return fill(db, entries, counts, all), counts
 }
 
 // row returns the counter array of an item, or nil when the item has no
@@ -195,12 +153,10 @@ func (l *Local) row(it itemset.Item) []uint32 {
 	return l.data[lo : lo+l.entries : lo+l.entries]
 }
 
-// Retain drops the table of every item for which keep returns false —
-// "after the first pass we can remove the THTs of the items which are not
-// contained in the set of frequent 1-itemsets" — and builds the occupancy
-// masks of the rows it keeps. Surviving rows are compacted to the front of
-// the matrix and the backing truncated, so a pruned vocabulary actually
-// shrinks the resident table.
+// Retain drops the table of every item for which keep returns false and
+// rebuilds the occupancy masks of the rows it keeps. Surviving rows are
+// compacted to the front of the matrix and the backing truncated. Pass 1
+// does not need it: Build never allocates the rows it would drop.
 func (l *Local) Retain(keep func(itemset.Item) bool) {
 	h := l.entries
 	next := 0

@@ -28,12 +28,19 @@ func makeDB(seed int64, docs, vocab, docLen int) *txdb.DB {
 	return txdb.New(txs, vocab)
 }
 
-// retained builds db's table set and keeps every row, so its masks are
-// built — the table a miner bounds with after the post-pass-1 Retain.
+// built fills db's table set with the rows of the items keep selects, as
+// pass 1 does with the frequent items.
+func built(db *txdb.DB, entries int, keep func(itemset.Item) bool) *Local {
+	k := make([]bool, db.NumItems())
+	for it := range k {
+		k[it] = keep(itemset.Item(it))
+	}
+	return Build(db, entries, db.ItemCounts(), k)
+}
+
+// retained builds db's table set with a row for every item that occurs.
 func retained(db *txdb.DB, entries int) *Local {
-	l, _ := BuildLocalShards(db, entries, 1)
-	l.Retain(func(itemset.Item) bool { return true })
-	return l
+	return built(db, entries, func(itemset.Item) bool { return true })
 }
 
 func support(db *txdb.DB, x itemset.Itemset) int {
@@ -104,7 +111,7 @@ func cascadeMaxPossible(g *Global, x itemset.Itemset) int {
 func TestMaxPossibleIsUpperBound(t *testing.T) {
 	for _, entries := range []int{1, 3, 16, 50, 400} {
 		db := makeDB(int64(entries), 80, 120, 12)
-		local, counts := BuildLocalShards(db, entries, 1)
+		local, counts := retained(db, entries), db.ItemCounts()
 		rng := rand.New(rand.NewSource(99))
 		for trial := 0; trial < 300; trial++ {
 			k := 1 + rng.Intn(3)
@@ -268,9 +275,52 @@ func TestPositivePeersComplete(t *testing.T) {
 	}
 }
 
+// TestPollPeersMatchesPerPeerBounds: PollPeers must select exactly the peers
+// a per-peer BoundReaches(x, 1) loop selects, with the same total slot
+// charge.
+func TestPollPeersMatchesPerPeerBounds(t *testing.T) {
+	locals := make([]*Local, 4)
+	for s := range locals {
+		locals[s] = built(makeDB(int64(s+11), 60, 300, 25), 8, func(it itemset.Item) bool { return it%3 != 0 })
+	}
+	g := NewGlobal(locals)
+	rng := rand.New(rand.NewSource(5))
+	var buf []int
+	for trial := 0; trial < 300; trial++ {
+		k := 1 + rng.Intn(3)
+		raw := make([]uint32, k)
+		for j := range raw {
+			raw[j] = uint32(rng.Intn(300))
+		}
+		x := itemset.New(raw...)
+		self := rng.Intn(4)
+
+		var wantPeers []int
+		wantSlots := 0
+		for p := 0; p < g.NumSegments(); p++ {
+			if p == self {
+				continue
+			}
+			ok, slots := g.Segment(p).BoundReaches(x, 1)
+			wantSlots += slots
+			if ok {
+				wantPeers = append(wantPeers, p)
+			}
+		}
+
+		gotPeers, gotSlots := g.PollPeers(x, self, buf)
+		buf = gotPeers
+		if gotSlots != wantSlots {
+			t.Fatalf("x=%v self=%d: slots %d, want %d", x, self, gotSlots, wantSlots)
+		}
+		if !slices.Equal(gotPeers, wantPeers) {
+			t.Fatalf("x=%v self=%d: peers %v, want %v", x, self, gotPeers, wantPeers)
+		}
+	}
+}
+
 func TestRetainDropsRowsAndMasks(t *testing.T) {
-	db := makeDB(8, 30, 40, 6)
-	local, _ := BuildLocalShards(db, 8, 1)
+	local := retained(makeDB(8, 30, 40, 6), 8)
 	local.Retain(func(it itemset.Item) bool { return it%2 == 0 })
 	for it := itemset.Item(0); it < 40; it++ {
 		if it%2 == 0 {
@@ -409,9 +459,9 @@ func TestSlotIndexMeetsExactly(t *testing.T) {
 		{100, 400, 15, 12},
 		{129, 200, 200, 9},
 	} {
-		local := retained(makeDB(int64(tc.entries), tc.docs, tc.vocab, tc.docLen), tc.entries)
 		// Every third item is missing from the universe's table view.
-		local.Retain(func(it itemset.Item) bool { return it%3 != 0 })
+		local := built(makeDB(int64(tc.entries), tc.docs, tc.vocab, tc.docLen), tc.entries,
+			func(it itemset.Item) bool { return it%3 != 0 })
 		ps := NewGlobal([]*Local{local}).NewPairScan(identityUniverse(tc.vocab))
 		var present []int32
 		for pos := 0; pos < tc.vocab; pos++ {

@@ -35,8 +35,7 @@ func FuzzTHTWire(f *testing.F) {
 		seed := int64(h.Sum64())
 		vocab := 8 + int(numItems)%40
 		db := makeDB(seed, 1+len(data)%40, vocab, 1+int(entries)%8)
-		l, _ := BuildLocalShards(db, e, 1)
-		l.Retain(func(it itemset.Item) bool { return (int64(it)+seed)%4 != 0 })
+		l := built(db, e, func(it itemset.Item) bool { return (int64(it)+seed)%4 != 0 })
 		enc := l.AppendWire(nil)
 		got, err := DecodeWire(enc, e, vocab)
 		if err != nil {

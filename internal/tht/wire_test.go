@@ -23,8 +23,7 @@ func buildWireFixture(t testing.TB) *Local {
 		{TID: 2, Items: itemset.Itemset{0, 9}},
 		{TID: 3, Items: itemset.Itemset{5}},
 	}, fixItems)
-	l, _ := BuildLocalShards(db, fixEntries, 1)
-	return l
+	return retained(db, fixEntries)
 }
 
 func TestWireRoundTrip(t *testing.T) {
@@ -186,15 +185,7 @@ func TestWireCascadeBoundFidelity(t *testing.T) {
 	const n, entries, globalMin = 4, 8, 6
 
 	parts := db.SplitChronological(n)
-	globalCounts := make([]int, db.NumItems())
-	locals := make([]*Local, n)
-	for i, part := range parts {
-		local, counts := BuildLocalShards(part, entries, 1)
-		locals[i] = local
-		for it, c := range counts {
-			globalCounts[it] += c
-		}
-	}
+	globalCounts := db.ItemCounts()
 	var f1 []itemset.Item
 	for it, c := range globalCounts {
 		if c >= globalMin {
@@ -204,10 +195,11 @@ func TestWireCascadeBoundFidelity(t *testing.T) {
 	if len(f1) < 4 {
 		t.Fatalf("corpus too sparse: %d frequent items", len(f1))
 	}
+	locals := make([]*Local, n)
 	decoded := make([]*Local, n)
-	for i, local := range locals {
-		local.Retain(func(it itemset.Item) bool { return globalCounts[it] >= globalMin })
-		blob := local.AppendWire(nil)
+	for i, part := range parts {
+		locals[i] = built(part, entries, func(it itemset.Item) bool { return globalCounts[it] >= globalMin })
+		blob := locals[i].AppendWire(nil)
 		if decoded[i], err = DecodeWire(blob, entries, db.NumItems()); err != nil {
 			t.Fatal(err)
 		}

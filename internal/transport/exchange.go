@@ -281,7 +281,7 @@ func (e *ChanExchange) Poll(peer, k int, sets []itemset.Itemset) ([]int32, error
 	repBytes := int64(frameHeaderLen + 4 + 4*len(counts))
 	e.stats.AddSent(1, reqBytes)
 	e.stats.AddRecv(1, repBytes)
-	p.stats.AddRecv(1, reqBytes)
-	p.stats.AddSent(1, repBytes)
+	p.stats.AddServedRecv(reqBytes)
+	p.stats.AddServedSent(repBytes)
 	return counts, nil
 }

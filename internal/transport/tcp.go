@@ -559,28 +559,37 @@ func (x *TCPExchange) Poll(peer, k int, sets []itemset.Itemset) ([]int32, error)
 }
 
 // servePollConn answers candidate batches on one incoming poll
-// connection until it closes.
+// connection until it closes. Its frames count as poll service in the
+// wire statistics (AddServedRecv, AddServedSent).
 func (x *TCPExchange) servePollConn(conn net.Conn) {
+	reply := func(t uint8, payload []byte) error {
+		err := WriteFrame(conn, t, payload, nil)
+		if err == nil {
+			x.stats.AddServedSent(int64(frameHeaderLen + len(payload)))
+		}
+		return err
+	}
 	for {
 		conn.SetReadDeadline(time.Now().Add(x.opt.WaitTimeout))
-		t, payload, err := ReadFrame(conn, &x.stats)
+		t, payload, err := ReadFrame(conn, nil)
 		if err != nil {
 			return
 		}
+		x.stats.AddServedRecv(int64(frameHeaderLen + len(payload)))
 		if t != MsgCandidateBatch {
-			WriteFrame(conn, MsgError, AppendError(nil, ErrorMsg{Text: fmt.Sprintf("unexpected message type %d on poll channel", t)}), &x.stats)
+			reply(MsgError, AppendError(nil, ErrorMsg{Text: fmt.Sprintf("unexpected message type %d on poll channel", t)}))
 			return
 		}
 		cb, err := DecodeCandidateBatch(payload)
 		if err != nil {
-			WriteFrame(conn, MsgError, AppendError(nil, ErrorMsg{Text: "bad candidate batch: " + err.Error()}), &x.stats)
+			reply(MsgError, AppendError(nil, ErrorMsg{Text: "bad candidate batch: " + err.Error()}))
 			return
 		}
 		x.pollMu.Lock()
 		h := x.poll
 		x.pollMu.Unlock()
 		if h == nil {
-			WriteFrame(conn, MsgError, AppendError(nil, ErrorMsg{Text: "poll handler not installed"}), &x.stats)
+			reply(MsgError, AppendError(nil, ErrorMsg{Text: "poll handler not installed"}))
 			return
 		}
 		sets := cb.Sets()
@@ -588,7 +597,7 @@ func (x *TCPExchange) servePollConn(conn net.Conn) {
 		counts := h(int(cb.K), sets)
 		x.servePollMu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(x.opt.IOTimeout))
-		if err := WriteFrame(conn, MsgCountVector, AppendCountVector(nil, CountVector{Counts: counts}), &x.stats); err != nil {
+		if err := reply(MsgCountVector, AppendCountVector(nil, CountVector{Counts: counts})); err != nil {
 			return
 		}
 	}

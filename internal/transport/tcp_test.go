@@ -160,9 +160,16 @@ func TestTCPPoll(t *testing.T) {
 	if len(counts) != 2 || counts[0] != 6 || counts[1] != 10 {
 		t.Fatalf("counts = %v, want [6 10]", counts)
 	}
-	// Second poll reuses the persistent connection.
+	// Second poll reuses the persistent connection. The peer's answer
+	// counts in its wire totals but not in its own traffic.
+	peer := xs[1].Stats()
+	own, before := peer.OwnBytes(), peer.Snapshot()
 	if _, err := xs[0].Poll(1, 2, sets); err != nil {
 		t.Fatalf("second Poll: %v", err)
+	}
+	if after := peer.Snapshot(); peer.OwnBytes() != own || after.BytesReceived <= before.BytesReceived {
+		t.Fatalf("answering a poll: own bytes %d -> %d, received %d -> %d",
+			own, peer.OwnBytes(), before.BytesReceived, after.BytesReceived)
 	}
 	if s := xs[0].Stats().Snapshot(); s.Retries != 0 {
 		t.Fatalf("unexpected retries: %+v", s)
@@ -325,9 +332,20 @@ func TestChanExchangeAllGatherAndPoll(t *testing.T) {
 		}
 		return counts
 	})
+	peer, poller := xs[2].Stats(), xs[0].Stats()
+	own, before, pBefore := peer.OwnBytes(), peer.Snapshot(), poller.Snapshot()
 	counts, err := xs[0].Poll(2, 1, []itemset.Itemset{{4}})
 	if err != nil || len(counts) != 1 || counts[0] != 7 {
 		t.Fatalf("Poll = %v, %v", counts, err)
+	}
+	// The answer counts in the peer's wire totals, mirroring the
+	// poller's, but not in the peer's own traffic.
+	after, pAfter := peer.Snapshot(), poller.Snapshot()
+	if peer.OwnBytes() != own ||
+		after.BytesReceived-before.BytesReceived != pAfter.BytesSent-pBefore.BytesSent ||
+		after.BytesSent-before.BytesSent != pAfter.BytesReceived-pBefore.BytesReceived {
+		t.Fatalf("answering a poll: own bytes %d -> %d, totals %+v -> %+v, poller %+v -> %+v",
+			own, peer.OwnBytes(), before, after, pBefore, pAfter)
 	}
 	if _, err := xs[0].Poll(0, 1, nil); err == nil {
 		t.Fatal("want error for self-poll")

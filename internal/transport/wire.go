@@ -86,13 +86,19 @@ const (
 
 // WireStats accumulates a node's real traffic counters. All methods are
 // safe for concurrent use; collectives, poll clients, and accept
-// handlers all feed the same instance.
+// handlers all feed the same instance. The bytes of polls the node
+// answers for its peers are kept apart from its own traffic: the
+// totals (Snapshot) include them, OwnBytes does not, so a phase span
+// charges only what the node itself moved, whatever its peers polled
+// meanwhile.
 type WireStats struct {
-	msgsSent  atomic.Int64
-	msgsRecv  atomic.Int64
-	bytesSent atomic.Int64
-	bytesRecv atomic.Int64
-	retries   atomic.Int64
+	msgsSent   atomic.Int64
+	msgsRecv   atomic.Int64
+	bytesSent  atomic.Int64 // own traffic
+	bytesRecv  atomic.Int64
+	servedSent atomic.Int64 // poll service for peers
+	servedRecv atomic.Int64
+	retries    atomic.Int64
 }
 
 // WireStatsSnapshot is a point-in-time copy of WireStats, and the form
@@ -117,16 +123,33 @@ func (s *WireStats) AddRecv(n int, b int64) {
 	s.bytesRecv.Add(b)
 }
 
+// AddServedRecv records one poll request of b wire bytes from a peer.
+func (s *WireStats) AddServedRecv(b int64) {
+	s.msgsRecv.Add(1)
+	s.servedRecv.Add(b)
+}
+
+// AddServedSent records one poll reply (or error) of b wire bytes to a
+// peer.
+func (s *WireStats) AddServedSent(b int64) {
+	s.msgsSent.Add(1)
+	s.servedSent.Add(b)
+}
+
 // AddRetry records a retried operation.
 func (s *WireStats) AddRetry() { s.retries.Add(1) }
 
-// Snapshot returns the current totals.
+// OwnBytes returns the bytes sent plus received other than poll service
+// for peers.
+func (s *WireStats) OwnBytes() int64 { return s.bytesSent.Load() + s.bytesRecv.Load() }
+
+// Snapshot returns the current totals, poll service included.
 func (s *WireStats) Snapshot() WireStatsSnapshot {
 	return WireStatsSnapshot{
 		MessagesSent:     s.msgsSent.Load(),
 		MessagesReceived: s.msgsRecv.Load(),
-		BytesSent:        s.bytesSent.Load(),
-		BytesReceived:    s.bytesRecv.Load(),
+		BytesSent:        s.bytesSent.Load() + s.servedSent.Load(),
+		BytesReceived:    s.bytesRecv.Load() + s.servedRecv.Load(),
 		Retries:          s.retries.Load(),
 	}
 }
@@ -139,9 +162,6 @@ func (s *WireStatsSnapshot) Add(o WireStatsSnapshot) {
 	s.BytesReceived += o.BytesReceived
 	s.Retries += o.Retries
 }
-
-// TotalBytes returns bytes sent plus received.
-func (s WireStatsSnapshot) TotalBytes() int64 { return s.BytesSent + s.BytesReceived }
 
 // WriteFrame writes one length-prefixed frame. stats may be nil.
 func WriteFrame(w io.Writer, msgType uint8, payload []byte, stats *WireStats) error {
