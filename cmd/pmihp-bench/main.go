@@ -1,34 +1,27 @@
 // Command pmihp-bench regenerates the paper's tables and figures (and the
-// ablations in DESIGN.md) from the synthetic corpora.
+// ablations in DESIGN.md) from the synthetic corpora. The first argument
+// names the subcommand, which accepts only the flags it reads
+// (`pmihp-bench <subcommand> -h` lists them):
 //
-// Usage:
+//	pmihp-bench list
+//	pmihp-bench exp [-scale small|harness|paper] [-v] e1|all
+//	pmihp-bench figures -json bench.json [-scale small|harness|paper] [-v]
+//	pmihp-bench sched-compare [-scale small|harness|paper] [-v] [-report sched.json]
+//	pmihp-bench serve-load -url http://127.0.0.1:8397 [-report load.json]
 //
-//	pmihp-bench -list
-//	pmihp-bench -exp e1 [-scale small|harness|paper] [-v]
-//	pmihp-bench -exp all
-//	pmihp-bench -benchjson bench.json [-scale small|harness|paper] [-v]
-//	pmihp-bench -exp e3 -cpuprofile cpu.prof -memprofile mem.prof
-//	pmihp-bench -serve-load http://127.0.0.1:8397 -serve-report load.json
-//
-// The -benchjson mode runs the figure workloads (internal/benchharness)
-// under testing.Benchmark and writes each one's ns/op and allocs/op
-// beside its outcome — simulated seconds, bytes held, charged work units,
-// and candidates and frequent itemsets per k — as JSON. It gates nothing:
-// the outcomes are pinned at small scale by
-// benchharness.TestFigureOutcomesGolden, and wall-clock time is compared
-// only against the parent commit on the same host, by perfbench/.
-//
-// The -serve-load mode drives a running pmihp-serve daemon with concurrent
-// clients issuing Zipf-distributed /expand queries, a cold-cache phase and
-// then a warm-cache replay of the same sequence, and prints QPS, latency
-// quantiles, and error counts per phase; -serve-report writes the full JSON
-// report. It exits nonzero when any request errors out.
-//
-// -cpuprofile and -memprofile write pprof profiles covering the whole run
-// (any mode), for `go tool pprof`.
+// figures writes each figure workload's (internal/benchharness) ns/op and
+// allocs/op beside its outcome as JSON and gates nothing: the outcomes
+// are pinned by benchharness.TestFigureOutcomesGolden, wall-clock time
+// by perfbench/. sched-compare gates the static-vs-elastic scheduler
+// comparison on the skewed corpus; serve-load drives a running
+// pmihp-serve through a cold-cache and a warm-cache phase of Zipf
+// /expand queries and fails on any request error. exp, figures and
+// sched-compare take -cpuprofile and -memprofile. The exit status is 2
+// for a usage error and 1 for a failed run or gate.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,228 +36,235 @@ import (
 	"pmihp/internal/experiments"
 )
 
-// main delegates to realMain so deferred profile writers run before exit.
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func realMain() int {
-	var (
-		expID      = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale      = flag.String("scale", "harness", "corpus scale: small, harness, or paper")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		verbose    = flag.Bool("v", false, "log progress to stderr")
-		benchJSON  = flag.String("benchjson", "", "run the benchmark harness and write results to this JSON file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
+const usage = "usage: pmihp-bench list|figures|sched-compare|serve-load [flags]\n       pmihp-bench exp [flags] <id>|all"
 
-		serveLoad   = flag.String("serve-load", "", "load-test the pmihp-serve daemon at this base URL")
-		serveClient = flag.Int("serve-clients", 8, "concurrent clients for -serve-load")
-		serveReqs   = flag.Int("serve-requests", 2000, "requests per phase for -serve-load")
-		serveZipfS  = flag.Float64("serve-zipf-s", 1.2, "Zipf s parameter for -serve-load head selection (> 1)")
-		serveLimit  = flag.Int("serve-limit", 5, "per-word term limit sent with -serve-load queries")
-		serveSeed   = flag.Int64("serve-seed", 1, "deterministic request-sequence seed for -serve-load")
-		serveReport = flag.String("serve-report", "", "write the -serve-load JSON report to this file")
+// A command runs a parsed subcommand over its positional arguments. A
+// usageError makes run exit 2; any other error is a failed run or gate.
+type command func(pos []string, stdout, stderr io.Writer) error
 
-		schedCompare = flag.Bool("sched-compare", false, "run the static-vs-elastic scheduler comparison on the skewed corpus and print the JSON report")
-		schedReport  = flag.String("sched-report", "", "also write the -sched-compare JSON report to this file")
-	)
-	flag.Parse()
+type usageError struct{ error }
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+// run is the one options parser: the subcommand's flag set holds only
+// the groups and flags it reads. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
-	if *memProfile != "" {
-		path := *memProfile
-		defer func() {
-			f, err := os.Create(path)
+	fs := flag.NewFlagSet("pmihp-bench "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cmd command
+	nargs := 0 // positional arguments the subcommand takes
+	switch args[0] {
+	case "list":
+		cmd = list
+	case "exp":
+		cmd, nargs = addProfileFlags(fs, exp(addRunFlags(fs))), 1
+	case "figures":
+		cmd = addProfileFlags(fs, addFiguresFlags(fs, addRunFlags(fs)))
+	case "sched-compare":
+		cmd = addProfileFlags(fs, addSchedCompareFlags(fs, addRunFlags(fs)))
+	case "serve-load":
+		cmd = addServeLoadFlags(fs)
+	default:
+		fmt.Fprintf(stderr, "pmihp-bench: unknown subcommand %q\n%s\n", args[0], usage)
+		return 2
+	}
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != nargs {
+		fmt.Fprintf(stderr, "pmihp-bench %s: got arguments %q after the flags, want %d\n%s\n", args[0], fs.Args(), nargs, usage)
+		return 2
+	}
+	if err := cmd(fs.Args(), stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "pmihp-bench:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
+
+// runFlags is the group the subcommands that mine in this process read.
+type runFlags struct {
+	scale   corpus.Scale
+	verbose bool
+}
+
+func addRunFlags(fs *flag.FlagSet) *runFlags {
+	rf := &runFlags{scale: corpus.Harness}
+	fs.Func("scale", "corpus scale: small, harness (the default), or paper", func(s string) (err error) {
+		rf.scale, err = corpus.ParseScale(s)
+		return err
+	})
+	fs.BoolVar(&rf.verbose, "v", false, "log progress to stderr")
+	return rf
+}
+
+// log returns the progress log: stderr under -v, nil otherwise.
+func (rf *runFlags) log(stderr io.Writer) io.Writer {
+	if rf.verbose {
+		return stderr
+	}
+	return nil
+}
+
+// addProfileFlags registers the profile group and wraps cmd so the
+// profiles cover its whole run.
+func addProfileFlags(fs *flag.FlagSet, cmd command) command {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	mem := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	return func(pos []string, stdout, stderr io.Writer) (err error) {
+		if *cpu != "" {
+			f, err := os.Create(*cpu)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-				return
+				return err
 			}
 			defer f.Close()
-			runtime.GC() // settle live objects before the heap snapshot
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
+			if err := pprof.StartCPUProfile(f); err != nil {
+				return err
 			}
-		}()
-	}
-
-	if *serveLoad != "" {
-		return runServeLoad(benchharness.LoadConfig{
-			BaseURL:  strings.TrimRight(*serveLoad, "/"),
-			Clients:  *serveClient,
-			Requests: *serveReqs,
-			Limit:    *serveLimit,
-			ZipfS:    *serveZipfS,
-			Seed:     *serveSeed,
-		}, *serveReport)
-	}
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			defer pprof.StopCPUProfile()
 		}
-		return 0
+		if *mem != "" {
+			defer func() {
+				runtime.GC() // settle live objects before the heap snapshot
+				err = errors.Join(err, writeFile(*mem, pprof.WriteHeapProfile))
+			}()
+		}
+		return cmd(pos, stdout, stderr)
 	}
+}
 
-	sc, err := corpus.ParseScale(*scale)
+// writeFile creates path and writes it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 2
+		return err
 	}
+	return errors.Join(write(f), f.Close())
+}
 
-	if *schedCompare {
-		return runSchedCompare(sc, *schedReport, *verbose)
+func list(_ []string, stdout, _ io.Writer) error {
+	for _, e := range experiments.All() {
+		fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 	}
-	if *benchJSON != "" {
-		return runBenchHarness(*benchJSON, sc, *verbose)
-	}
-	if *expID == "" {
-		fmt.Fprintln(os.Stderr, "pmihp-bench: -exp required (or -list, -benchjson); e.g. -exp e1")
-		return 2
-	}
-	params := experiments.Params{Scale: sc}
-	if *verbose {
-		params.Log = os.Stderr
-	}
+	return nil
+}
 
-	run := func(e experiments.Experiment) bool {
-		start := time.Now()
-		out, err := e.Run(params)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pmihp-bench: %s: %v\n", e.ID, err)
-			return false
+// exp runs the experiment its argument names, or all of them in order.
+func exp(rf *runFlags) command {
+	return func(pos []string, stdout, stderr io.Writer) error {
+		exps := experiments.All()
+		if pos[0] != "all" {
+			e, ok := experiments.ByID(pos[0])
+			if !ok {
+				return usageError{fmt.Errorf("unknown experiment %q (see pmihp-bench list)", pos[0])}
+			}
+			exps = []experiments.Experiment{e}
 		}
-		fmt.Printf("== %s: %s\n\n%s\n(real time %.1fs)\n\n", e.ID, e.Title, out, time.Since(start).Seconds())
-		return true
+		params := experiments.Params{Scale: rf.scale, Log: rf.log(stderr)}
+		for _, e := range exps {
+			start := time.Now()
+			out, err := e.Run(params)
+			if err != nil {
+				return fmt.Errorf("%s: %w", e.ID, err)
+			}
+			fmt.Fprintf(stdout, "== %s: %s\n\n%s\n(real time %.1fs)\n\n", e.ID, e.Title, out, time.Since(start).Seconds())
+		}
+		return nil
 	}
+}
 
-	if *expID == "all" {
-		for _, e := range experiments.All() {
-			if !run(e) {
-				return 1
+// addFiguresFlags registers -json; the command measures the figure
+// workloads and writes the JSON report there.
+func addFiguresFlags(fs *flag.FlagSet, rf *runFlags) command {
+	path := fs.String("json", "", "write the figure workloads' timings and outcomes to this JSON file (required)")
+	return func(_ []string, stdout, stderr io.Writer) error {
+		if *path == "" {
+			return usageError{errors.New("figures requires -json FILE")}
+		}
+		rep, err := benchharness.Run(rf.scale, rf.log(stderr))
+		if err != nil {
+			return err
+		}
+		if err := rep.WriteJSON(*path); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d workloads, scale %s)\n", *path, len(rep.Workloads), rep.Scale)
+		return nil
+	}
+}
+
+// addSchedCompareFlags registers -report; the command prints the
+// scheduler comparison and fails unless the elastic arm wins.
+func addSchedCompareFlags(fs *flag.FlagSet, rf *runFlags) command {
+	report := fs.String("report", "", "also write the JSON report to this file")
+	return func(_ []string, stdout, stderr io.Writer) error {
+		rep, err := benchharness.RunSchedCompare(rf.scale, rf.log(stderr))
+		if err != nil {
+			return err
+		}
+		if err := rep.WriteJSON(stdout); err != nil {
+			return err
+		}
+		if *report != "" {
+			if err := writeFile(*report, rep.WriteJSON); err != nil {
+				return err
 			}
 		}
-		return 0
+		switch {
+		case !rep.Identical:
+			return errors.New("sched-compare itemsets differ from the reference")
+		case rep.Elastic.Resizes == 0:
+			return errors.New("sched-compare elastic arm never resized")
+		case rep.Elastic.Imbalance >= rep.Static.Imbalance:
+			return fmt.Errorf("sched-compare elastic imbalance %.3f did not beat static %.3f",
+				rep.Elastic.Imbalance, rep.Static.Imbalance)
+		case rep.Elastic.MaxBusySeconds >= rep.Static.MaxBusySeconds:
+			return fmt.Errorf("sched-compare elastic modeled makespan %.3fs did not beat static %.3fs",
+				rep.Elastic.MaxBusySeconds, rep.Static.MaxBusySeconds)
+		}
+		return nil
 	}
-	e, ok := experiments.ByID(*expID)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "pmihp-bench: unknown experiment %q (use -list)\n", *expID)
-		return 2
-	}
-	if !run(e) {
-		return 1
-	}
-	return 0
 }
 
-// runSchedCompare runs the static-vs-elastic scheduler experiment on the
-// skewed corpus, prints the JSON report, and fails if either arm's
-// itemsets differ from the single-process reference or the elastic arm
-// does not improve the imbalance ratio.
-func runSchedCompare(sc corpus.Scale, reportPath string, verbose bool) int {
-	var log io.Writer
-	if verbose {
-		log = os.Stderr
-	}
-	rep, err := benchharness.RunSchedCompare(sc, log)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 1
-	}
-	if err := rep.WriteJSON(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 1
-	}
-	if reportPath != "" {
-		f, err := os.Create(reportPath)
+// addServeLoadFlags registers the load-test flags; the command fails on
+// any request error.
+func addServeLoadFlags(fs *flag.FlagSet) command {
+	var cfg benchharness.LoadConfig
+	fs.StringVar(&cfg.BaseURL, "url", "", "base URL of the pmihp-serve daemon to load-test (required)")
+	fs.IntVar(&cfg.Clients, "clients", 8, "concurrent clients")
+	fs.IntVar(&cfg.Requests, "requests", 2000, "requests per phase")
+	fs.Float64Var(&cfg.ZipfS, "zipf-s", 1.2, "Zipf s parameter for head selection (> 1)")
+	fs.IntVar(&cfg.Limit, "limit", 5, "per-word term limit sent with each query")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "deterministic request-sequence seed")
+	report := fs.String("report", "", "also write the JSON report to this file")
+	return func(_ []string, stdout, _ io.Writer) error {
+		if cfg.BaseURL == "" {
+			return usageError{errors.New("serve-load requires -url URL")}
+		}
+		cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
+		rep, err := benchharness.RunLoad(cfg, stdout)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-			return 1
+			return err
 		}
-		werr := rep.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
+		if *report != "" {
+			if err := writeFile(*report, rep.WriteJSON); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", *report)
 		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pmihp-bench:", werr)
-			return 1
+		if n := rep.Cold.Errors + rep.Warm.Errors; n > 0 {
+			return fmt.Errorf("serve-load saw %d errors", n)
 		}
+		return nil
 	}
-	if !rep.Identical {
-		fmt.Fprintln(os.Stderr, "pmihp-bench: sched-compare itemsets differ from the reference")
-		return 1
-	}
-	if rep.Elastic.Resizes == 0 {
-		fmt.Fprintln(os.Stderr, "pmihp-bench: sched-compare elastic arm never resized")
-		return 1
-	}
-	if rep.Elastic.Imbalance >= rep.Static.Imbalance {
-		fmt.Fprintf(os.Stderr, "pmihp-bench: sched-compare elastic imbalance %.3f did not beat static %.3f\n",
-			rep.Elastic.Imbalance, rep.Static.Imbalance)
-		return 1
-	}
-	if rep.Elastic.MaxBusySeconds >= rep.Static.MaxBusySeconds {
-		fmt.Fprintf(os.Stderr, "pmihp-bench: sched-compare elastic modeled makespan %.3fs did not beat static %.3fs\n",
-			rep.Elastic.MaxBusySeconds, rep.Static.MaxBusySeconds)
-		return 1
-	}
-	return 0
-}
-
-// runServeLoad drives the daemon through the cold/warm load phases,
-// optionally writes the JSON report, and fails on any request error.
-func runServeLoad(cfg benchharness.LoadConfig, reportPath string) int {
-	rep, err := benchharness.RunLoad(cfg, os.Stdout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 1
-	}
-	if reportPath != "" {
-		f, err := os.Create(reportPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-			return 1
-		}
-		werr := rep.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pmihp-bench:", werr)
-			return 1
-		}
-		fmt.Printf("wrote %s\n", reportPath)
-	}
-	if rep.Cold.Errors+rep.Warm.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "pmihp-bench: serve-load saw %d errors\n", rep.Cold.Errors+rep.Warm.Errors)
-		return 1
-	}
-	return 0
-}
-
-// runBenchHarness measures the figure workloads and writes the JSON report.
-func runBenchHarness(path string, sc corpus.Scale, verbose bool) int {
-	var log io.Writer
-	if verbose {
-		log = os.Stderr
-	}
-	rep, err := benchharness.Run(sc, log)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 1
-	}
-	if err := rep.WriteJSON(path); err != nil {
-		fmt.Fprintln(os.Stderr, "pmihp-bench:", err)
-		return 1
-	}
-	fmt.Printf("wrote %s (%d workloads, scale %s)\n", path, len(rep.Workloads), rep.Scale)
-	return 0
 }

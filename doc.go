@@ -21,7 +21,9 @@
 //   - cmd/pmihp-node: the cluster worker daemon
 //   - cmd/pmihp-serve: serves a mined rule export over HTTP
 //   - cmd/pmihp-trace: validates and replays an observability trace
-//   - cmd/pmihp-bench: the figure experiments and the serving load test
+//   - cmd/pmihp-bench: runs the figure experiments (exp), times the
+//     figure workloads (figures), gates the scheduling experiment
+//     (sched-compare) and load-tests pmihp-serve (serve-load)
 //   - cmd/corpusgen: writes a synthetic corpus
 //   - examples/: runnable end-to-end programs
 //

@@ -7,7 +7,7 @@
 // and frequent itemsets counted per k. These are exact functions of corpus
 // and options, so TestFigureOutcomesGolden pins them with == against a
 // golden file on any host and under any scheduler. BenchmarkFigures times
-// the same table (go test -bench Figures), and cmd/pmihp-bench -benchjson
+// the same table (go test -bench Figures), and `pmihp-bench figures -json`
 // writes each workload's ns/op and allocs/op beside its Outcome as JSON.
 // Wall-clock time is reported here, never gated: identical runs on one
 // host spread far wider than any useful bound, so the wall-clock gate is

@@ -1,4 +1,4 @@
-// serveload.go is the load-test driver behind pmihp-bench -serve-load:
+// serveload.go is the load-test driver behind pmihp-bench serve-load:
 // it hammers a running pmihp-serve daemon with concurrent clients whose
 // query heads follow a Zipf distribution (hot heads dominate, like real
 // query logs), and reports QPS, latency quantiles, and error accounting
@@ -84,7 +84,7 @@ type LoadPhase struct {
 	CacheCoalesced int64 `json:"cache_coalesced"`
 }
 
-// LoadReport is the full -serve-load result, written as JSON.
+// LoadReport is the full serve-load result, written as JSON.
 type LoadReport struct {
 	SchemaVersion int        `json:"schema_version"`
 	BaseURL       string     `json:"base_url"`

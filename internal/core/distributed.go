@@ -21,11 +21,11 @@ type PollCounter struct {
 	inv       *postings
 }
 
-// NewPollCounter returns a counter over db using up to workers goroutines
-// for the one-time posting build and for batch counting. denseThreshold
-// overrides the posting-density cut (see denseCutoff); 0 keeps the
-// default layout. The layout changes wall time and held bytes only,
-// never a count or a charge.
+// NewPollCounter returns a counter over db that builds its posting file
+// serially and counts poll batches on up to workers goroutines.
+// denseThreshold overrides the posting-density cut (see denseCutoff); 0
+// keeps the default layout. The layout changes wall time and held bytes
+// only, never a count or a charge.
 func NewPollCounter(db *txdb.DB, workers int, denseThreshold float64) *PollCounter {
 	return &PollCounter{db: db, workers: workers, threshold: denseThreshold}
 }
@@ -75,7 +75,7 @@ func countBatchSharded(inv *postings, sets []itemset.Itemset, workers int, m *mi
 
 func (p *PollCounter) ensure(m *mining.Metrics) {
 	if p.inv == nil {
-		p.inv = buildPostings(p.db, m, p.workers, p.threshold)
+		p.inv = buildPostings(p.db, m, p.threshold)
 		m.NoteHeldBytes(p.inv.MemBytes())
 	}
 }

@@ -110,7 +110,7 @@ func TestIntersectItemMatchesSeedMerge(t *testing.T) {
 	m := mining.NewMetrics("test")
 	// All-compressed layout: this test targets the block×block kernel, which
 	// only runs for block-encoded items.
-	p := buildPostings(db, &m, 1, math.Inf(1))
+	p := buildPostings(db, &m, math.Inf(1))
 	rng := rand.New(rand.NewSource(97))
 
 	pick := func() itemset.Item { return itemset.Item(rng.Intn(db.NumItems())) }
@@ -211,7 +211,7 @@ func TestPostingsChargeMatchesSeedModel(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := mining.NewMetrics("test")
-			p := buildPostings(db, &m, 1, tc.threshold)
+			p := buildPostings(db, &m, tc.threshold)
 			rng := rand.New(rand.NewSource(91))
 			for trial := 0; trial < 400; trial++ {
 				k := 1 + rng.Intn(4)

@@ -97,7 +97,7 @@ func TestPaperScaleHeldBytesProbe(t *testing.T) {
 		for _, part := range db.SplitChronological(nodes) {
 			m := mining.NewMetrics("probe")
 			work := txdb.NewWork(part)
-			inv := buildPostings(part, &m, 1, 0)
+			inv := buildPostings(part, &m, 0)
 			held += part.MemBytes() + work.MemBytes() + inv.MemBytes()
 			heldDB += part.MemBytes()
 			heldWork += work.MemBytes()

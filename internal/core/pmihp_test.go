@@ -331,7 +331,7 @@ func TestPostingsCountMatchesScan(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := mining.NewMetrics("test")
-			p := buildPostings(db, &m, 1, tc.threshold)
+			p := buildPostings(db, &m, tc.threshold)
 			rng := rand.New(rand.NewSource(77))
 			for trial := 0; trial < 300; trial++ {
 				k := 1 + rng.Intn(3)

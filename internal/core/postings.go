@@ -128,42 +128,28 @@ func denseCutoff(threshold float64, span int) int {
 }
 
 // buildPostings constructs the inverted file from the database's CSR
-// arrays in two sharded passes: first per-shard document frequencies,
-// then prefix sums position every shard's writes directly into one flat
-// TID array — no transient per-shard [][]TID, no per-item append chains.
-// Shard write regions concatenate in shard order, which reproduces the
-// serial (database-order) lists exactly; the flat lists are then encoded
-// into varint blocks or, at or above the density cutoff resolved from
-// denseThreshold, into bitmaps. The scan is charged once to the node's
-// server accounting, identically to the uncompressed build.
-func buildPostings(db *txdb.DB, m *mining.Metrics, workers int, denseThreshold float64) *postings {
+// arrays in two serial passes: per-item occurrence counts, prefix-summed,
+// give every item a write cursor into one flat TID array, and the writes
+// in database order leave each list ascending — no per-item append
+// chains. The flat lists are then encoded into varint blocks or, at or
+// above the density cutoff resolved from denseThreshold, into bitmaps.
+// The scan is charged once to the node's server accounting, identically
+// to the uncompressed build.
+func buildPostings(db *txdb.DB, m *mining.Metrics, denseThreshold float64) *postings {
 	numItems := db.NumItems()
 	n := db.Len()
 	items, offsets, tids := db.CSR()
-	// The positioned writes of pass 2 require each shard to own one
-	// contiguous range with regions concatenating in shard order, so the
-	// build stays on the static partition rather than the chunk queue.
-	nShards := mining.NumStatic(n, workers)
 
-	// Pass 1: per-shard, per-item occurrence counts.
-	shardCounts := make([][]int32, nShards)
-	mining.RunStatic(n, workers, func(s, lo, hi int) {
-		c := make([]int32, numItems)
-		for _, it := range items[offsets[lo]:offsets[hi]] {
-			c[it]++
-		}
-		shardCounts[s] = c
-	})
-
-	df := make([]int32, numItems)
-	for _, c := range shardCounts {
-		for it, v := range c {
-			df[it] += v
-		}
+	// Pass 1: occurrence counts into cur, then pos[it] = the start of item
+	// it's list, and cur[it] its write cursor.
+	cur := make([]uint32, numItems)
+	for _, it := range items[offsets[0]:offsets[n]] {
+		cur[it]++
 	}
 	pos := make([]uint32, numItems+1)
-	for it, v := range df {
-		pos[it+1] = pos[it] + uint32(v)
+	for it, c := range cur {
+		pos[it+1] = pos[it] + c
+		cur[it] = pos[it]
 	}
 	total := pos[numItems]
 	p := &postings{}
@@ -183,36 +169,21 @@ func buildPostings(db *txdb.DB, m *mining.Metrics, workers int, denseThreshold f
 	// (block-encoded) list, so their capacity follows the largest sparse df;
 	// all-dense chains accumulate in bitmap words instead.
 	maxSparseDF := int32(0)
-	for _, v := range df {
-		if v < p.cutoff && v > maxSparseDF {
+	for it := 0; it < numItems; it++ {
+		if v := int32(pos[it+1] - pos[it]); v < p.cutoff && v > maxSparseDF {
 			maxSparseDF = v
-		}
-	}
-
-	// Turn the per-shard counts into per-shard write cursors: shard s
-	// writes item it's TIDs at pos[it] plus the occurrences in shards < s.
-	run := make([]uint32, numItems)
-	for s := 0; s < nShards; s++ {
-		c := shardCounts[s]
-		for it := range c {
-			cnt := c[it]
-			c[it] = int32(pos[it] + run[it])
-			run[it] += uint32(cnt)
 		}
 	}
 
 	// Pass 2: positioned writes into the flat TID store.
 	tidStore := make([]txdb.TID, total)
-	mining.RunStatic(n, workers, func(s, lo, hi int) {
-		cur := shardCounts[s]
-		for i := lo; i < hi; i++ {
-			tid := tids[i]
-			for _, it := range items[offsets[i]:offsets[i+1]] {
-				tidStore[cur[it]] = tid
-				cur[it]++
-			}
+	for i := 0; i < n; i++ {
+		tid := tids[i]
+		for _, it := range items[offsets[i]:offsets[i+1]] {
+			tidStore[cur[it]] = tid
+			cur[it]++
 		}
-	})
+	}
 
 	p.encode(tidStore, pos)
 	p.scratch.bufA = make([]txdb.TID, 0, maxSparseDF)

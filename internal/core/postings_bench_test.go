@@ -53,7 +53,7 @@ func pairDB(span int, density0, density1 float64, seed int64) *txdb.DB {
 func benchPairCount(b *testing.B, threshold, density0, density1 float64) {
 	db := pairDB(1<<15, density0, density1, 42)
 	m := mining.NewMetrics("bench")
-	p := buildPostings(db, &m, 1, threshold)
+	p := buildPostings(db, &m, threshold)
 	x := itemset.New(0, 1)
 	want := p.count(x, &m)
 	b.ReportAllocs()
@@ -102,7 +102,7 @@ func BenchmarkDenseMine(b *testing.B) {
 func BenchmarkKernelReference(b *testing.B) {
 	db := pairDB(1<<15, 1.0/64, 1.0/64, 42)
 	m := mining.NewMetrics("bench")
-	p := buildPostings(db, &m, 1, math.Inf(1))
+	p := buildPostings(db, &m, math.Inf(1))
 	l0 := p.decodeAll(0, nil)
 	l1 := p.decodeAll(1, nil)
 	dst := make([]txdb.TID, 0, len(l0))

@@ -74,7 +74,7 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 
 		for _, threshold := range fuzzThresholds {
 			m := mining.NewMetrics("fuzz")
-			p := buildPostings(db, &m, 1, threshold)
+			p := buildPostings(db, &m, threshold)
 			for it := range want {
 				got := p.row(itemset.Item(it))
 				if !equalTIDs(got, want[it]) {
@@ -124,7 +124,7 @@ func FuzzPostingsRoundTrip(f *testing.F) {
 		charges := make([][]int64, len(fuzzThresholds))
 		for ti, threshold := range fuzzThresholds {
 			m := mining.NewMetrics("fuzz")
-			p := buildPostings(db, &m, 1, threshold)
+			p := buildPostings(db, &m, threshold)
 			for it := 0; it+1 < db.NumItems(); it++ {
 				a, b := itemset.Item(it), itemset.Item(it+1)
 				before := m.Work.Units

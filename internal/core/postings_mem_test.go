@@ -44,7 +44,7 @@ func measureBuild(db *txdb.DB, threshold float64) (int64, *postings) {
 	m := mining.NewMetrics("mem")
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	p := buildPostings(db, &m, 1, threshold)
+	p := buildPostings(db, &m, threshold)
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	return int64(m1.HeapAlloc) - int64(m0.HeapAlloc), p
@@ -63,7 +63,7 @@ func TestPostingsMemBytesMatchesHeap(t *testing.T) {
 	// from constructing the database can't contaminate the heap delta.
 	{
 		m := mining.NewMetrics("warmup")
-		buildPostings(db, &m, 1, 0)
+		buildPostings(db, &m, 0)
 	}
 	for _, tc := range []struct {
 		name      string
@@ -100,14 +100,13 @@ func TestPostingsMemBytesOrdering(t *testing.T) {
 	cfg := corpus.CorpusB(corpus.Small)
 	db := smallDB(t, cfg)
 	m := mining.NewMetrics("mem")
-	serial := buildPostings(db, &m, 1, 0)
-	sharded := buildPostings(db, &m, 8, 0)
-	sharded.ensureScratch(8)
-	if a, b := serial.MemBytes(), sharded.MemBytes(); a != b {
-		t.Fatalf("MemBytes depends on workers: serial %d, 8-way %d", a, b)
+	p := buildPostings(db, &m, 0)
+	hybrid := p.MemBytes()
+	p.ensureScratch(8)
+	if sharded := p.MemBytes(); sharded != hybrid {
+		t.Fatalf("MemBytes depends on workers: serial %d, 8-way %d", hybrid, sharded)
 	}
-	hybrid := serial.MemBytes()
-	all := buildPostings(db, &m, 1, denseThresholdAll)
+	all := buildPostings(db, &m, denseThresholdAll)
 	if allBytes := all.MemBytes(); allBytes <= hybrid {
 		t.Fatalf("all-bitmap layout accounted %d bytes <= hybrid's %d; bitmap storage is not being counted", allBytes, hybrid)
 	}

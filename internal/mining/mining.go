@@ -62,14 +62,15 @@ type Options struct {
 	Obs *obs.Recorder
 
 	// IntraNodeWorkers bounds the shared-memory parallelism each (simulated)
-	// node applies to its counting scans: candidate counting passes, posting
-	// construction, and the pass-1 THT build shard their transaction ranges
-	// across up to this many OS-level workers. 0 selects GOMAXPROCS; 1
-	// reproduces the serial kernels. The setting changes wall-clock time
-	// only: per-shard counts merge by integer sums, so mining results and
-	// simulated-clock charges are identical for every value. In a parallel
-	// run the pool is divided among the simulated nodes, which already run
-	// concurrently.
+	// node applies to its counting work: pass-2 candidate generation, the
+	// candidate counting passes and poll-batch counting run on the
+	// chunk-queue scheduler (RunShards) across up to this many OS-level
+	// workers; the pass-1 THT build and the posting build are serial. 0
+	// selects GOMAXPROCS; 1 reproduces the serial kernels. The setting
+	// changes wall-clock time only: per-worker counts merge by integer
+	// sums, so mining results and simulated-clock charges are identical for
+	// every value. In a parallel run the pool is divided among the
+	// simulated nodes, which already run concurrently.
 	IntraNodeWorkers int
 
 	// Partitioner selects how parallel miners split the database across

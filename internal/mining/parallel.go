@@ -8,22 +8,15 @@ import (
 
 // Intra-node shared-memory parallelism. Each simulated cluster node may
 // shard its counting scans over a bounded pool of OS-level workers (the
-// many-core direction of Zymbler's FIM work). Two disciplines coexist:
-//
-//   - RunShards is a chunk-queue work-stealing scheduler: the index range
-//     [0, n) is cut into fixed-size chunks and worker goroutines pull the
-//     next chunk off an atomic cursor until the queue drains, so a worker
-//     that finishes early keeps pulling instead of idling behind a
-//     skew-heavy range. Chunk boundaries depend only on (n, workers) and
-//     every per-worker merge is either an order-independent integer sum or
-//     a segment list re-ordered by range start, so results and
-//     simulated-clock charges are identical for every worker count — the
-//     knob changes wall-clock time only.
-//
-//   - RunStatic keeps the original static contiguous partition (one range
-//     per shard, in shard order) for builders whose correctness depends on
-//     shard ranges concatenating contiguously — positioned posting writes
-//     and per-shard structure construction.
+// many-core direction of Zymbler's FIM work). RunShards is a chunk-queue
+// work-stealing scheduler: the index range [0, n) is cut into fixed-size
+// chunks and worker goroutines pull the next chunk off an atomic cursor
+// until the queue drains, so a worker that finishes early keeps pulling
+// instead of idling behind a skew-heavy range. Chunk boundaries depend
+// only on (n, workers) and every per-worker merge is either an
+// order-independent integer sum or a segment list re-ordered by range
+// start, so results and simulated-clock charges are identical for every
+// worker count — the knob changes wall-clock time only.
 
 // ResolveWorkers normalizes an IntraNodeWorkers setting: values <= 0 select
 // GOMAXPROCS.
@@ -109,52 +102,4 @@ func RunShards(n, workers int, fn func(worker, lo, hi int)) int {
 	}
 	wg.Wait()
 	return slots
-}
-
-// staticBounds splits [0, n) into at most workers near-equal contiguous
-// ranges, returning the shard boundaries (len = shards+1).
-func staticBounds(n, workers int) []int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	bounds := make([]int, workers+1)
-	for s := 0; s <= workers; s++ {
-		bounds[s] = s * n / workers
-	}
-	return bounds
-}
-
-// NumStatic returns the shard count RunStatic will use for n items and the
-// given worker bound, so callers can pre-allocate per-shard state.
-func NumStatic(n, workers int) int {
-	return len(staticBounds(n, workers)) - 1
-}
-
-// RunStatic executes fn over the static contiguous shard ranges of [0, n):
-// shard s covers exactly [bounds[s], bounds[s+1]) and fn runs once per
-// shard. With a single shard fn runs inline on the calling goroutine;
-// otherwise each shard runs on its own goroutine and RunStatic returns
-// after all complete. Use it when the merge depends on shard ranges
-// concatenating contiguously in shard order (positioned writes, per-shard
-// structure builds); counting scans should prefer RunShards.
-func RunStatic(n, workers int, fn func(shard, lo, hi int)) int {
-	bounds := staticBounds(n, workers)
-	shards := len(bounds) - 1
-	if shards <= 1 {
-		fn(0, 0, n)
-		return 1
-	}
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		go func(s int) {
-			defer wg.Done()
-			fn(s, bounds[s], bounds[s+1])
-		}(s)
-	}
-	wg.Wait()
-	return shards
 }

@@ -80,44 +80,6 @@ func TestRunShardsSumDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunStaticContiguousShards pins the static scheduler's contract: fn
-// runs exactly once per shard, shard s covers one contiguous range, and
-// the ranges concatenate in shard order — what the positioned posting
-// writes and the per-shard THT builds rely on.
-func TestRunStaticContiguousShards(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 100, 1001} {
-		for _, workers := range []int{1, 2, 7, 100, 200} {
-			shards := NumStatic(n, workers)
-			lo := make([]int, shards)
-			hi := make([]int, shards)
-			calls := make([]int, shards)
-			var mu sync.Mutex
-			got := RunStatic(n, workers, func(s, l, h int) {
-				mu.Lock()
-				calls[s]++
-				lo[s], hi[s] = l, h
-				mu.Unlock()
-			})
-			if got != shards {
-				t.Fatalf("n=%d workers=%d: RunStatic used %d shards, NumStatic says %d", n, workers, got, shards)
-			}
-			at := 0
-			for s := 0; s < shards; s++ {
-				if calls[s] != 1 {
-					t.Fatalf("n=%d workers=%d: shard %d ran %d times", n, workers, s, calls[s])
-				}
-				if lo[s] != at {
-					t.Fatalf("n=%d workers=%d: shard %d starts at %d, want %d", n, workers, s, lo[s], at)
-				}
-				at = hi[s]
-			}
-			if at != n {
-				t.Fatalf("n=%d workers=%d: shards cover [0,%d), want [0,%d)", n, workers, at, n)
-			}
-		}
-	}
-}
-
 // TestNumShardsSlotBound documents the scratch-sizing contract: the slot
 // count never exceeds the worker bound or the item count (for n > 0), so
 // scratch allocated per slot is bounded by the smaller of the two.

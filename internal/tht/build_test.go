@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pmihp/internal/itemset"
-	"pmihp/internal/mining"
 	"pmihp/internal/txdb"
 )
 
@@ -34,16 +33,16 @@ func shardedBuild(db *txdb.DB, entries, workers int) *Local {
 		}
 		return l, counts
 	}
-	shards := mining.NumStatic(n, workers)
-	if shards <= 1 {
+	shards := max(1, min(workers, n))
+	if shards == 1 {
 		l, _ := build(0, n)
 		return l
 	}
 	locals := make([]*Local, shards)
 	countsByShard := make([][]int, shards)
-	mining.RunStatic(n, workers, func(s, lo, hi int) {
-		locals[s], countsByShard[s] = build(lo, hi)
-	})
+	for s := range locals {
+		locals[s], countsByShard[s] = build(s*n/shards, (s+1)*n/shards)
+	}
 	counts := countsByShard[0]
 	for s := 1; s < shards; s++ {
 		for it, c := range countsByShard[s] {

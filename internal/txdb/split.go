@@ -204,80 +204,34 @@ func (d *DB) SplitSkewAware(n int) []*DB {
 // candidate) and makes long documents quadratically more expensive than
 // their token count suggests. Equalizing this estimate tracks node clocks
 // far better than equalizing document counts when document length is
-// skewed by day. Like SplitChronological, each cut snaps to a day boundary
-// within Len/(4n) transactions when one exists, cuts stay strictly
-// increasing so every part is non-empty (the leading parts are empty only
-// when there are fewer than n transactions), and parts are CSR views into
-// this database's backing, not copies.
+// skewed by day. The cuts snap to day boundaries and keep every part
+// non-empty exactly as SplitChronological's do (see splitNear), and parts
+// are CSR views into this database's backing, not copies.
 func (d *DB) SplitByWork(n int) []*DB {
 	offsets := d.offsets
-	return d.SplitByWeight(n, func(i int) int64 {
+	return d.splitByWeight(n, func(i int) int64 {
 		l := int64(offsets[i+1] - offsets[i])
 		return l + l*(l-1)/2
 	})
 }
 
-// SplitByWeight is SplitByWork under a caller-supplied non-negative
-// per-transaction work estimate — e.g. a df-weighted token count built from
-// ItemCounts, pricing each token by how likely it is to survive pass 1 and
-// participate in candidate pairs. Cuts fall where the weight prefix sum
-// crosses each part's even share of the total, then snap to day boundaries
-// exactly as SplitByWork does.
-func (d *DB) SplitByWeight(n int, weight func(i int) int64) []*DB {
-	if n <= 0 {
-		panic(fmt.Sprintf("txdb: SplitByWeight(%d)", n))
-	}
-	if n == 1 {
-		return []*DB{d}
-	}
+// splitByWeight is SplitByWork under a caller-supplied non-negative
+// per-transaction work estimate: the p-th cut targets the first
+// transaction whose weight prefix sum reaches p/n of the total.
+func (d *DB) splitByWeight(n int, weight func(i int) int64) []*DB {
 	prefix := make([]int64, d.Len()+1)
 	for i := 0; i < d.Len(); i++ {
 		w := weight(i)
 		if w < 0 {
-			panic(fmt.Sprintf("txdb: SplitByWeight negative weight %d at %d", w, i))
+			panic(fmt.Sprintf("txdb: negative weight %d at %d", w, i))
 		}
 		prefix[i+1] = prefix[i] + w
 	}
 	total := prefix[d.Len()]
-
-	boundaries := []int{0}
-	for i := 1; i < d.Len(); i++ {
-		if d.days[i] != d.days[i-1] {
-			boundaries = append(boundaries, i)
-		}
-	}
-	boundaries = append(boundaries, d.Len())
-
-	maxShift := d.Len() / (4 * n)
-	cuts := make([]int, 0, n+1)
-	cuts = append(cuts, 0)
-	for p := 1; p < n; p++ {
-		// The first index whose weight prefix reaches the part's even share
-		// of the total work.
+	return d.splitNear(n, func(p int) int {
 		want := total * int64(p) / int64(n)
-		target := sort.Search(d.Len(), func(i int) bool { return prefix[i] >= want })
-		cut := target
-		if b := nearestBoundary(boundaries, target); abs(b-target) <= maxShift {
-			cut = b
-		}
-		// Keep cuts strictly increasing so every part is non-empty.
-		if min := cuts[len(cuts)-1] + 1; cut < min {
-			cut = min
-		}
-		if max := d.Len() - (n - p); cut > max {
-			cut = max
-		}
-		// With fewer transactions than parts, the leading parts are empty.
-		cut = max(cut, cuts[len(cuts)-1])
-		cuts = append(cuts, cut)
-	}
-	cuts = append(cuts, d.Len())
-
-	parts := make([]*DB, n)
-	for p := 0; p < n; p++ {
-		parts[p] = d.view(cuts[p], cuts[p+1])
-	}
-	return parts
+		return sort.Search(d.Len(), func(i int) bool { return prefix[i] >= want })
+	})
 }
 
 // VocabOverlap measures the mean pairwise Jaccard similarity of the

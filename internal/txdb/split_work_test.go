@@ -127,7 +127,7 @@ func TestSplitByWorkBalancesWork(t *testing.T) {
 }
 
 // workWeightsDF builds a df-weighted per-transaction work estimate for
-// SplitByWeight: each token contributes its document frequency, so a
+// splitByWeight: each token contributes its document frequency, so a
 // transaction full of corpus-frequent words — the ones that survive pass 1
 // and spawn candidate pairs — weighs more than one of the same length made
 // of hapaxes.
@@ -155,7 +155,7 @@ func TestSplitByWeightDF(t *testing.T) {
 			t.Fatalf("weight %d at %d: every transaction has items with df >= 1", v, i)
 		}
 	}
-	parts := db.SplitByWeight(4, func(i int) int64 { return w[i] })
+	parts := db.splitByWeight(4, func(i int) int64 { return w[i] })
 	checkPartition(t, db, parts, 4)
 }
 
@@ -166,17 +166,17 @@ func TestSplitByWeightNegativePanics(t *testing.T) {
 			t.Fatal("negative weight did not panic")
 		}
 	}()
-	db.SplitByWeight(2, func(i int) int64 { return -1 })
+	db.splitByWeight(2, func(i int) int64 { return -1 })
 }
 
 func TestSplitByWeightBadNodesPanics(t *testing.T) {
 	db := lengthSkewed(20, 2)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SplitByWeight(0) did not panic")
+			t.Fatal("splitByWeight(0) did not panic")
 		}
 	}()
-	db.SplitByWeight(0, func(i int) int64 { return 1 })
+	db.splitByWeight(0, func(i int) int64 { return 1 })
 }
 
 // TestSplitByWorkPropertyQuick drives SplitByWork with randomized database
@@ -197,7 +197,7 @@ func TestSplitByWorkPropertyQuick(t *testing.T) {
 			db.SplitByWork,
 			func(n int) []*DB {
 				// Spiky weights: every 5th transaction carries all the work.
-				return db.SplitByWeight(n, func(i int) int64 {
+				return db.splitByWeight(n, func(i int) int64 {
 					if i%5 == 0 {
 						return 100
 					}

@@ -194,19 +194,30 @@ func (d *DB) view(lo, hi int) *DB {
 // SplitChronological divides the database into n local databases of nearly
 // equal document counts, preserving order — the paper's "sequentially
 // distributed … by assigning the articles of 16 or 17 days to each node".
-// Day boundaries are respected when possible: the split point is moved to
-// the nearest day boundary that keeps every part non-empty; when the
-// database has no day structure (all Day==0) the split is purely by count.
+// Day boundaries are respected when possible: each cut moves to the
+// nearest day boundary that keeps every part non-empty (see splitNear);
+// when the database has no day structure (all Day==0) the split is purely
+// by count.
 // A database of fewer than n transactions leaves its leading parts empty.
 // Parts are CSR views into this database's backing, not copies.
 func (d *DB) SplitChronological(n int) []*DB {
+	return d.splitNear(n, func(p int) int { return p * d.Len() / n })
+}
+
+// splitNear divides the database into n ordered parts, the p-th (0 < p < n)
+// starting near target(p): the cut snaps to the nearest day boundary when
+// one lies within Len/(4n) transactions, then stays strictly increasing so
+// every part is non-empty — unless there are fewer than n transactions,
+// which leaves the leading parts empty. Parts are CSR views into this
+// database's backing, not copies.
+func (d *DB) splitNear(n int, target func(p int) int) []*DB {
 	if n <= 0 {
-		panic(fmt.Sprintf("txdb: SplitChronological(%d)", n))
+		panic(fmt.Sprintf("txdb: split into %d parts", n))
 	}
 	if n == 1 {
 		return []*DB{d}
 	}
-	// Compute day boundaries (indexes where Day changes).
+	// Day boundaries: the indexes where Day changes, plus both ends.
 	boundaries := []int{0}
 	for i := 1; i < d.Len(); i++ {
 		if d.days[i] != d.days[i-1] {
@@ -215,15 +226,13 @@ func (d *DB) SplitChronological(n int) []*DB {
 	}
 	boundaries = append(boundaries, d.Len())
 
-	// Even count cuts, snapped to a day boundary when one is close enough
-	// that every part stays non-empty and near its even share.
 	maxShift := d.Len() / (4 * n)
 	cuts := make([]int, 0, n+1)
 	cuts = append(cuts, 0)
 	for p := 1; p < n; p++ {
-		target := p * d.Len() / n
-		cut := target
-		if b := nearestBoundary(boundaries, target); abs(b-target) <= maxShift {
+		t := target(p)
+		cut := t
+		if b := nearestBoundary(boundaries, t); abs(b-t) <= maxShift {
 			cut = b
 		}
 		// Keep cuts strictly increasing so every part is non-empty.

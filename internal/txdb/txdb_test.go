@@ -1,6 +1,7 @@
 package txdb
 
 import (
+	"math/rand"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -124,6 +125,82 @@ func TestSplitFewerTransactionsThanParts(t *testing.T) {
 				if next != docs {
 					t.Fatalf("%s docs=%d n=%d: parts cover %d transactions", name, docs, n, next)
 				}
+			}
+		}
+	}
+}
+
+// countCutsRef is SplitChronological's cut loop from before the count
+// and weighted splits shared splitNear, kept as the reference the shared
+// routine must reproduce cut for cut.
+func countCutsRef(d *DB, n int) []int {
+	if n == 1 {
+		return []int{0, d.Len()}
+	}
+	boundaries := []int{0}
+	for i := 1; i < d.Len(); i++ {
+		if d.days[i] != d.days[i-1] {
+			boundaries = append(boundaries, i)
+		}
+	}
+	boundaries = append(boundaries, d.Len())
+	maxShift := d.Len() / (4 * n)
+	cuts := []int{0}
+	for p := 1; p < n; p++ {
+		target := p * d.Len() / n
+		cut := target
+		if b := nearestBoundary(boundaries, target); abs(b-target) <= maxShift {
+			cut = b
+		}
+		if lo := cuts[len(cuts)-1] + 1; cut < lo {
+			cut = lo
+		}
+		if hi := d.Len() - (n - p); cut > hi {
+			cut = hi
+		}
+		cut = max(cut, cuts[len(cuts)-1])
+		cuts = append(cuts, cut)
+	}
+	return append(cuts, d.Len())
+}
+
+// TestSplitChronologicalMatchesCountLoop: on random day-structured
+// databases, databases with no day structure and databases with fewer
+// transactions than parts, SplitChronological cuts exactly where the
+// count loop it replaced did, for 1 to 9 parts.
+func TestSplitChronologicalMatchesCountLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		docs := rng.Intn(1000)
+		if trial%4 == 0 {
+			docs = rng.Intn(12)
+		}
+		meanRun := rng.Intn(60) // 0: every transaction on day 0
+		txs := make([]Transaction, docs)
+		day := 0
+		for i := range txs {
+			if meanRun > 0 && i > 0 && rng.Intn(meanRun) == 0 {
+				day += 1 + rng.Intn(3)
+			}
+			txs[i] = Transaction{TID: TID(i), Day: day, Items: itemset.New(itemset.Item(i % 5))}
+		}
+		db := New(txs, 5)
+		for n := 1; n <= 9; n++ {
+			want := countCutsRef(db, n)
+			parts := db.SplitChronological(n)
+			if len(parts) != n {
+				t.Fatalf("docs=%d n=%d: %d parts", docs, n, len(parts))
+			}
+			at := 0
+			for p, part := range parts {
+				if at != want[p] || (part.Len() > 0 && int(part.TIDOf(0)) != at) {
+					t.Fatalf("docs=%d meanRun=%d n=%d: part %d starts at %d, the count loop cut at %d",
+						docs, meanRun, n, p, at, want[p])
+				}
+				at += part.Len()
+			}
+			if at != docs {
+				t.Fatalf("docs=%d n=%d: parts cover %d", docs, n, at)
 			}
 		}
 	}

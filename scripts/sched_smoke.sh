@@ -8,7 +8,7 @@
 #   2. a session admitted on 2 logical nodes that scales up mid-run
 #      (-grow 4) at the checkpoint barrier, again byte-identical;
 #   3. the static-vs-elastic comparison on the skewed preset at 8 nodes
-#      (pmihp-bench -sched-compare), which must show the elastic
+#      (pmihp-bench sched-compare), which must show the elastic
 #      scheduler beating static partitioning on both the deterministic
 #      imbalance ratio and the modeled makespan, with identical
 #      itemsets.
@@ -67,8 +67,8 @@ grep -q '4 final nodes.*resizes 1' "$out/grow.out" ||
     { echo "session did not resize to 4 nodes"; cat "$out/grow.out"; exit 1; }
 
 echo "== skewed preset: elastic scheduler vs static 8-node partitioning"
-"$out/pmihp-bench" -sched-compare -scale small -v \
-    -sched-report "$out/sched-compare.json" >"$out/sched-compare.out" 2>&1 ||
+"$out/pmihp-bench" sched-compare -scale small -v \
+    -report "$out/sched-compare.json" >"$out/sched-compare.out" 2>&1 ||
     { echo "sched-compare gate failed"; cat "$out/sched-compare.out"; exit 1; }
 cat "$out/sched-compare.out"
 grep -q '"identical": *true' "$out/sched-compare.json" ||

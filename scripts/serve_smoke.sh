@@ -2,7 +2,7 @@
 # Serving smoke test: builds the binaries, mines a small rule set and
 # exports it with pmihp-mine mine -rules-out, starts pmihp-serve on a
 # loopback ephemeral port, drives a short Zipf load burst through both
-# cache phases with pmihp-bench -serve-load (which exits nonzero on any
+# cache phases with pmihp-bench serve-load (which exits nonzero on any
 # request error), exercises a hot swap by POSTing the export to
 # /admin/swap, and scrapes /metrics for the serving gauge families.
 # Artifacts land in $OUT_DIR (default ./serve-smoke) so CI can upload
@@ -53,8 +53,8 @@ grep -q '"generation"' "$out/expand.json" ||
     { echo "expand envelope malformed"; cat "$out/expand.json"; exit 1; }
 
 echo "== load burst (cold + warm, zero errors required)"
-"$out/pmihp-bench" -serve-load "$base" -serve-clients 4 -serve-requests 500 \
-    -serve-report "$out/load-report.json" | tee "$out/load.out"
+"$out/pmihp-bench" serve-load -url "$base" -clients 4 -requests 500 \
+    -report "$out/load-report.json" | tee "$out/load.out"
 grep -q '"errors": *0' "$out/load-report.json" ||
     { echo "load report counted errors"; cat "$out/load-report.json"; exit 1; }
 
