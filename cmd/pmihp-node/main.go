@@ -31,6 +31,18 @@ func main() {
 	traceJSON := flag.String("trace-json", "", "write hosted nodes' pass/span/poll events as JSON lines to this file")
 	verbose := flag.Bool("v", false, "log session lifecycle to stderr")
 	flag.Parse()
+	// -capacity only means something to a pool's admission control, so a
+	// worker that joins no pool rejects it rather than ignore it.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "capacity" && *pool == "" {
+			fmt.Fprintln(os.Stderr, "pmihp-node: -capacity needs -pool")
+			os.Exit(2)
+		}
+	})
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "pmihp-node: unexpected arguments %q\n", flag.Args())
+		os.Exit(2)
+	}
 
 	var opt distmine.DaemonOptions
 	if *verbose {

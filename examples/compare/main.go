@@ -27,7 +27,7 @@ func main() {
 
 	for _, minsup := range []float64{0.08, 0.05, 0.03} {
 		opts := mining.Options{MinSupFrac: minsup, MaxK: 4}
-		fmt.Printf("minsup %.1f%% (count %d):\n", minsup*100, db.MinSupCount(minsup))
+		fmt.Printf("minsup %.1f%% (count %d):\n", minsup*100, opts.MinCount(db.Len()))
 
 		type entry struct {
 			name string

@@ -29,25 +29,9 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	res := &mining.Result{Metrics: mining.NewMetrics("apriori")}
 	m := &res.Metrics
 
-	// Pass 1: count items.
-	counts := db.ItemCounts()
-	m.Passes++
-	total := 0
-	db.Each(func(t *txdb.Transaction) { total += len(t.Items) })
-	m.Work.Charge(int64(total), mining.CostScanItem)
-
-	frequent := make([]bool, db.NumItems())
-	var f1 []itemset.Item
-	for it, c := range counts {
-		if c >= minCount {
-			frequent[it] = true
-			f1 = append(f1, itemset.Item(it))
-			res.Frequent = append(res.Frequent, itemset.Counted{
-				Set: itemset.Itemset{itemset.Item(it)}, Count: c,
-			})
-		}
-	}
-	m.AddCandidates(1, db.NumItems())
+	counts := CountItems(db, m)
+	frequent, f1 := mining.FrequentItems(counts, minCount)
+	res.Frequent = mining.CountedItems(f1, counts)
 	if opts.MaxK == 1 || len(f1) < 2 {
 		itemset.SortCounted(res.Frequent)
 		return res, nil
@@ -61,41 +45,13 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	if opts.MemoryBudget > 0 && m.PeakCandidateBytes > opts.MemoryBudget {
 		return res, mining.ErrMemoryExceeded
 	}
-
 	pairCounts := make(map[uint64]int)
-	m.Passes++
-	buf := make(itemset.Itemset, 0, 256)
-	db.Each(func(t *txdb.Transaction) {
-		m.Work.Charge(int64(len(t.Items)), mining.CostScanItem)
-		buf = buf[:0]
-		for _, it := range t.Items {
-			if frequent[it] {
-				buf = append(buf, it)
-			}
-		}
-		for i := 0; i < len(buf); i++ {
-			for j := i + 1; j < len(buf); j++ {
-				pairCounts[pairKey(buf[i], buf[j])]++
-			}
-		}
-		n := len(buf)
-		m.Work.Charge(mining.Pass2TreeCharge(n, nPairs), 1)
-		m.Work.Charge(int64(n*(n-1)/2), mining.CostCandidateHit)
-	})
-
-	var prev []itemset.Itemset
-	for key, c := range pairCounts {
-		if c >= minCount {
-			pair := pairFromKey(key)
-			res.Frequent = append(res.Frequent, itemset.Counted{Set: pair, Count: c})
-			prev = append(prev, pair)
-		}
-	}
-	itemset.Sort(prev)
+	CountPairs(db, frequent, nPairs, pairCounts, m)
+	prev := FrequentPairs(res, pairCounts, minCount)
 
 	// Passes k >= 3: prefix join + subset pruning + hash-tree counting.
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
+		cands, potential, prunedSub := mining.GenNext(prev)
 		m.Work.Charge(int64(potential), mining.CostCandidateGen)
 		m.PrunedBySubset += int64(prunedSub)
 		if len(cands) == 0 {
@@ -110,22 +66,8 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 
 		tree := hashtree.Build(k, cands)
 		m.Work.Charge(int64(len(cands)), mining.CostTreeInsert)
-		m.Passes++
-		db.Each(func(t *txdb.Transaction) {
-			m.Work.Charge(int64(len(t.Items)), mining.CostScanItem)
-			hits := tree.CountTx(t.Items)
-			m.Work.Charge(int64(hits), mining.CostCandidateHit)
-		})
-		m.Work.Charge(tree.WalkCost(), 1)
-
-		prev = prev[:0]
-		for i := 0; i < tree.Len(); i++ {
-			if c := tree.Count(i); c >= minCount {
-				res.Frequent = append(res.Frequent, itemset.Counted{Set: tree.Candidate(i), Count: c})
-				prev = append(prev, tree.Candidate(i))
-			}
-		}
-		itemset.Sort(prev)
+		CountTree(db, tree, m)
+		prev = FrequentCandidates(res, tree, minCount)
 	}
 
 	m.NoteHeldBytes(db.MemBytes() + m.PeakCandidateBytes)
@@ -133,18 +75,83 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	return res, nil
 }
 
-// pairKey packs two items (a < b) into one comparable key.
-func pairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
+// The counting passes below are Apriori's, over one database. Count
+// Distribution runs each of them at every node over its own partition.
 
-func pairFromKey(key uint64) itemset.Itemset {
-	return itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
+// CountItems is pass 1 over db: it returns each item's support and
+// charges m for reading every occurrence, one candidate per item.
+func CountItems(db *txdb.DB, m *mining.Metrics) []int {
+	m.Passes++
+	m.AddCandidates(1, db.NumItems())
+	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem)
+	return db.ItemCounts()
 }
 
-// genNext generates the candidate k-itemsets from the frequent
-// (k-1)-itemsets, using the packed-pair fast path for k=3.
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
+// CountPairs is pass 2 over db: it adds every pair of frequent items of
+// each transaction into counts under its mining.PairKey, and charges m
+// for the scan, the walk of a hash tree over the nPairs conceptual
+// candidates, and the candidate hits.
+func CountPairs(db *txdb.DB, frequent []bool, nPairs int, counts map[uint64]int, m *mining.Metrics) {
+	m.Passes++
+	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem)
+	buf := make(itemset.Itemset, 0, 256)
+	db.Each(func(t *txdb.Transaction) {
+		buf = buf[:0]
+		for _, it := range t.Items {
+			if frequent[it] {
+				buf = append(buf, it)
+			}
+		}
+		for i := 0; i < len(buf); i++ {
+			for j := i + 1; j < len(buf); j++ {
+				counts[mining.PairKey(buf[i], buf[j])]++
+			}
+		}
+		n := len(buf)
+		m.Work.Charge(mining.Pass2TreeCharge(n, nPairs), 1)
+		m.Work.Charge(int64(n*(n-1)/2), mining.CostCandidateHit)
+	})
+}
+
+// CountTree is pass k >= 3 over db: it adds the candidates of tree that
+// each transaction contains into the tree's counts, and charges m for the
+// scan, the candidate hits and this scan's walk of the tree.
+func CountTree(db *txdb.DB, tree *hashtree.Tree, m *mining.Metrics) {
+	m.Passes++
+	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem)
+	walked := tree.WalkCost()
+	hits := 0
+	db.Each(func(t *txdb.Transaction) { hits += tree.CountTx(t.Items) })
+	m.Work.Charge(int64(hits), mining.CostCandidateHit)
+	m.Work.Charge(tree.WalkCost()-walked, 1)
+}
+
+// FrequentPairs appends the pairs of counts that reach minCount to res
+// and returns them in lexicographic order, the next candidate step's
+// input.
+func FrequentPairs(res *mining.Result, counts map[uint64]int, minCount int) []itemset.Itemset {
+	var prev []itemset.Itemset
+	for key, c := range counts {
+		if c >= minCount {
+			a, b := mining.PairOf(key)
+			pair := itemset.Itemset{a, b}
+			res.Frequent = append(res.Frequent, itemset.Counted{Set: pair, Count: c})
+			prev = append(prev, pair)
+		}
 	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
+	itemset.Sort(prev)
+	return prev
+}
+
+// FrequentCandidates is FrequentPairs for the candidates counted in tree.
+func FrequentCandidates(res *mining.Result, tree *hashtree.Tree, minCount int) []itemset.Itemset {
+	var prev []itemset.Itemset
+	for i := 0; i < tree.Len(); i++ {
+		if c := tree.Count(i); c >= minCount {
+			res.Frequent = append(res.Frequent, itemset.Counted{Set: tree.Candidate(i), Count: c})
+			prev = append(prev, tree.Candidate(i))
+		}
+	}
+	itemset.Sort(prev)
+	return prev
 }

@@ -26,6 +26,7 @@ import (
 	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/countdist"
+	"pmihp/internal/datadist"
 	"pmihp/internal/dhp"
 	"pmihp/internal/fpgrowth"
 	"pmihp/internal/mining"
@@ -188,6 +189,9 @@ func workloads() []workload {
 			return parallel(countdist.Mine(dbs[dbA], countdist.Config{Nodes: 8}, optsA))
 		}},
 		{"E2Fig5_PMIHP", "fig5", pmihp(8, core.Interleaved, optsA, dbA)},
+		{"A11_DataDistribution", "a11", func(dbs *corpora) (Outcome, error) {
+			return parallel(datadist.Mine(dbs[dbA], datadist.Config{Nodes: 8}, optsA))
+		}},
 		{"E3Fig6_PMIHP1", "fig6", pmihp(1, core.Interleaved, optsB, dbB)},
 		{"E3Fig6_PMIHP2", "fig6", pmihp(2, core.Interleaved, optsB, dbB)},
 		{"E3Fig6_PMIHP4", "fig6", pmihp(4, core.Interleaved, optsB, dbB)},

@@ -80,30 +80,11 @@ func (p *PollCounter) ensure(m *mining.Metrics) {
 	}
 }
 
-// FrequentItems derives the globally frequent 1-itemsets from the
-// all-reduced global item counts: the membership array, the ascending
-// item list, and the counted form that seeds the merged result.
+// FrequentItems is mining.FrequentItems plus mining.CountedItems, kept
+// for perfbench's pass-1 replay; the miners call those two directly.
 func FrequentItems(globalCounts []int, globalMin int) (freq []bool, f1 []itemset.Item, f1Counted []itemset.Counted) {
-	freq, f1 = frequentItems(globalCounts, globalMin)
-	f1Counted = make([]itemset.Counted, len(f1))
-	for i, it := range f1 {
-		// A capacity-capped view of f1: one backing array for every set.
-		f1Counted[i] = itemset.Counted{Set: f1[i : i+1 : i+1], Count: globalCounts[it]}
-	}
-	return freq, f1, f1Counted
-}
-
-// frequentItems is FrequentItems without the counted form, which only
-// the final merge needs.
-func frequentItems(globalCounts []int, globalMin int) (freq []bool, f1 []itemset.Item) {
-	freq = make([]bool, len(globalCounts))
-	for it, c := range globalCounts {
-		if c >= globalMin {
-			freq[it] = true
-			f1 = append(f1, itemset.Item(it))
-		}
-	}
-	return freq, f1
+	freq, f1 = mining.FrequentItems(globalCounts, globalMin)
+	return freq, f1, mining.CountedItems(f1, globalCounts)
 }
 
 // MergeFound combines the nodes' globally frequent itemsets with the

@@ -21,17 +21,13 @@ func MineMIHP(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	// Pass 1 (pseudo-code lines 5-12): count items and build the THTs of
 	// the frequent ones, which are all the first pass keeps.
 	counts := db.ItemCounts()
-	freq, f1 := frequentItems(counts, minCount)
+	freq, f1 := mining.FrequentItems(counts, minCount)
 	local := tht.Build(db, opts.THTEntries, counts, freq)
 	m.Passes++
 	m.AddCandidates(1, db.NumItems())
 	// Each occurrence is read and hashed into the item's THT.
 	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem+mining.CostTHTSlot)
-	for _, it := range f1 {
-		res.Frequent = append(res.Frequent, itemset.Counted{
-			Set: itemset.Itemset{it}, Count: counts[it],
-		})
-	}
+	res.Frequent = mining.CountedItems(f1, counts)
 	m.NoteCandidateBytes(int64(local.Bytes()))
 
 	if opts.MaxK == 1 || len(f1) < 2 {

@@ -548,7 +548,7 @@ func (lm *localMiner) tryPair(g *genShard, ss tht.SegScan, a itemset.Item, bPos 
 		g.prunedTHT++
 		return
 	}
-	g.keys = append(g.keys, pairKey(a, lm.freqItems[bPos]))
+	g.keys = append(g.keys, mining.PairKey(a, lm.freqItems[bPos]))
 }
 
 // countPass2 scans the working database once, counting candidate pairs and
@@ -594,7 +594,7 @@ func (lm *localMiner) countPass2(cands *mining.PairTable, counts []int32, inPart
 				}
 				for j := i + 1; j < len(items); j++ {
 					txPairs++
-					idx, ok := cands.Get(pairKey(items[i], items[j]))
+					idx, ok := cands.Get(mining.PairKey(items[i], items[j]))
 					if !ok {
 						continue
 					}
@@ -830,13 +830,11 @@ func (lm *localMiner) accumFor(accum map[int]*itemset.Set, k int) *itemset.Set {
 	return s
 }
 
-func pairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
-
 // pairSet materializes a packed pair as a 2-itemset from the set arena
 // (emitted sets outlive the pass, so they cannot share the partition
 // arena).
 func (lm *localMiner) pairSet(key uint64) itemset.Itemset {
 	s := lm.setArena.Alloc(2)
-	s[0], s[1] = itemset.Item(key>>32), itemset.Item(key&0xffffffff)
+	s[0], s[1] = mining.PairOf(key)
 	return s
 }

@@ -145,9 +145,10 @@ func TestTrimmingPreservesCandidateCounts(t *testing.T) {
 }
 
 func TestPairKeyRoundTrip(t *testing.T) {
+	var lm localMiner
 	for _, pair := range [][2]itemset.Item{{0, 1}, {5, 1 << 30}, {12345, 67890}} {
-		key := pairKey(pair[0], pair[1])
-		got := pairSetOf(key)
+		key := mining.PairKey(pair[0], pair[1])
+		got := lm.pairSet(key)
 		if got[0] != pair[0] || got[1] != pair[1] {
 			t.Fatalf("round trip of %v = %v", pair, got)
 		}
@@ -217,9 +218,4 @@ func TestPMIHPWithSkewAwareSplitGivesSameAnswer(t *testing.T) {
 			t.Fatalf("alternative split changed the answer: %s", diff)
 		}
 	}
-}
-
-// pairSetOf is pairSet without a miner .
-func pairSetOf(key uint64) itemset.Itemset {
-	return itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
 }

@@ -173,7 +173,7 @@ func (nd *node) run() error {
 	if self == 0 {
 		out.GlobalCounts = globalCounts
 	}
-	freq, f1 := frequentItems(globalCounts, glMin)
+	freq, f1 := mining.FrequentItems(globalCounts, glMin)
 
 	// ---- Poll service. Installed before the THT exchange: a peer can
 	// only poll after completing that collective, which transitively

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pmihp/internal/itemset"
+	"pmihp/internal/mining"
 	"pmihp/internal/tht"
 	"pmihp/internal/txdb"
 )
@@ -47,7 +48,7 @@ func perPairGenOuter(lm *localMiner, g *genShard, a itemset.Item) {
 			g.prunedTHT++
 			continue
 		}
-		g.keys = append(g.keys, pairKey(a, b))
+		g.keys = append(g.keys, mining.PairKey(a, b))
 	}
 }
 

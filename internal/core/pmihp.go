@@ -72,7 +72,8 @@ type NodeReport struct {
 	PollServeUnits int64
 }
 
-// ParallelResult is the outcome of a PMIHP (or Count Distribution) run.
+// ParallelResult is the outcome of a PMIHP, Count Distribution or Data
+// Distribution run.
 type ParallelResult struct {
 	// Result holds the merged globally frequent itemsets; its metrics are
 	// the node aggregates.
@@ -100,6 +101,31 @@ type ParallelResult struct {
 	// alongside (mining.Metrics.WireSeconds), so model and measurement can
 	// be validated against each other.
 	ExchangeSecondsByPass []float64
+}
+
+// ClusterResult closes a run of a level-wise parallel Apriori (Count or
+// Data Distribution) whose nodes each held parts[i] and kept their
+// accounting in nodes[i] on fabric. It sorts res's frequent list, notes
+// each node's held bytes (its partition plus its peak candidate bytes),
+// reads each node's traffic and clock off the fabric, and merges the
+// node metrics into res under the algorithm's name.
+func ClusterResult(algorithm string, res *mining.Result, parts []*txdb.DB, nodes []mining.Metrics, fabric *cluster.Fabric, exchange []float64) *ParallelResult {
+	itemset.SortCounted(res.Frequent)
+	res.Metrics = mining.NewMetrics(algorithm)
+	out := &ParallelResult{
+		Result:                res,
+		Nodes:                 make([]NodeReport, len(nodes)),
+		TotalSeconds:          fabric.MaxClock(),
+		ExchangeSecondsByPass: exchange,
+	}
+	for i := range nodes {
+		m := &nodes[i]
+		m.NoteHeldBytes(parts[i].MemBytes() + m.PeakCandidateBytes)
+		m.MessagesSent, m.BytesSent = fabric.Stats(i).Snapshot()
+		out.Nodes[i] = NodeReport{Node: i, Docs: parts[i].Len(), Metrics: *m, Seconds: fabric.Clock(i).Now()}
+		res.Metrics.Merge(m)
+	}
+	return out
 }
 
 // AvgNodeSeconds returns the mean per-node simulated execution time
@@ -201,12 +227,13 @@ func MinePMIHP(db *txdb.DB, cfg PMIHPConfig, opts mining.Options) (*ParallelResu
 	}
 
 	globalMin := p.Opts.MinSupCount
-	_, _, f1Counted := FrequentItems(outcomes[0].GlobalCounts, globalMin)
+	globalCounts := outcomes[0].GlobalCounts
+	_, f1 := mining.FrequentItems(globalCounts, globalMin)
 	var all []itemset.Counted
 	for _, o := range outcomes {
 		all = append(all, o.Found...)
 	}
-	res := &mining.Result{Frequent: MergeFound(f1Counted, all), Metrics: mining.NewMetrics("pmihp")}
+	res := &mining.Result{Frequent: MergeFound(mining.CountedItems(f1, globalCounts), all), Metrics: mining.NewMetrics("pmihp")}
 	out := &ParallelResult{Result: res, Nodes: make([]NodeReport, n), TotalSeconds: fabric.MaxClock()}
 	_, out.THTExchangeSeconds = xs[0].Collective(transport.PhaseTHT)
 	finalStart, finalSeconds := xs[0].Collective(transport.PhaseFinal)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"pmihp/internal/itemset"
+	"pmihp/internal/mining"
 )
 
 // PairTally records which nodes counted each candidate 2-itemset during a
@@ -34,7 +35,7 @@ func (t *PairTally) noteBatch(node, k int, sets []itemset.Itemset) {
 	}
 	t.mu.Lock()
 	for _, s := range sets {
-		t.m[pairKey(s[0], s[1])] |= 1 << uint(node)
+		t.m[mining.PairKey(s[0], s[1])] |= 1 << uint(node)
 	}
 	t.mu.Unlock()
 }

@@ -10,10 +10,10 @@ import (
 
 func TestPairTallyCounts(t *testing.T) {
 	ta := NewPairTally()
-	ta.note(0, pairKey(1, 2))
-	ta.note(1, pairKey(1, 2))
-	ta.note(0, pairKey(3, 4))
-	ta.note(0, pairKey(3, 4)) // same node twice: still one bit
+	ta.note(0, mining.PairKey(1, 2))
+	ta.note(1, mining.PairKey(1, 2))
+	ta.note(0, mining.PairKey(3, 4))
+	ta.note(0, mining.PairKey(3, 4)) // same node twice: still one bit
 	if ta.Distinct() != 2 {
 		t.Fatalf("Distinct = %d", ta.Distinct())
 	}
@@ -40,7 +40,7 @@ func TestPairTallyConcurrent(t *testing.T) {
 		go func(node int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				ta.note(node, pairKey(itemset.Item(i%50), itemset.Item(100+i%50)))
+				ta.note(node, mining.PairKey(itemset.Item(i%50), itemset.Item(100+i%50)))
 			}
 		}(node)
 	}

@@ -15,10 +15,10 @@ import (
 	"fmt"
 	"time"
 
+	"pmihp/internal/apriori"
 	"pmihp/internal/cluster"
 	"pmihp/internal/core"
 	"pmihp/internal/hashtree"
-	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
 	"pmihp/internal/obs"
 	"pmihp/internal/txdb"
@@ -48,6 +48,11 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	for i := range metrics {
 		metrics[i] = mining.NewMetrics("cd-node")
 	}
+	res := &mining.Result{}
+	var exchange []float64
+	finish := func(err error) (*core.ParallelResult, error) {
+		return core.ClusterResult("countdist", res, parts, metrics, fabric, exchange), err
+	}
 
 	// Observability: one pass event per node per counting pass. The
 	// all-reduce is one shared collective, so its modeled time and payload
@@ -57,17 +62,6 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	var scanSec []float64
 	if opts.Obs.Enabled() {
 		scanSec = make([]float64, n)
-	}
-	scanStart := func(i int) time.Time {
-		if scanSec != nil {
-			return time.Now()
-		}
-		return time.Time{}
-	}
-	scanEnd := func(i int, t0 time.Time) {
-		if scanSec != nil {
-			scanSec[i] = time.Since(t0).Seconds()
-		}
 	}
 	emitPass := func(k, candidates int, exch float64, wireBytes int64) {
 		r := opts.Obs
@@ -87,61 +81,37 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 			r.Pass(ev)
 		}
 	}
-	res := &mining.Result{Metrics: mining.NewMetrics("countdist")}
-	out := &core.ParallelResult{Result: res}
-	finish := func(err error) (*core.ParallelResult, error) {
-		itemset.SortCounted(res.Frequent)
-		out.Nodes = make([]core.NodeReport, n)
-		for i := range metrics {
-			metrics[i].NoteHeldBytes(parts[i].MemBytes() + metrics[i].PeakCandidateBytes)
-			msgs, bytes := fabric.Stats(i).Snapshot()
-			metrics[i].MessagesSent = msgs
-			metrics[i].BytesSent = bytes
-			out.Nodes[i] = core.NodeReport{
-				Node:    i,
-				Docs:    parts[i].Len(),
-				Metrics: metrics[i],
-				Seconds: fabric.Clock(i).Now(),
+	// count runs one of Apriori's counting passes at every node over its
+	// own partition, advancing the node's clock by the work it charged,
+	// and then all-reduces the count vector, 4 bytes per candidate.
+	count := func(k, candidates int, pass func(part *txdb.DB, m *mining.Metrics)) {
+		for i := 0; i < n; i++ {
+			m := &metrics[i]
+			before := m.Work.Units
+			var t0 time.Time
+			if scanSec != nil {
+				t0 = time.Now()
 			}
-			res.Metrics.Merge(&metrics[i])
+			pass(parts[i], m)
+			if scanSec != nil {
+				scanSec[i] = time.Since(t0).Seconds()
+			}
+			fabric.Clock(i).AdvanceWork(m.Work.Units - before)
 		}
-		res.Metrics.Algorithm = "countdist"
-		out.TotalSeconds = fabric.MaxClock()
-		return out, err
+		wire := int64(4 * candidates)
+		exchange = append(exchange, fabric.AllReduce(wire))
+		emitPass(k, candidates, exchange[len(exchange)-1], wire)
 	}
 
 	// Pass 1: local item counts, then all-reduce.
 	globalCounts := make([]int, db.NumItems())
-	for i := 0; i < n; i++ {
-		m := &metrics[i]
-		m.Passes++
-		items := 0
-		t0 := scanStart(i)
-		parts[i].Each(func(t *txdb.Transaction) {
-			items += len(t.Items)
-			for _, it := range t.Items {
-				globalCounts[it]++
-			}
-		})
-		scanEnd(i, t0)
-		m.Work.Charge(int64(items), mining.CostScanItem)
-		fabric.Clock(i).AdvanceWork(m.Work.Units)
-		m.AddCandidates(1, db.NumItems())
-	}
-	out.ExchangeSecondsByPass = append(out.ExchangeSecondsByPass, fabric.AllReduce(int64(4*db.NumItems())))
-	emitPass(1, db.NumItems(), out.ExchangeSecondsByPass[0], int64(4*db.NumItems()))
-
-	frequent := make([]bool, db.NumItems())
-	var f1 []itemset.Item
-	for it, c := range globalCounts {
-		if c >= minCount {
-			frequent[it] = true
-			f1 = append(f1, itemset.Item(it))
-			res.Frequent = append(res.Frequent, itemset.Counted{
-				Set: itemset.Itemset{itemset.Item(it)}, Count: c,
-			})
+	count(1, db.NumItems(), func(part *txdb.DB, m *mining.Metrics) {
+		for it, c := range apriori.CountItems(part, m) {
+			globalCounts[it] += c
 		}
-	}
+	})
+	frequent, f1 := mining.FrequentItems(globalCounts, minCount)
+	res.Frequent = mining.CountedItems(f1, globalCounts)
 	if opts.MaxK == 1 || len(f1) < 2 {
 		return finish(nil)
 	}
@@ -161,110 +131,41 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	if opts.MemoryBudget > 0 && candBytes > opts.MemoryBudget {
 		return finish(mining.ErrMemoryExceeded)
 	}
-
 	pairCounts := make(map[uint64]int)
-	distinctPairs := make(map[uint64]struct{})
-	for i := 0; i < n; i++ {
-		m := &metrics[i]
-		m.Passes++
-		before := m.Work.Units
-		t0 := scanStart(i)
-		buf := make(itemset.Itemset, 0, 256)
-		parts[i].Each(func(t *txdb.Transaction) {
-			m.Work.Charge(int64(len(t.Items)), mining.CostScanItem)
-			buf = buf[:0]
-			for _, it := range t.Items {
-				if frequent[it] {
-					buf = append(buf, it)
-				}
-			}
-			for a := 0; a < len(buf); a++ {
-				for b := a + 1; b < len(buf); b++ {
-					key := uint64(buf[a])<<32 | uint64(buf[b])
-					pairCounts[key]++
-					distinctPairs[key] = struct{}{}
-				}
-			}
-			l := len(buf)
-			m.Work.Charge(mining.Pass2TreeCharge(l, nPairs), 1)
-			m.Work.Charge(int64(l*(l-1)/2), mining.CostCandidateHit)
-		})
-		scanEnd(i, t0)
-		fabric.Clock(i).AdvanceWork(m.Work.Units - before)
-	}
-	// The count vector over the replicated candidate set is all-reduced.
-	out.ExchangeSecondsByPass = append(out.ExchangeSecondsByPass, fabric.AllReduce(int64(4*nPairs)))
-	emitPass(2, nPairs, out.ExchangeSecondsByPass[1], int64(4*nPairs))
+	count(2, nPairs, func(part *txdb.DB, m *mining.Metrics) {
+		apriori.CountPairs(part, frequent, nPairs, pairCounts, m)
+	})
+	prev := apriori.FrequentPairs(res, pairCounts, minCount)
 
-	var prev []itemset.Itemset
-	for key, c := range pairCounts {
-		if c >= minCount {
-			pair := itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
-			res.Frequent = append(res.Frequent, itemset.Counted{Set: pair, Count: c})
-			prev = append(prev, pair)
-		}
-	}
-	itemset.Sort(prev)
-
-	// Passes k >= 3.
+	// Passes k >= 3: every node runs the same candidate step, including
+	// one whose candidates all fail the subset check, and counts one
+	// shared hash tree over its partition.
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
-		if len(cands) == 0 {
-			break
-		}
+		cands, potential, prunedSub := mining.GenNext(prev)
 		candBytes := mining.CandidateBytes(k, len(cands))
 		for i := range metrics {
 			m := &metrics[i]
-			m.AddCandidates(k, len(cands))
+			before := m.Work.Units
 			m.Work.Charge(int64(potential), mining.CostCandidateGen)
-			m.Work.Charge(int64(len(cands)), mining.CostTreeInsert)
 			m.PrunedBySubset += int64(prunedSub)
-			m.NoteCandidateBytes(candBytes)
-			fabric.Clock(i).AdvanceWork(int64(potential)*mining.CostCandidateGen + int64(len(cands))*mining.CostTreeInsert)
+			if len(cands) > 0 {
+				m.AddCandidates(k, len(cands))
+				m.Work.Charge(int64(len(cands)), mining.CostTreeInsert)
+				m.NoteCandidateBytes(candBytes)
+			}
+			fabric.Clock(i).AdvanceWork(m.Work.Units - before)
+		}
+		if len(cands) == 0 {
+			break
 		}
 		if opts.MemoryBudget > 0 && candBytes > opts.MemoryBudget {
 			return finish(mining.ErrMemoryExceeded)
 		}
-
-		total := make([]int, len(cands))
-		for i := 0; i < n; i++ {
-			m := &metrics[i]
-			m.Passes++
-			before := m.Work.Units
-			t0 := scanStart(i)
-			tree := hashtree.Build(k, cands)
-			parts[i].Each(func(t *txdb.Transaction) {
-				m.Work.Charge(int64(len(t.Items)), mining.CostScanItem)
-				hits := tree.CountTx(t.Items)
-				m.Work.Charge(int64(hits), mining.CostCandidateHit)
-			})
-			scanEnd(i, t0)
-			m.Work.Charge(tree.WalkCost(), 1)
-			for c, v := range tree.Counts() {
-				total[c] += v
-			}
-			fabric.Clock(i).AdvanceWork(m.Work.Units - before)
-		}
-		out.ExchangeSecondsByPass = append(out.ExchangeSecondsByPass, fabric.AllReduce(int64(4*len(cands))))
-		emitPass(k, len(cands), out.ExchangeSecondsByPass[len(out.ExchangeSecondsByPass)-1], int64(4*len(cands)))
-
-		prev = prev[:0]
-		for i, c := range total {
-			if c >= minCount {
-				res.Frequent = append(res.Frequent, itemset.Counted{Set: cands[i], Count: c})
-				prev = append(prev, cands[i])
-			}
-		}
-		itemset.Sort(prev)
+		tree := hashtree.Build(k, cands)
+		count(k, len(cands), func(part *txdb.DB, m *mining.Metrics) {
+			apriori.CountTree(part, tree, m)
+		})
+		prev = apriori.FrequentCandidates(res, tree, minCount)
 	}
 	return finish(nil)
-}
-
-// genNext generates the candidate k-itemsets from the frequent
-// (k-1)-itemsets, using the packed-pair fast path for k=3.
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

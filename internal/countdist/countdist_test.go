@@ -1,10 +1,12 @@
 package countdist
 
 import (
+	"slices"
 	"testing"
 
 	"pmihp/internal/apriori"
 	"pmihp/internal/corpus"
+	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
 	"pmihp/internal/text"
 	"pmihp/internal/txdb"
@@ -126,6 +128,54 @@ func TestNodeStatsPopulated(t *testing.T) {
 		}
 		if n.Metrics.BytesSent <= 0 {
 			t.Fatalf("node %d sent no bytes (all-reduce missing)", n.Node)
+		}
+	}
+}
+
+// TestOneNodeIsApriori: Count Distribution on one node is Apriori. It
+// finds the same frequent list and charges the same work units and
+// subset prunings, also when every candidate a join produces fails the
+// subset check (the tiny database's {0,1,2}, whose pair {1,2} never
+// occurs).
+func TestOneNodeIsApriori(t *testing.T) {
+	tiny := txdb.New([]txdb.Transaction{
+		{TID: 0, Items: itemset.New(0, 1)},
+		{TID: 1, Items: itemset.New(0, 1)},
+		{TID: 2, Items: itemset.New(0, 2)},
+		{TID: 3, Items: itemset.New(0, 2)},
+		{TID: 4, Items: itemset.New(1)},
+		{TID: 5, Items: itemset.New(2)},
+	}, 3)
+	docs, err := corpus.Generate(corpus.CorpusC(corpus.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	presetC, _ := text.ToDB(docs, nil)
+	for _, c := range []struct {
+		name string
+		db   *txdb.DB
+		opts mining.Options
+	}{
+		{"tiny", tiny, mining.Options{MinSupCount: 2}},
+		{"corpus-c", presetC, mining.Options{MinSupFrac: 0.02, MaxK: 4}},
+	} {
+		want, err := apriori.Mine(c.db, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Mine(c.db, Config{Nodes: 1}, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got.Result.Frequent, want.Frequent, func(a, b itemset.Counted) bool {
+			return a.Count == b.Count && itemset.Compare(a.Set, b.Set) == 0
+		}) {
+			t.Errorf("%s: frequent list differs from Apriori's", c.name)
+		}
+		gm, wm := got.Result.Metrics, want.Metrics
+		if gm.Work.Units != wm.Work.Units || gm.PrunedBySubset != wm.PrunedBySubset {
+			t.Errorf("%s: work units %d, pruned by subset %d; Apriori %d, %d",
+				c.name, gm.Work.Units, gm.PrunedBySubset, wm.Work.Units, wm.PrunedBySubset)
 		}
 	}
 }

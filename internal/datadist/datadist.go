@@ -16,6 +16,7 @@ package datadist
 import (
 	"fmt"
 
+	"pmihp/internal/apriori"
 	"pmihp/internal/cluster"
 	"pmihp/internal/core"
 	"pmihp/internal/hashtree"
@@ -31,8 +32,9 @@ type Config struct {
 
 // Mine runs Data Distribution over the database split across cfg.Nodes
 // nodes by opts.Partitioner (by default the paper's equal-count
-// chronological split). Memory accounting covers each node's candidate
-// share; mining.ErrMemoryExceeded is returned when that share outgrows
+// chronological split). Each node holds its partition plus its candidate
+// share, as a CD node holds its partition plus the whole candidate set;
+// mining.ErrMemoryExceeded is returned when the share outgrows
 // opts.MemoryBudget.
 func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, error) {
 	if cfg.Nodes <= 0 {
@@ -56,26 +58,9 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	for i := range metrics {
 		metrics[i] = mining.NewMetrics("dd-node")
 	}
-	res := &mining.Result{Metrics: mining.NewMetrics("datadist")}
-	out := &core.ParallelResult{Result: res}
+	res := &mining.Result{}
 	finish := func(err error) (*core.ParallelResult, error) {
-		itemset.SortCounted(res.Frequent)
-		out.Nodes = make([]core.NodeReport, n)
-		for i := range metrics {
-			msgs, bytes := fabric.Stats(i).Snapshot()
-			metrics[i].MessagesSent = msgs
-			metrics[i].BytesSent = bytes
-			out.Nodes[i] = core.NodeReport{
-				Node:    i,
-				Docs:    parts[i].Len(),
-				Metrics: metrics[i],
-				Seconds: fabric.Clock(i).Now(),
-			}
-			res.Metrics.Merge(&metrics[i])
-		}
-		res.Metrics.Algorithm = "datadist"
-		out.TotalSeconds = fabric.MaxClock()
-		return out, err
+		return core.ClusterResult("datadist", res, parts, metrics, fabric, nil), err
 	}
 
 	// broadcastData models every node shipping its local partition to all
@@ -98,31 +83,14 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	globalCounts := make([]int, db.NumItems())
 	for i := 0; i < n; i++ {
 		m := &metrics[i]
-		m.Passes++
-		items := 0
-		parts[i].Each(func(t *txdb.Transaction) {
-			items += len(t.Items)
-			for _, it := range t.Items {
-				globalCounts[it]++
-			}
-		})
-		m.Work.Charge(int64(items), mining.CostScanItem)
+		for it, c := range apriori.CountItems(parts[i], m) {
+			globalCounts[it] += c
+		}
 		fabric.Clock(i).AdvanceWork(m.Work.Units)
-		m.AddCandidates(1, db.NumItems())
 	}
 	fabric.AllReduce(int64(4 * db.NumItems()))
-
-	frequent := make([]bool, db.NumItems())
-	var f1 []itemset.Item
-	for it, c := range globalCounts {
-		if c >= minCount {
-			frequent[it] = true
-			f1 = append(f1, itemset.Item(it))
-			res.Frequent = append(res.Frequent, itemset.Counted{
-				Set: itemset.Itemset{itemset.Item(it)}, Count: c,
-			})
-		}
-	}
+	frequent, f1 := mining.FrequentItems(globalCounts, minCount)
+	res.Frequent = mining.CountedItems(f1, globalCounts)
 	if opts.MaxK == 1 || len(f1) < 2 {
 		return finish(nil)
 	}
@@ -162,7 +130,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		}
 		for a := 0; a < len(buf); a++ {
 			for b := a + 1; b < len(buf); b++ {
-				pairCounts[uint64(buf[a])<<32|uint64(buf[b])]++
+				pairCounts[mining.PairKey(buf[a], buf[b])]++
 			}
 		}
 		l := len(buf)
@@ -177,36 +145,31 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		m.Work.Charge(int64(totalItems), mining.CostScanItem)
 		fabric.Clock(i).AdvanceWork(m.Work.Units - before[i])
 	}
-
-	var prev []itemset.Itemset
-	for key, c := range pairCounts {
-		if c >= minCount {
-			pair := itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
-			res.Frequent = append(res.Frequent, itemset.Counted{Set: pair, Count: c})
-			prev = append(prev, pair)
-		}
-	}
-	itemset.Sort(prev)
+	prev := apriori.FrequentPairs(res, pairCounts, minCount)
 	// Frequent shares are exchanged so every node can generate the next
 	// candidate set.
 	fabric.AllGather(int64(12 * (len(prev)/n + 1)))
 
-	// Passes k >= 3.
+	// Passes k >= 3: every node runs the whole candidate step, including
+	// one whose candidates all fail the subset check, and keeps its share.
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
-		if len(cands) == 0 {
-			break
-		}
+		cands, potential, prunedSub := mining.GenNext(prev)
 		share := len(cands)/n + 1
 		shareBytes := mining.CandidateBytes(k, share)
 		for i := range metrics {
 			m := &metrics[i]
-			m.AddCandidates(k, share)
+			before := m.Work.Units
 			m.Work.Charge(int64(potential), mining.CostCandidateGen)
-			m.Work.Charge(int64(share), mining.CostTreeInsert)
 			m.PrunedBySubset += int64(prunedSub)
-			m.NoteCandidateBytes(shareBytes)
-			fabric.Clock(i).AdvanceWork(int64(potential)*mining.CostCandidateGen + int64(share)*mining.CostTreeInsert)
+			if len(cands) > 0 {
+				m.AddCandidates(k, share)
+				m.Work.Charge(int64(share), mining.CostTreeInsert)
+				m.NoteCandidateBytes(shareBytes)
+			}
+			fabric.Clock(i).AdvanceWork(m.Work.Units - before)
+		}
+		if len(cands) == 0 {
+			break
 		}
 		if opts.MemoryBudget > 0 && shareBytes > opts.MemoryBudget {
 			return finish(mining.ErrMemoryExceeded)
@@ -227,25 +190,8 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 			m.Work.Charge(hits/int64(n)+1, mining.CostCandidateHit)
 			fabric.Clock(i).AdvanceWork(m.Work.Units - before)
 		}
-
-		prev = prev[:0]
-		for i := 0; i < tree.Len(); i++ {
-			if c := tree.Count(i); c >= minCount {
-				res.Frequent = append(res.Frequent, itemset.Counted{Set: tree.Candidate(i), Count: c})
-				prev = append(prev, tree.Candidate(i))
-			}
-		}
-		itemset.Sort(prev)
+		prev = apriori.FrequentCandidates(res, tree, minCount)
 		fabric.AllGather(int64((4*k + 8) * (len(prev)/n + 1)))
 	}
 	return finish(nil)
-}
-
-// genNext mirrors the candidate generation of the other Apriori-family
-// miners (packed-pair fast path for k=3).
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

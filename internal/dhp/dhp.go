@@ -13,6 +13,7 @@
 package dhp
 
 import (
+	"pmihp/internal/apriori"
 	"pmihp/internal/hashtree"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
@@ -47,10 +48,10 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	// every transaction.
 	counts := db.ItemCounts()
 	m.Passes++
+	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem)
 	h2 := make([]int32, NumBuckets)
 	h2Valid := true
 	db.Each(func(t *txdb.Transaction) {
-		m.Work.Charge(int64(len(t.Items)), mining.CostScanItem)
 		l := len(t.Items)
 		if l*(l-1)/2 > maxHashedSubsets {
 			h2Valid = false
@@ -64,17 +65,8 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 		m.Work.Charge(int64(l*(l-1)/2), mining.CostBucket)
 	})
 
-	frequent := make([]bool, db.NumItems())
-	var f1 []itemset.Item
-	for it, c := range counts {
-		if c >= minCount {
-			frequent[it] = true
-			f1 = append(f1, itemset.Item(it))
-			res.Frequent = append(res.Frequent, itemset.Counted{
-				Set: itemset.Itemset{itemset.Item(it)}, Count: c,
-			})
-		}
-	}
+	frequent, f1 := mining.FrequentItems(counts, minCount)
+	res.Frequent = mining.CountedItems(f1, counts)
 	if opts.MaxK == 1 || len(f1) < 2 {
 		itemset.SortCounted(res.Frequent)
 		return res, nil
@@ -87,7 +79,7 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 		for j := i + 1; j < len(f1); j++ {
 			m.Work.Charge(1, mining.CostBucket)
 			if !h2Valid || h2[bucketOfPair(f1[i], f1[j])] >= int32(minCount) {
-				key := uint64(f1[i])<<32 | uint64(f1[j])
+				key := mining.PairKey(f1[i], f1[j])
 				c2Index[key] = int32(len(c2))
 				c2 = append(c2, key)
 			} else {
@@ -123,7 +115,7 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 		m.Work.Charge(mining.Pass2TreeCharge(len(fit), len(c2)), 1)
 		for i := 0; i < len(fit); i++ {
 			for j := i + 1; j < len(fit); j++ {
-				if idx, ok := c2Index[uint64(fit[i])<<32|uint64(fit[j])]; ok {
+				if idx, ok := c2Index[mining.PairKey(fit[i], fit[j])]; ok {
 					c2Counts[idx]++
 					m.Work.Charge(1, mining.CostCandidateHit)
 					matched++
@@ -161,7 +153,8 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	var prev []itemset.Itemset
 	for i, key := range c2 {
 		if int(c2Counts[i]) >= minCount {
-			pair := itemset.Itemset{itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)}
+			a, b := mining.PairOf(key)
+			pair := itemset.Itemset{a, b}
 			res.Frequent = append(res.Frequent, itemset.Counted{Set: pair, Count: int(c2Counts[i])})
 			prev = append(prev, pair)
 		}
@@ -171,7 +164,7 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	// Passes k >= 3: prefix join + subset pruning + bucket pruning + trees.
 	bucket := h3
 	for k := 3; len(prev) >= 2 && (opts.MaxK == 0 || k <= opts.MaxK); k++ {
-		cands, potential, prunedSub := genNext(k, prev)
+		cands, potential, prunedSub := mining.GenNext(prev)
 		m.Work.Charge(int64(potential), mining.CostCandidateGen)
 		m.PrunedBySubset += int64(prunedSub)
 		if bucket != nil {
@@ -244,15 +237,7 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 			next = nil
 		}
 		bucket = next
-
-		prev = prev[:0]
-		for i := 0; i < tree.Len(); i++ {
-			if c := tree.Count(i); c >= minCount {
-				res.Frequent = append(res.Frequent, itemset.Counted{Set: tree.Candidate(i), Count: c})
-				prev = append(prev, tree.Candidate(i))
-			}
-		}
-		itemset.Sort(prev)
+		prev = apriori.FrequentCandidates(res, tree, minCount)
 	}
 
 	m.NoteHeldBytes(db.MemBytes() + m.PeakCandidateBytes)
@@ -310,13 +295,4 @@ func clearHits(m map[itemset.Item]int32) {
 	for k := range m {
 		delete(m, k)
 	}
-}
-
-// genNext generates the candidate k-itemsets from the frequent
-// (k-1)-itemsets, using the packed-pair fast path for k=3.
-func genNext(k int, prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
-	if k == 3 {
-		return mining.Gen3(prev, mining.PairTableOf(prev))
-	}
-	return mining.AprioriGen(prev, itemset.SetOf(prev...))
 }

@@ -727,13 +727,13 @@ func (s *session) runAttempt() (*Result, error) {
 	for it, c := range dones[0].GlobalCounts {
 		globalCounts[it] = int(c)
 	}
-	_, _, f1Counted := core.FrequentItems(globalCounts, s.p.Opts.MinSupCount)
+	_, f1 := mining.FrequentItems(globalCounts, s.p.Opts.MinSupCount)
 	var all []itemset.Counted
 	for _, done := range dones {
 		all = append(all, done.Found...)
 	}
 	res := &Result{
-		Frequent: core.MergeFound(f1Counted, all),
+		Frequent: core.MergeFound(mining.CountedItems(f1, globalCounts), all),
 		Metrics:  mining.NewMetrics("distmine"),
 		Nodes:    make([]NodeStats, n),
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/mining"
 	"pmihp/internal/tht"
@@ -79,7 +78,7 @@ func TestInProcessWireBytesUnderDense(t *testing.T) {
 	requireIdentical(t, pmihpRef(t, db, n, opts), got)
 
 	resolved := opts.WithDefaults()
-	freq, _, _ := core.FrequentItems(db.ItemCounts(), opts.MinSupCount)
+	freq, _ := mining.FrequentItems(db.ItemCounts(), opts.MinSupCount)
 	// Each node's blob reaches the n-1 others, one send per reception.
 	var dense int64
 	for _, part := range resolved.Partitioner.Split(db, n) {

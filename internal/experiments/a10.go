@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"pmihp/internal/cluster"
-	"pmihp/internal/core"
 	"pmihp/internal/corpus"
+	"pmihp/internal/mining"
 	"pmihp/internal/tht"
 )
 
@@ -37,7 +37,7 @@ func RunA10(p Params) (fmt.Stringer, error) {
 		// Measure the real per-node THT payload: local tables over the
 		// node's slice, holding the globally frequent items' rows.
 		parts := b.db.SplitChronological(n)
-		keep, _, _ := core.FrequentItems(b.db.ItemCounts(), 2)
+		keep, _ := mining.FrequentItems(b.db.ItemCounts(), 2)
 		entries := 400 / n
 		if entries < 4 {
 			entries = 4

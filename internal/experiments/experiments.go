@@ -124,14 +124,10 @@ func buildCorpus(cfg corpus.Config) (*built, error) {
 // footprints of the 2.00% and 1.75% sweeps over db (geometric mean), so the
 // sweep reproduces the paper's "runs at 2%, out of memory below 2%".
 func calibrateBudget(db *txdb.DB) int64 {
+	counts := db.ItemCounts()
 	f := func(frac float64) int64 {
-		min := db.MinSupCount(frac)
-		n := 0
-		for _, c := range db.ItemCounts() {
-			if c >= min {
-				n++
-			}
-		}
+		_, f1 := mining.FrequentItems(counts, mining.Options{MinSupFrac: frac}.MinCount(db.Len()))
+		n := len(f1)
 		return mining.CandidateBytes(2, n*(n-1)/2)
 	}
 	at2, at175 := f(0.02), f(0.0175)

@@ -77,41 +77,21 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	// Pass 1: item counts.
 	counts := db.ItemCounts()
 	m.Passes++
-	total := 0
-	db.Each(func(t *txdb.Transaction) { total += len(t.Items) })
-	m.Work.Charge(int64(total), mining.CostScanItem)
-
-	type fc struct {
-		item  itemset.Item
-		count int
-	}
-	var freq []fc
-	for it, c := range counts {
-		if c >= minCount {
-			freq = append(freq, fc{itemset.Item(it), c})
-		}
-	}
-	// Tree order: frequency descending, item id ascending for ties.
-	sort.Slice(freq, func(i, j int) bool {
-		if freq[i].count != freq[j].count {
-			return freq[i].count > freq[j].count
-		}
-		return freq[i].item < freq[j].item
-	})
-	order := make(map[itemset.Item]int, len(freq))
-	for rank, f := range freq {
-		order[f.item] = rank
-	}
-	if opts.MaxK == 1 || len(freq) < 2 {
+	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem)
+	_, f1 := mining.FrequentItems(counts, minCount)
+	if opts.MaxK == 1 || len(f1) < 2 {
 		// No growth pass: report the frequent items directly (mineTree
 		// would otherwise emit them from the root header table).
-		for _, f := range freq {
-			res.Frequent = append(res.Frequent, itemset.Counted{
-				Set: itemset.Itemset{f.item}, Count: f.count,
-			})
-		}
+		res.Frequent = mining.CountedItems(f1, counts)
 		itemset.SortCounted(res.Frequent)
 		return res, nil
+	}
+	// Tree order: frequency descending, item id ascending for ties (f1
+	// ascends, and the sort is stable).
+	sort.SliceStable(f1, func(i, j int) bool { return counts[f1[i]] > counts[f1[j]] })
+	order := make(map[itemset.Item]int, len(f1))
+	for rank, it := range f1 {
+		order[it] = rank
 	}
 
 	// Pass 2: build the FP-tree.

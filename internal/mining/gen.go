@@ -2,6 +2,43 @@ package mining
 
 import "pmihp/internal/itemset"
 
+// FrequentItems is the F1 selection of every miner: from per-item
+// supports it returns the membership array of the items that reach
+// minCount and those items in ascending order.
+func FrequentItems(counts []int, minCount int) (freq []bool, f1 []itemset.Item) {
+	freq = make([]bool, len(counts))
+	for it, c := range counts {
+		if c >= minCount {
+			freq[it] = true
+			f1 = append(f1, itemset.Item(it))
+		}
+	}
+	return freq, f1
+}
+
+// CountedItems returns the frequent items f1 as counted 1-itemsets, the
+// entries a result's frequent list starts from. The sets are
+// capacity-capped views of f1, one backing array for all of them, so f1
+// must not change afterwards.
+func CountedItems(f1 []itemset.Item, counts []int) []itemset.Counted {
+	out := make([]itemset.Counted, len(f1))
+	for i, it := range f1 {
+		out[i] = itemset.Counted{Set: f1[i : i+1 : i+1], Count: counts[it]}
+	}
+	return out
+}
+
+// GenNext is the candidate step of the level-wise Apriori miners: the
+// candidate k-itemsets joined from the sorted frequent (k-1)-itemsets
+// prev, through Gen3's packed-pair path at k = 3 and AprioriGen above
+// it. potential and pruned are as AprioriGen's.
+func GenNext(prev []itemset.Itemset) (cands []itemset.Itemset, potential, pruned int) {
+	if len(prev) > 0 && len(prev[0]) == 2 {
+		return Gen3(prev, PairTableOf(prev))
+	}
+	return AprioriGen(prev, itemset.SetOf(prev...))
+}
+
 // AprioriGen implements candidate generation shared by Apriori, Count
 // Distribution, DHP and MIHP: the prefix self-join of the frequent
 // (k-1)-itemsets followed by subset-infrequency pruning (every (k-1)-subset

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -36,11 +37,38 @@ func TestOptionsMinCount(t *testing.T) {
 		{Options{MinSupCount: 2}, 1000, 2},
 		{Options{MinSupCount: 2, MinSupFrac: 0.5}, 1000, 2}, // count wins
 		{Options{MinSupFrac: 0.000001}, 1000, 1},            // clamps to 1
+		{Options{MinSupFrac: 0.05}, 200, 10},
+		{Options{MinSupFrac: 0.02}, 200, 4},
+		{Options{MinSupFrac: 0.001}, 200, 1}, // clamps to 1
+		{Options{MinSupFrac: 0.015}, 200, 3}, // rounds up
 	}
 	for _, c := range cases {
 		if got := c.opts.MinCount(c.db); got != c.want {
 			t.Errorf("MinCount(%+v, %d) = %d, want %d", c.opts, c.db, got, c.want)
 		}
+	}
+}
+
+// TestFrequentItems: F1 holds, ascending, exactly the items whose count
+// reaches the minimum, and its counted form pairs each with its count.
+func TestFrequentItems(t *testing.T) {
+	counts := []int{0, 3, 2, 2, 1}
+	freq, f1 := FrequentItems(counts, 2)
+	if !slices.Equal(f1, []itemset.Item{1, 2, 3}) {
+		t.Fatalf("f1 = %v, want [1 2 3]", f1)
+	}
+	if !slices.Equal(freq, []bool{false, true, true, true, false}) {
+		t.Fatalf("freq = %v", freq)
+	}
+	counted := CountedItems(f1, counts)
+	want := []itemset.Counted{{Set: itemset.Itemset{1}, Count: 3}, {Set: itemset.Itemset{2}, Count: 2}, {Set: itemset.Itemset{3}, Count: 2}}
+	if !slices.EqualFunc(counted, want, func(a, b itemset.Counted) bool {
+		return a.Count == b.Count && itemset.Compare(a.Set, b.Set) == 0
+	}) {
+		t.Fatalf("counted = %v, want %v", counted, want)
+	}
+	if _, f1 := FrequentItems(counts, 4); len(f1) != 0 {
+		t.Fatalf("nothing reaches 4, got %v", f1)
 	}
 }
 

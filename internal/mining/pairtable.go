@@ -2,12 +2,21 @@ package mining
 
 import "pmihp/internal/itemset"
 
-// PairTable is a flat open-addressing hash table from packed pair keys
-// (uint64(a)<<32 | uint64(b), a < b) to int32 values. It replaces the Go
-// map[uint64]int32 / map[uint64]struct{} structures on the counting hot
-// paths: probes are a fibonacci hash plus a linear scan over a plain
-// uint64 slice, with no hashing interface, no bucket indirection, and no
-// per-insert allocation once the table is sized.
+// PairKey packs the pair (a, b), a < b, into the one key of every pair
+// table and pair map in the miners: a in the high 32 bits, b in the low.
+func PairKey(a, b itemset.Item) uint64 { return uint64(a)<<32 | uint64(b) }
+
+// PairOf unpacks a PairKey.
+func PairOf(key uint64) (a, b itemset.Item) {
+	return itemset.Item(key >> 32), itemset.Item(key & 0xffffffff)
+}
+
+// PairTable is a flat open-addressing hash table from PairKeys to int32
+// values. It replaces the Go map[uint64]int32 / map[uint64]struct{}
+// structures on the counting hot paths: probes are a fibonacci hash plus
+// a linear scan over a plain uint64 slice, with no hashing interface, no
+// bucket indirection, and no per-insert allocation once the table is
+// sized.
 //
 // The zero key doubles as the empty-slot sentinel, which is safe for pair
 // keys: a packed pair always has b > a >= 0, so its low 32 bits are nonzero
@@ -88,12 +97,12 @@ func (t *PairTable) Get(key uint64) (int32, bool) {
 
 // AddPair inserts the pair (a < b assumed) as a membership entry.
 func (t *PairTable) AddPair(a, b itemset.Item) {
-	t.Put(uint64(a)<<32|uint64(b), 0)
+	t.Put(PairKey(a, b), 0)
 }
 
 // HasPair reports membership of the pair (a < b assumed).
 func (t *PairTable) HasPair(a, b itemset.Item) bool {
-	_, ok := t.Get(uint64(a)<<32 | uint64(b))
+	_, ok := t.Get(PairKey(a, b))
 	return ok
 }
 

@@ -14,7 +14,7 @@ func TestPairTableMatchesMap(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		a := uint32(rng.Intn(500))
 		b := a + 1 + uint32(rng.Intn(500))
-		key := uint64(a)<<32 | uint64(b)
+		key := PairKey(a, b)
 		val := int32(rng.Intn(1000))
 		ref[key] = val
 		pt.Put(key, val)
@@ -31,7 +31,7 @@ func TestPairTableMatchesMap(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		a := uint32(rng.Intn(600))
 		b := a + 1 + uint32(rng.Intn(600))
-		key := uint64(a)<<32 | uint64(b)
+		key := PairKey(a, b)
 		want, wantOK := ref[key]
 		got, ok := pt.Get(key)
 		if ok != wantOK || got != want {

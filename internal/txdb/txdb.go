@@ -142,18 +142,6 @@ func (d *DB) Each(fn func(t *Transaction)) {
 	}
 }
 
-// MinSupCount converts a fractional minimum support level (e.g. 0.02 for 2%)
-// into the absolute transaction count it denotes over this database,
-// rounding up so that count/len >= frac always holds. A fraction that
-// denotes fewer than one transaction is clamped to 1.
-func (d *DB) MinSupCount(frac float64) int {
-	n := int(frac*float64(d.Len()) + 0.999999)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // ItemCounts returns the number of transactions containing each item,
 // indexed by item id. The scan streams the flat backing array.
 func (d *DB) ItemCounts() []int {
@@ -165,18 +153,6 @@ func (d *DB) ItemCounts() []int {
 		counts[it]++
 	}
 	return counts
-}
-
-// FrequentItems returns, in increasing item order, the items contained in at
-// least minCount transactions.
-func (d *DB) FrequentItems(minCount int) []itemset.Item {
-	var out []itemset.Item
-	for it, c := range d.ItemCounts() {
-		if c >= minCount {
-			out = append(out, itemset.Item(it))
-		}
-	}
-	return out
 }
 
 // view returns the sub-database of transactions [lo, hi) sharing this

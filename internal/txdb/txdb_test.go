@@ -26,25 +26,7 @@ func build(docs, days, numItems int) *DB {
 	return New(txs, numItems)
 }
 
-func TestMinSupCount(t *testing.T) {
-	db := build(200, 8, 50)
-	cases := []struct {
-		frac float64
-		want int
-	}{
-		{0.05, 10},
-		{0.02, 4},
-		{0.001, 1}, // clamps to 1
-		{0.015, 3},
-	}
-	for _, c := range cases {
-		if got := db.MinSupCount(c.frac); got != c.want {
-			t.Errorf("MinSupCount(%g) = %d, want %d", c.frac, got, c.want)
-		}
-	}
-}
-
-func TestItemCountsAndFrequentItems(t *testing.T) {
+func TestItemCounts(t *testing.T) {
 	txs := []Transaction{
 		{TID: 0, Items: itemset.New(1, 2)},
 		{TID: 1, Items: itemset.New(1, 3)},
@@ -57,10 +39,6 @@ func TestItemCountsAndFrequentItems(t *testing.T) {
 		if counts[i] != want[i] {
 			t.Fatalf("counts[%d] = %d, want %d", i, counts[i], want[i])
 		}
-	}
-	freq := db.FrequentItems(2)
-	if len(freq) != 3 || freq[0] != 1 || freq[1] != 2 || freq[2] != 3 {
-		t.Fatalf("FrequentItems(2) = %v", freq)
 	}
 }
 
