@@ -9,6 +9,7 @@ import (
 	"pmihp/internal/core"
 	"pmihp/internal/corpus"
 	"pmihp/internal/countdist"
+	"pmihp/internal/datadist"
 	"pmihp/internal/distmine"
 	"pmihp/internal/mining"
 	"pmihp/internal/obs"
@@ -60,6 +61,26 @@ func TestVerifyTrace(t *testing.T) {
 		}
 		if bad := VerifyTrace(rec.Events(), &r.Result.Metrics); len(bad) != 0 {
 			t.Fatalf("trace does not replay to the run's metrics:\n%v", bad)
+		}
+	})
+
+	t.Run("datadist", func(t *testing.T) {
+		rec := obs.New(obs.Config{Keep: true})
+		o := opts
+		o.Obs = rec
+		r, err := datadist.Mine(db, datadist.Config{Nodes: 8}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bad := VerifyTrace(rec.Events(), &r.Result.Metrics); len(bad) != 0 {
+			t.Fatalf("trace does not replay to the run's metrics:\n%v", bad)
+		}
+		passes := r.Nodes[0].Metrics.Passes
+		if passes < 2 || len(r.ExchangeSecondsByPass) != passes {
+			t.Fatalf("%d exchange entries for %d passes", len(r.ExchangeSecondsByPass), passes)
+		}
+		if s := obs.Summarize(rec.Events()); s.ExchangeSeconds <= 0 {
+			t.Fatalf("trace carries no exchange seconds: %+v", s)
 		}
 	})
 

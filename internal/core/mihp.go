@@ -43,6 +43,7 @@ func MineMIHP(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 		global:     tht.NewGlobal([]*tht.Local{local}),
 		self:       0,
 		freqItems:  f1,
+		freqArr:    freq,
 		partitions: Partition(f1, opts.PartitionSize),
 		metrics:    m,
 		emit: func(set itemset.Itemset, count int) {

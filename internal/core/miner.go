@@ -43,16 +43,19 @@ type localMiner struct {
 	// pairScan resolves pass-2 pair-bound row lookups once per run; posOf
 	// maps a frequent item to its position in freqItems (the scan universe);
 	// selfPresent lists, ascending, the freqItems positions with a row in
-	// this node's own segment — the only possible pass-2 partners; slots
-	// transposes that segment's masks over selfPresent, naming the
-	// partners whose self-segment bound can be positive.
+	// this node's own segment — the only possible pass-2 partners — and
+	// presentIdx maps a position to its index there (-1 when absent);
+	// postings inverts every segment's rows of those positions into slot
+	// lists for the pass-2 sweep, and is nil when the gate picked the
+	// per-pair loop.
 	pairScan    *tht.PairScan
 	posOf       []int32
 	selfPresent []int32
-	slots       *tht.SlotIndex
+	presentIdx  []int32
+	postings    *tht.SlotPostings
 
 	freqItems  []itemset.Item   // globally frequent items, ascending
-	freqArr    []bool           // indexed by item: globally frequent?
+	freqArr    []bool           // indexed by item: globally frequent? (the caller's F1 membership)
 	partitions [][]itemset.Item // Partition(freqItems, opts.PartitionSize)
 
 	metrics *mining.Metrics
@@ -127,7 +130,9 @@ type minerShard struct {
 
 // genShard is the per-worker scratch of the sharded pass-2 candidate
 // generation: a fork of the run's PairScan (shared row tables, private
-// hoist register), the slot-union buffer, the candidate keys of every
+// hoist register), the sweep's per-partner sums and touched-partner
+// bitset (sized to the locally present items, cleared as they are read),
+// the outer item's tails and segment row bitsets, the candidate keys of every
 // chunk this worker claimed, and its work tallies. Key order within one
 // worker follows claim order, which is racy — so each chunk's keys are
 // recorded as a segment tagged with the chunk's partition-range start, and
@@ -136,13 +141,26 @@ type minerShard struct {
 // count, charge, and emitted set — is identical to the serial generation.
 type genShard struct {
 	scan            *tht.PairScan
-	union           []uint64
+	sums            []pairSums
+	touched         []uint64
+	tails           []tht.Tail
+	outerRows       [][]uint64
 	keys            []uint64
 	segs            []keySeg
 	pairsConsidered int64
 	slotsTotal      int64
 	prunedTHT       int64
 }
+
+// pairSums is one partner's sums during a sweep over an outer item's slot
+// postings, in a's own segment (self) and over every other segment
+// (peers). Each packs the sum of the slot minima — the pair bound — in its
+// high 32 bits over the number of shared slots in its low 32 bits, so one
+// addition of slotMin per shared slot keeps both.
+type pairSums struct{ self, peers uint64 }
+
+// slotMin is one shared slot's contribution to a pairSums field.
+func slotMin(a, b uint32) uint64 { return uint64(min(a, b))<<32 | 1 }
 
 // keySeg is one chunk's slice of a genShard's key list: keys[start:end]
 // were generated for the partition-item range starting at lo.
@@ -180,10 +198,6 @@ func (sh *minerShard) countsFor(n int) []int32 {
 // run executes all partition passes.
 func (lm *localMiner) run() {
 	numItems := lm.db.NumItems()
-	lm.freqArr = make([]bool, numItems)
-	for _, it := range lm.freqItems {
-		lm.freqArr[it] = true
-	}
 	lm.inPart = make([]bool, numItems)
 	lm.preparePairs(numItems)
 	if lm.opts.MaxK == 0 || lm.opts.MaxK >= 3 {
@@ -211,21 +225,51 @@ func (lm *localMiner) run() {
 	}
 }
 
+// sweepCrossover is the gate between pass 2's two generation paths: the
+// sweep steps per partner pair (entry pairs that share a slot list, over
+// C(present, 2)) above which the per-pair loop generates faster. The
+// sweep costs a step per pair of rows that share a slot list, the
+// per-pair loop a mask test per partner pair and a cascaded probe per
+// pair whose masks meet, so sparse tables sweep and tables whose rows
+// share most slot lists probe. BenchmarkPairGen measures the sweep 1.7×
+// faster at 4.3 steps per pair (paper-smoke) and 2.1× slower at 8.9
+// (e9dense). Between them, paper-scale corpus B on 4 and 2 nodes (4.4 and
+// 4.7) sweeps 1.7× and 3.2× faster, while the dense corpus on 4 nodes
+// (8.0) and at harness scale and 4% support (8.7) probes 1.9× and 1.1×
+// faster.
+const sweepCrossover = 6
+
 // preparePairs resolves the run's pass-2 pair state from the retained
 // tables: the universe positions, the pair scan, the locally present
-// positions and their slot index.
+// positions and, when the gate picks the sweep, their slot postings.
 func (lm *localMiner) preparePairs(numItems int) {
 	lm.posOf = make([]int32, numItems)
 	for i, it := range lm.freqItems {
 		lm.posOf[it] = int32(i)
 	}
 	lm.pairScan = lm.global.NewPairScan(lm.freqItems)
+	lm.presentIdx = make([]int32, len(lm.freqItems))
 	for pos := range lm.freqItems {
+		lm.presentIdx[pos] = -1
 		if lm.pairScan.Present(lm.self, pos) {
+			lm.presentIdx[pos] = int32(len(lm.selfPresent))
 			lm.selfPresent = append(lm.selfPresent, int32(pos))
 		}
 	}
-	lm.slots = lm.pairScan.NewSlotIndex(lm.self, lm.selfPresent)
+	n := int64(len(lm.selfPresent))
+	lm.postings = lm.pairScan.NewSlotPostings(lm.selfPresent, sweepCrossover*n*(n-1)/2)
+}
+
+// newGenShard returns a generation worker's scratch: a fork of the pair
+// scan and, for the sweep, zeroed partner sums.
+func (lm *localMiner) newGenShard() *genShard {
+	g := &genShard{scan: lm.pairScan.Fork()}
+	if lm.postings != nil {
+		n := len(lm.selfPresent)
+		g.sums = make([]pairSums, n)
+		g.touched = make([]uint64, (n+63)/64)
+	}
+	return g
 }
 
 // passProbe snapshots the miner's metrics at the start of one counting
@@ -410,7 +454,7 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 	cands := lm.pairTab // pair key -> candidate index
 	nGen := mining.NumShards(len(part), lm.workers)
 	for len(lm.genShards) < nGen {
-		lm.genShards = append(lm.genShards, &genShard{scan: lm.pairScan.Fork()})
+		lm.genShards = append(lm.genShards, lm.newGenShard())
 	}
 	for s := 0; s < nGen; s++ {
 		g := lm.genShards[s]
@@ -493,44 +537,131 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 // a, ascending by second item, and tallies the work of deciding them. The
 // cost model prices the paper's loop: the self-segment bound of every
 // locally present partner above a, then the cascaded bound of the pairs
-// that pass it. Only the partners that share an occupied self slot with a
-// are visited (the slot index's union); every other partner has disjoint
-// masks, so that loop would have rejected it at one mask test, and it is
-// charged exactly that test: a considered pair, the segment's mask words
-// and a THT prune.
+// that pass it. With slot postings one sweep decides every partner
+// (sweepOuter); on a dense table each partner is probed in turn.
 func (lm *localMiner) genOuter(g *genShard, a itemset.Item) {
-	ps := g.scan
-	aPos := int(lm.posOf[a])
-	if !ps.Present(lm.self, aPos) {
-		return // item absent from the local database
-	}
-	ps.Hoist(aPos)
-	ss := ps.Seg(lm.self)
 	// Locally absent items cannot form a countable pair (the seed path
 	// skipped them pair by pair, uncharged); a itself is present, at
-	// selfPresent[lo-1], and its partners are the positions after it.
-	lo, hi := 0, len(lm.selfPresent)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(lm.selfPresent[mid]) <= aPos {
-			lo = mid + 1
-		} else {
-			hi = mid
+	// selfPresent[i], and its partners are the positions after it.
+	aPos := int(lm.posOf[a])
+	i := int(lm.presentIdx[aPos])
+	if i < 0 {
+		return // item absent from the local database
+	}
+	ps := g.scan
+	ps.Hoist(aPos)
+	g.pairsConsidered += int64(len(lm.selfPresent) - i - 1)
+	if lm.postings != nil {
+		lm.sweepOuter(g, a, i)
+		return
+	}
+	ss := ps.Seg(lm.self)
+	for _, bPos := range lm.selfPresent[i+1:] {
+		lm.tryPair(g, ss, a, int(bPos))
+	}
+}
+
+// sweepOuter decides the partners of a, selfPresent[i], from one sweep
+// over a's slot postings. The self segment's lists give every partner
+// that shares a self slot its self-segment bound and shared-slot count;
+// the peers' lists add, for those partners only, their bounds and shared
+// slots in every other segment. Walking the touched partners in bit order
+// then decides each pair ascending, and every untouched partner has
+// disjoint self masks: the per-pair loop rejects it at one mask test.
+//
+// Each decision charges what the per-pair loop (tryPair) charges. A bound
+// that stays below its threshold never exits early, so its charge is
+// closed-form: a mask test per segment where both items have a row plus
+// every shared slot; the mask tests are counted a word of pruned partners
+// at a time against the segments' row bitsets. A bound that reaches its
+// threshold on the shared-slot count alone costs the mask test; one that
+// reaches it part-way through the shared slots is probed once for the
+// point where it stops.
+func (lm *localMiner) sweepOuter(g *genShard, a itemset.Item, i int) {
+	x := lm.postings
+	sums, touched := g.sums, g.touched
+	disjoint := int64(len(lm.selfPresent) - i - 1)
+	met := false // a shares a self slot with some partner
+	g.tails = x.Tails(lm.self, i, g.tails)
+	for _, t := range g.tails {
+		ca, above := x.Above(t)
+		met = met || len(above) > 0
+		for _, e := range above {
+			sums[e.Item].self += slotMin(ca, e.Count)
+			touched[e.Item>>6] |= 1 << (e.Item & 63)
 		}
 	}
-	partners := int64(len(lm.selfPresent) - lo)
-	g.pairsConsidered += partners
-	union, base := lm.slots.Meets(lo-1, g.union)
-	g.union = union
-	disjoint := partners
-	for k, w := range union {
-		for ; w != 0; w &= w - 1 {
+	if !met {
+		g.slotsTotal += disjoint * int64(x.MaskCost())
+		g.prunedTHT += disjoint
+		return
+	}
+	nseg := lm.global.NumSegments()
+	outerRows := g.outerRows[:0] // the row bitsets of the segments where a has a row
+	for p := 0; p < nseg; p++ {
+		rows := x.Rows(p)
+		if rows[i/64]&(1<<(i%64)) == 0 {
+			continue
+		}
+		outerRows = append(outerRows, rows)
+		if p == lm.self {
+			continue
+		}
+		g.tails = x.Tails(p, i, g.tails)
+		for _, t := range g.tails {
+			ca, above := x.Above(t)
+			for _, e := range above {
+				if s := &sums[e.Item]; s.self != 0 {
+					s.peers += slotMin(ca, e.Count)
+				}
+			}
+		}
+	}
+	g.outerRows = outerRows
+
+	minLocal, minPrune := lm.minLocal, lm.minPrune
+	slots, tests, pruned := int64(0), int64(0), int64(0)
+	for k := (i + 1) / 64; k < len(touched); k++ {
+		cut := uint64(0) // partners the cascade's closed form prunes
+		for m := touched[k]; m != 0; m &= m - 1 {
+			b := k*64 + bits.TrailingZeros64(m)
+			s := sums[b]
+			sums[b] = pairSums{}
 			disjoint--
-			lm.tryPair(g, ss, a, int(lm.selfPresent[(base+k)*64+bits.TrailingZeros64(w)]))
+			selfSum, selfSlots := int(s.self>>32), int64(uint32(s.self))
+			switch {
+			case selfSlots >= int64(minLocal):
+				tests++
+			case selfSum < minLocal:
+				tests++
+				slots += selfSlots
+				pruned++
+				continue
+			default:
+				_, n := g.scan.Seg(lm.self).BoundReaches(int(lm.selfPresent[b]), minLocal)
+				slots += int64(n)
+			}
+			if nseg > 1 {
+				if selfSum+int(s.peers>>32) < minPrune {
+					slots += selfSlots + int64(uint32(s.peers))
+					cut |= m & -m
+					pruned++
+					continue
+				}
+				_, n := g.scan.BoundReaches(int(lm.selfPresent[b]), minPrune)
+				slots += int64(n)
+			}
+			g.keys = append(g.keys, mining.PairKey(a, lm.freqItems[lm.selfPresent[b]]))
+		}
+		touched[k] = 0
+		if cut != 0 {
+			for _, rows := range outerRows {
+				tests += int64(bits.OnesCount64(cut & rows[k]))
+			}
 		}
 	}
-	g.slotsTotal += disjoint * int64(lm.slots.MaskWords())
-	g.prunedTHT += disjoint
+	g.slotsTotal += slots + (tests+disjoint)*int64(x.MaskCost())
+	g.prunedTHT += pruned + disjoint
 }
 
 // tryPair runs the self-segment bound and then the cascaded bound on the

@@ -221,6 +221,7 @@ func (nd *node) run() error {
 		global:     nd.global,
 		self:       self,
 		freqItems:  f1,
+		freqArr:    freq,
 		partitions: Partition(f1, p.Opts.PartitionSize),
 		metrics:    &out.Miner,
 		emit:       nd.classify,

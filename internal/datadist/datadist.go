@@ -15,6 +15,7 @@ package datadist
 
 import (
 	"fmt"
+	"time"
 
 	"pmihp/internal/apriori"
 	"pmihp/internal/cluster"
@@ -22,6 +23,7 @@ import (
 	"pmihp/internal/hashtree"
 	"pmihp/internal/itemset"
 	"pmihp/internal/mining"
+	"pmihp/internal/obs"
 	"pmihp/internal/txdb"
 )
 
@@ -59,8 +61,50 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		metrics[i] = mining.NewMetrics("dd-node")
 	}
 	res := &mining.Result{}
+	var exchange []float64
 	finish := func(err error) (*core.ParallelResult, error) {
-		return core.ClusterResult("datadist", res, parts, metrics, fabric, nil), err
+		return core.ClusterResult("datadist", res, parts, metrics, fabric, exchange), err
+	}
+
+	// Observability, as Count Distribution emits it: one pass event per
+	// node per counting pass. Each pass closes with one shared collective,
+	// so its modeled time and payload attach to node 0's event only, and
+	// trace replays reconcile with ExchangeSecondsByPass. Pass 1 scans
+	// every partition at its node; later passes scan the whole database
+	// once for every node's share, so that scan's time attaches to node 0
+	// as well. scanSec is only allocated when a recorder is live.
+	var scanSec []float64
+	if opts.Obs.Enabled() {
+		scanSec = make([]float64, n)
+	}
+	timed := func(i int, scan func()) {
+		if scanSec == nil {
+			scan()
+			return
+		}
+		t0 := time.Now()
+		scan()
+		scanSec[i] = time.Since(t0).Seconds()
+	}
+	emitPass := func(k, candidates int, exch float64, wireBytes int64) {
+		exchange = append(exchange, exch)
+		r := opts.Obs
+		if !r.Enabled() {
+			return
+		}
+		for i := 0; i < n; i++ {
+			ev := obs.PassEvent{
+				Node: i, Partition: -1, K: k,
+				Candidates:  candidates,
+				ScanSeconds: scanSec[i],
+			}
+			if i == 0 {
+				ev.ExchangeSeconds = exch
+				ev.WireBytes = wireBytes
+			}
+			r.Pass(ev)
+		}
+		clear(scanSec)
 	}
 
 	// broadcastData models every node shipping its local partition to all
@@ -83,12 +127,15 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	globalCounts := make([]int, db.NumItems())
 	for i := 0; i < n; i++ {
 		m := &metrics[i]
-		for it, c := range apriori.CountItems(parts[i], m) {
-			globalCounts[it] += c
-		}
+		timed(i, func() {
+			for it, c := range apriori.CountItems(parts[i], m) {
+				globalCounts[it] += c
+			}
+		})
 		fabric.Clock(i).AdvanceWork(m.Work.Units)
 	}
-	fabric.AllReduce(int64(4 * db.NumItems()))
+	wire := int64(4 * db.NumItems())
+	emitPass(1, db.NumItems(), fabric.AllReduce(wire), wire)
 	frequent, f1 := mining.FrequentItems(globalCounts, minCount)
 	res.Frequent = mining.CountedItems(f1, globalCounts)
 	if opts.MaxK == 1 || len(f1) < 2 {
@@ -121,23 +168,25 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	}
 	// Physically counted once; each node is charged for scanning the full
 	// database against its 1/n candidate share.
-	db.Each(func(t *txdb.Transaction) {
-		buf = buf[:0]
-		for _, it := range t.Items {
-			if frequent[it] {
-				buf = append(buf, it)
+	timed(0, func() {
+		db.Each(func(t *txdb.Transaction) {
+			buf = buf[:0]
+			for _, it := range t.Items {
+				if frequent[it] {
+					buf = append(buf, it)
+				}
 			}
-		}
-		for a := 0; a < len(buf); a++ {
-			for b := a + 1; b < len(buf); b++ {
-				pairCounts[mining.PairKey(buf[a], buf[b])]++
+			for a := 0; a < len(buf); a++ {
+				for b := a + 1; b < len(buf); b++ {
+					pairCounts[mining.PairKey(buf[a], buf[b])]++
+				}
 			}
-		}
-		l := len(buf)
-		for i := range metrics {
-			metrics[i].Work.Charge(mining.Pass2TreeCharge(l, nPairs/n+1), 1)
-			metrics[i].Work.Charge(int64(l*(l-1)/2)/int64(n)+1, mining.CostCandidateHit)
-		}
+			l := len(buf)
+			for i := range metrics {
+				metrics[i].Work.Charge(mining.Pass2TreeCharge(l, nPairs/n+1), 1)
+				metrics[i].Work.Charge(int64(l*(l-1)/2)/int64(n)+1, mining.CostCandidateHit)
+			}
+		})
 	})
 	for i := range metrics {
 		m := &metrics[i]
@@ -148,7 +197,8 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	prev := apriori.FrequentPairs(res, pairCounts, minCount)
 	// Frequent shares are exchanged so every node can generate the next
 	// candidate set.
-	fabric.AllGather(int64(12 * (len(prev)/n + 1)))
+	wire = int64(12 * (len(prev)/n + 1))
+	emitPass(2, nPairs/n+1, fabric.AllGather(wire), wire)
 
 	// Passes k >= 3: every node runs the whole candidate step, including
 	// one whose candidates all fail the subset check, and keeps its share.
@@ -178,8 +228,10 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 
 		tree := hashtree.Build(k, cands)
 		hits := int64(0)
-		db.Each(func(t *txdb.Transaction) {
-			hits += int64(tree.CountTx(t.Items))
+		timed(0, func() {
+			db.Each(func(t *txdb.Transaction) {
+				hits += int64(tree.CountTx(t.Items))
+			})
 		})
 		for i := range metrics {
 			m := &metrics[i]
@@ -191,7 +243,8 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 			fabric.Clock(i).AdvanceWork(m.Work.Units - before)
 		}
 		prev = apriori.FrequentCandidates(res, tree, minCount)
-		fabric.AllGather(int64((4*k + 8) * (len(prev)/n + 1)))
+		wire := int64((4*k + 8) * (len(prev)/n + 1))
+		emitPass(k, share, fabric.AllGather(wire), wire)
 	}
 	return finish(nil)
 }

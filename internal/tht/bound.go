@@ -385,85 +385,3 @@ func (ps *PairScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) 
 	}
 	return false, total
 }
-
-// SlotIndex is the transpose of one segment's occupancy masks over a
-// list of universe positions that all have a row there (pass 2's locally
-// present frequent items): per slot, a bitset over list indexes whose row
-// occupies the slot. A pair of rows that share no occupied slot has pair
-// bound 0, so the slots of an outer row name exactly the partners whose
-// bound can be positive; Meets ORs those slots' bitsets together instead
-// of testing the outer row's mask against every partner's. Like a
-// PairScan, an index is built once per run, after pass 1 built the kept
-// rows, stays valid until the next Retain, and is read-only, so concurrent
-// generation workers share one.
-type SlotIndex struct {
-	l     *Local
-	rows  []int32  // rows[i] is the row number of present[i]
-	words int      // bitset words per slot: ceil(len(present)/64)
-	bits  []uint64 // slot j's bitset is bits[j*words : (j+1)*words]
-}
-
-// NewSlotIndex builds the slot index of segment p over present, ascending
-// universe positions that each have a row in segment p.
-func (ps *PairScan) NewSlotIndex(p int, present []int32) *SlotIndex {
-	l := ps.g.segments[p]
-	words := (len(present) + 63) / 64
-	si := &SlotIndex{
-		l:     l,
-		rows:  make([]int32, len(present)),
-		words: words,
-		bits:  make([]uint64, l.entries*words),
-	}
-	w := l.mw
-	for i, pos := range present {
-		r := ps.rows[p][pos]
-		si.rows[i] = r
-		bit := uint64(1) << (i % 64)
-		for mwi, m := range l.maskData[int(r)*w : (int(r)+1)*w] {
-			for ; m != 0; m &= m - 1 {
-				j := mwi*64 + bits.TrailingZeros64(m)
-				si.bits[j*words+i/64] |= bit
-			}
-		}
-	}
-	return si
-}
-
-// MaskWords is what a pair bound on this segment charges for a pair whose
-// masks are disjoint: one slot per mask word, as pairBoundIdx charges.
-func (si *SlotIndex) MaskWords() int { return si.l.mw }
-
-// Meets returns the present indexes above i whose row shares an occupied
-// slot with the row of present[i], as a bitset in buf's backing: bit b of
-// union[k] stands for index (base+k)*64+b. Walking it in bit order lists
-// those partners ascending; every other index above i is a pair whose
-// bound is 0. The union is built in place, without allocating once buf
-// has grown to the index's width.
-func (si *SlotIndex) Meets(i int, buf []uint64) (union []uint64, base int) {
-	lo := i + 1
-	base = lo / 64
-	n := si.words - base
-	if n <= 0 {
-		return buf[:0], base
-	}
-	if cap(buf) < n {
-		buf = make([]uint64, n)
-	} else {
-		buf = buf[:n]
-		clear(buf)
-	}
-	w := si.l.mw
-	r := int(si.rows[i])
-	for mwi, m := range si.l.maskData[r*w : (r+1)*w] {
-		for ; m != 0; m &= m - 1 {
-			j := mwi*64 + bits.TrailingZeros64(m)
-			src := si.bits[j*si.words+base : (j+1)*si.words]
-			dst := buf[:len(src)]
-			for k, v := range src {
-				dst[k] |= v
-			}
-		}
-	}
-	buf[0] &^= uint64(1)<<(lo%64) - 1
-	return buf, base
-}

@@ -13,8 +13,9 @@ package tht
 // maskWords returns the number of 64-bit words covering the slot space.
 func (l *Local) maskWords() int { return l.mw }
 
-// BuildMasks materializes the occupancy masks for every current row. Build
-// runs it after filling the kept rows, Retain after compacting them.
+// BuildMasks materializes the occupancy masks for every current row from
+// the counters. Retain runs it after compacting the kept rows; Build sets
+// the same masks as it fills.
 func (l *Local) BuildMasks() {
 	w := l.maskWords()
 	h := l.entries

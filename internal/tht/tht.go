@@ -21,8 +21,8 @@
 // array index instead of a map probe, and consecutive rows share cache
 // lines. Pass 1 counts the items first and then fills rows only for the
 // items it keeps (Build), so the matrix is sized for the live vocabulary,
-// not the whole one. Build then builds the per-row occupancy masks
-// (mask.go) that every bound reads.
+// not the whole one. Build sets the per-row occupancy masks (mask.go) that
+// every bound reads as it fills the counters.
 package tht
 
 import (
@@ -93,20 +93,14 @@ func (l *Local) hash(tid txdb.TID) int { return int(tid) % l.entries }
 // counted: a counter row for every item that keep selects and that occurs
 // in db, in ascending item order, and the occupancy masks of those rows.
 // counts are db's item counts (db.ItemCounts()) and keep is indexed by
-// item id; a kept item that db does not hold gets no row. The matrix is
-// sized for the kept rows before one serial scan fills it, so pass 1
-// never allocates a row it would drop ("after the first pass we can
-// remove the THTs of the items which are not contained in the set of
-// frequent 1-itemsets"). The hash slot — a function of the TID alone —
-// is computed once per transaction, not once per occurrence.
+// item id; a kept item that db does not hold gets no row. The matrix and
+// its masks are sized for the kept rows before one serial scan fills them,
+// so pass 1 never allocates a row it would drop ("after the first pass we
+// can remove the THTs of the items which are not contained in the set of
+// frequent 1-itemsets"). The hash slot — a function of the TID alone — is
+// computed once per transaction, not once per occurrence, and a slot's
+// mask bit and its row's occupancy are set at the slot's first increment.
 func Build(db *txdb.DB, entries int, counts []int, keep []bool) *Local {
-	l := fill(db, entries, counts, keep)
-	l.BuildMasks()
-	return l
-}
-
-// fill is Build without the masks.
-func fill(db *txdb.DB, entries int, counts []int, keep []bool) *Local {
 	l := newLocal(entries, db.NumItems())
 	for it, c := range counts {
 		if c > 0 && keep[it] {
@@ -114,31 +108,41 @@ func fill(db *txdb.DB, entries int, counts []int, keep []bool) *Local {
 			l.rowItem = append(l.rowItem, itemset.Item(it))
 		}
 	}
-	l.data = make([]uint32, len(l.rowItem)*entries)
+	rows, w := len(l.rowItem), l.mw
+	l.data = make([]uint32, rows*entries)
+	l.maskData = make([]uint64, rows*w)
+	l.occ = make([]int32, rows)
 	items, offsets, tids := db.CSR()
 	for i, tid := range tids {
 		j := l.hash(tid)
+		wj, bit := j/64, uint64(1)<<(j%64)
 		for _, it := range items[offsets[i]:offsets[i+1]] {
-			if r := l.rowIdx[it]; r >= 0 {
-				l.data[int(r)*entries+j]++
+			r := int(l.rowIdx[it])
+			if r < 0 {
+				continue
 			}
+			k := r*entries + j
+			if l.data[k] == 0 {
+				l.maskData[r*w+wj] |= bit
+				l.occ[r]++
+			}
+			l.data[k]++
 		}
 	}
 	return l
 }
 
-// BuildLocalShards returns db's item counts and a maskless table with a
-// row for every item that occurs in db, for a caller that picks the kept
-// rows afterwards with Retain, which builds their masks. It ignores
-// workers. Miners call Build with the kept items instead, which never
-// allocates the rows Retain would drop.
+// BuildLocalShards returns db's item counts and a table with a row for
+// every item that occurs in db, for a caller that picks the kept rows
+// afterwards with Retain. It ignores workers. Miners call Build with the
+// kept items instead, which never allocates the rows Retain would drop.
 func BuildLocalShards(db *txdb.DB, entries, workers int) (*Local, []int) {
 	counts := db.ItemCounts()
 	all := make([]bool, len(counts))
 	for it := range all {
 		all[it] = true
 	}
-	return fill(db, entries, counts, all), counts
+	return Build(db, entries, counts, all), counts
 }
 
 // row returns the counter array of an item, or nil when the item has no
@@ -217,9 +221,15 @@ type Global struct {
 }
 
 // NewGlobal assembles the cascade from per-node locals, in node order.
+// Every segment has the session's width: a node's share of the THT slots.
 func NewGlobal(segments []*Local) *Global {
 	if len(segments) == 0 {
 		panic("tht: NewGlobal with no segments")
+	}
+	for _, seg := range segments {
+		if seg.entries != segments[0].entries {
+			panic(fmt.Sprintf("tht: NewGlobal with segments of %d and %d slots", segments[0].entries, seg.entries))
+		}
 	}
 	return &Global{segments: segments}
 }

@@ -1,7 +1,6 @@
 package tht
 
 import (
-	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -442,70 +441,122 @@ func TestGlobalAccessors(t *testing.T) {
 	NewGlobal(nil)
 }
 
-// TestSlotIndexMeetsExactly: the slot index's union for an outer index
-// lists, ascending, exactly the later present positions whose masks meet
-// the outer row's, across one-word and multi-word geometries, saturated
-// rows (whose union is every later position) and universes with absent
-// items.
-func TestSlotIndexMeetsExactly(t *testing.T) {
+// TestSlotPostingsInvertRows: the slot postings hold, for every segment
+// and slot, exactly the present rows that occupy the slot, ascending by
+// present index and with the matrix's counters, so the list lengths sum
+// to the rows' occupancy. Each row's tails name its occupied slots in
+// ascending order with the list entries above it, each segment's row
+// bitset names the items with a row there, and the build is refused when
+// sweeping would take one step more than allowed: the same-list entry
+// pairs. The cases cover one-word and multi-word
+// geometries, one to three segments, saturated rows and items absent from
+// some segments.
+func TestSlotPostingsInvertRows(t *testing.T) {
 	saturated := 0
 	for _, tc := range []struct {
-		entries, docs, vocab, docLen int
+		entries, docs, vocab, docLen, segs int
 	}{
-		{1, 20, 40, 3},
-		{16, 50, 60, 8},
-		{64, 120, 150, 6},
-		{65, 300, 70, 4},
-		{100, 400, 15, 12},
-		{129, 200, 200, 9},
+		{1, 20, 40, 3, 2},
+		{16, 50, 60, 8, 3},
+		{64, 120, 150, 6, 1},
+		{65, 300, 70, 4, 2},
+		{100, 400, 15, 12, 3},
+		{129, 200, 200, 9, 2},
 	} {
-		// Every third item is missing from the universe's table view.
-		local := built(makeDB(int64(tc.entries), tc.docs, tc.vocab, tc.docLen), tc.entries,
-			func(it itemset.Item) bool { return it%3 != 0 })
-		ps := NewGlobal([]*Local{local}).NewPairScan(identityUniverse(tc.vocab))
+		parts := makeDB(int64(tc.entries), tc.docs, tc.vocab, tc.docLen).SplitChronological(tc.segs)
+		locals := make([]*Local, tc.segs)
+		for p, part := range parts {
+			// Segment p misses every item whose id is p modulo 3.
+			locals[p] = built(part, tc.entries, func(it itemset.Item) bool { return int(it)%3 != p })
+		}
+		ps := NewGlobal(locals).NewPairScan(identityUniverse(tc.vocab))
 		var present []int32
 		for pos := 0; pos < tc.vocab; pos++ {
 			if ps.Present(0, pos) {
 				present = append(present, int32(pos))
 			}
 		}
-		si := ps.NewSlotIndex(0, present)
-		if si.MaskWords() != local.mw {
-			t.Fatalf("entries=%d: MaskWords %d, want %d", tc.entries, si.MaskWords(), local.mw)
-		}
-		w := local.mw
-		var buf []uint64
-		for i, pa := range present {
-			ra := int(local.rowIdx[pa])
-			if int(local.occ[ra]) == tc.entries {
-				saturated++
+		h, n := tc.entries, len(present)
+
+		// The reference lists, segment-major, and each row's tails.
+		var lists []Posting
+		tails := make([][]Tail, tc.segs*n)
+		occupancy, steps := 0, int64(0)
+		for p, l := range locals {
+			for j := 0; j < h; j++ {
+				start := int32(len(lists))
+				for i, pos := range present {
+					if row := l.row(itemset.Item(pos)); row != nil && row[j] > 0 {
+						lists = append(lists, Posting{Item: int32(i), Count: row[j]})
+					}
+				}
+				end := int32(len(lists))
+				steps += int64(end-start) * int64(end-start-1) / 2
+				for at := start; at < end; at++ {
+					k := p*n + int(lists[at].Item)
+					tails[k] = append(tails[k], Tail{at: at, end: end})
+				}
 			}
-			var want []int
-			for k := i + 1; k < len(present); k++ {
-				rb := int(local.rowIdx[present[k]])
-				for j := 0; j < w; j++ {
-					if local.maskData[ra*w+j]&local.maskData[rb*w+j] != 0 {
-						want = append(want, k)
-						break
+			for _, pos := range present {
+				if r := l.rowIndex(itemset.Item(pos)); r >= 0 {
+					occupancy += int(l.occ[r])
+					if int(l.occ[r]) == h {
+						saturated++
 					}
 				}
 			}
-			var union []uint64
-			var base int
-			union, base = si.Meets(i, buf)
-			buf = union
-			var got []int
-			for k, v := range union {
-				for ; v != 0; v &= v - 1 {
-					got = append(got, (base+k)*64+bits.TrailingZeros64(v))
+		}
+		if ps.NewSlotPostings(present, steps-1) != nil {
+			t.Fatalf("entries=%d: postings built within %d steps, sweeping takes %d", h, steps-1, steps)
+		}
+		x := ps.NewSlotPostings(present, steps)
+		if !slices.Equal(x.lists, lists) {
+			t.Fatalf("entries=%d: lists %v, want %v", h, x.lists, lists)
+		}
+		if len(x.lists) != occupancy {
+			t.Fatalf("entries=%d: %d list entries, rows occupy %d slots", h, len(x.lists), occupancy)
+		}
+		if x.MaskCost() != locals[0].mw {
+			t.Fatalf("entries=%d: MaskCost %d, want %d", h, x.MaskCost(), locals[0].mw)
+		}
+		for p := range locals {
+			for i := range present {
+				got := x.Tails(p, i, nil)
+				if !slices.Equal(got, tails[p*n+i]) {
+					t.Fatalf("entries=%d: Tails(%d, %d) = %v, want %v", h, p, i, got, tails[p*n+i])
+				}
+				for _, tl := range got {
+					count, above := x.Above(tl)
+					if count != lists[tl.at].Count || !slices.Equal(above, lists[tl.at+1:tl.end]) {
+						t.Fatalf("entries=%d: Above(%v) = %d, %v", h, tl, count, above)
+					}
 				}
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("entries=%d: Meets(%d) = %v, want %v", tc.entries, i, got, want)
+		}
+		for p := range locals {
+			rows := x.Rows(p)
+			if len(rows) != (n+63)/64 {
+				t.Fatalf("entries=%d: Rows(%d) has %d words for %d items", h, p, len(rows), n)
+			}
+			for i, pos := range present {
+				if got := rows[i/64]&(1<<(i%64)) != 0; got != ps.Present(p, int(pos)) {
+					t.Fatalf("entries=%d: Rows(%d) bit %d is %v", h, p, i, got)
+				}
 			}
 		}
 	}
 	if saturated == 0 {
 		t.Fatal("no geometry has a saturated row")
 	}
+}
+
+// TestNewGlobalRequiresOneWidth: a cascade's segments share one width.
+func TestNewGlobalRequiresOneWidth(t *testing.T) {
+	db := makeDB(5, 20, 10, 3)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGlobal over segments of 8 and 9 slots should panic")
+		}
+	}()
+	NewGlobal([]*Local{retained(db, 8), retained(db, 9)})
 }
