@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -21,12 +21,12 @@ import (
 // frequent itemsets (section 2.4 step 5).
 //
 // The counting kernels are allocation-free on their hot paths: candidate
-// pairs live in a flat open-addressing table, partition membership in a
-// plain bool array, per-transaction filtered item lists in a reusable
-// arena, and trimming compacts item lists in place. Counting scans shard
-// their transaction range across Options.IntraNodeWorkers OS-level workers
-// with per-shard count arrays merged in shard order, so results and
-// simulated-clock charges are identical for every worker count.
+// pairs live in a flat open-addressing table, per-transaction filtered
+// item lists in a reusable arena, and trimming compacts item lists in
+// place. Counting scans shard their transaction range across
+// Options.IntraNodeWorkers OS-level workers with per-shard count arrays
+// merged in shard order, so results and simulated-clock charges are
+// identical for every worker count.
 type localMiner struct {
 	db   *txdb.DB
 	opts mining.Options
@@ -40,19 +40,11 @@ type localMiner struct {
 	global *tht.Global // cascaded THT view; segment self is this node's own
 	self   int
 
-	// pairScan resolves pass-2 pair-bound row lookups once per run; posOf
-	// maps a frequent item to its position in freqItems (the scan universe);
-	// selfPresent lists, ascending, the freqItems positions with a row in
-	// this node's own segment — the only possible pass-2 partners — and
-	// presentIdx maps a position to its index there (-1 when absent);
-	// postings inverts every segment's rows of those positions into slot
-	// lists for the pass-2 sweep, and is nil when the gate picked the
-	// per-pair loop.
-	pairScan    *tht.PairScan
-	posOf       []int32
-	selfPresent []int32
-	presentIdx  []int32
-	postings    *tht.SlotPostings
+	// pairs decides pass 2's pairs once per run over the node's locally
+	// present frequent items — the rows of its own segment, the only
+	// possible pass-2 partners — addressed by their ascending position
+	// (present index).
+	pairs *tht.PairGen
 
 	freqItems  []itemset.Item   // globally frequent items, ascending
 	freqArr    []bool           // indexed by item: globally frequent? (the caller's F1 membership)
@@ -86,8 +78,8 @@ type localMiner struct {
 
 	// workers is the resolved intra-node worker bound; shards holds one
 	// scratch state per worker, reused across passes; genShards is the
-	// pass-2 generation scratch (forked pair scans and private key lists),
-	// grown on demand because generation shards over partition items, not
+	// pass-2 generation scratch (pair scratch and private key lists), grown
+	// on demand because generation shards over present items, not
 	// transactions.
 	workers   int
 	shards    []*minerShard
@@ -95,11 +87,10 @@ type localMiner struct {
 	genSegs   []genSeg
 
 	// Reusable pass-2 state: the candidate pair table, its key list and
-	// count array, and the partition-membership array.
+	// count array.
 	pairTab *mining.PairTable
 	keys    []uint64
 	counts2 []int32
-	inPart  []bool
 
 	// work is the single CSR working copy reused across partitions: each
 	// partition refills its arena with the filtered item lists (so filling
@@ -129,22 +120,15 @@ type minerShard struct {
 }
 
 // genShard is the per-worker scratch of the sharded pass-2 candidate
-// generation: a fork of the run's PairScan (shared row tables, private
-// hoist register), the sweep's per-partner sums and touched-partner
-// bitset (sized to the locally present items, cleared as they are read),
-// the outer item's tails and segment row bitsets, the candidate keys of every
-// chunk this worker claimed, and its work tallies. Key order within one
-// worker follows claim order, which is racy — so each chunk's keys are
-// recorded as a segment tagged with the chunk's partition-range start, and
-// the merge re-orders segments by range start. Chunks tile the partition
-// range, so the ordered concatenation — and with it every downstream
+// generation: the worker's pair scratch, the candidate keys of every chunk
+// this worker claimed, and its work tallies. Key order within one worker
+// follows claim order, which is racy — so each chunk's keys are recorded
+// as a segment tagged with the chunk's range start, and the merge
+// re-orders segments by range start. Chunks tile the partition's present
+// items, so the ordered concatenation — and with it every downstream
 // count, charge, and emitted set — is identical to the serial generation.
 type genShard struct {
-	scan            *tht.PairScan
-	sums            []pairSums
-	touched         []uint64
-	tails           []tht.Tail
-	outerRows       [][]uint64
+	scratch         *tht.PairScratch
 	keys            []uint64
 	segs            []keySeg
 	pairsConsidered int64
@@ -152,18 +136,8 @@ type genShard struct {
 	prunedTHT       int64
 }
 
-// pairSums is one partner's sums during a sweep over an outer item's slot
-// postings, in a's own segment (self) and over every other segment
-// (peers). Each packs the sum of the slot minima — the pair bound — in its
-// high 32 bits over the number of shared slots in its low 32 bits, so one
-// addition of slotMin per shared slot keeps both.
-type pairSums struct{ self, peers uint64 }
-
-// slotMin is one shared slot's contribution to a pairSums field.
-func slotMin(a, b uint32) uint64 { return uint64(min(a, b))<<32 | 1 }
-
 // keySeg is one chunk's slice of a genShard's key list: keys[start:end]
-// were generated for the partition-item range starting at lo.
+// were generated for the present-item range starting at lo.
 type keySeg struct {
 	lo         int
 	start, end int
@@ -176,10 +150,11 @@ type genSeg struct {
 	keys []uint64
 }
 
-func (sh *minerShard) reset(numItems int) {
-	if len(sh.hits) < numItems {
-		sh.hits = make([]int32, numItems)
-		sh.hitsEpoch = make([]int32, numItems)
+// reset readies the shard for a scan whose items are all below n.
+func (sh *minerShard) reset(n int) {
+	if len(sh.hits) < n {
+		sh.hits = make([]int32, n)
+		sh.hitsEpoch = make([]int32, n)
 	}
 	sh.scanned, sh.treeWork, sh.hitsN, sh.trimmed, sh.prunedTx = 0, 0, 0, 0, 0
 }
@@ -197,9 +172,7 @@ func (sh *minerShard) countsFor(n int) []int32 {
 
 // run executes all partition passes.
 func (lm *localMiner) run() {
-	numItems := lm.db.NumItems()
-	lm.inPart = make([]bool, numItems)
-	lm.preparePairs(numItems)
+	lm.pairs = lm.global.NewPairGen(lm.self, lm.minLocal, lm.minPrune)
 	if lm.opts.MaxK == 0 || lm.opts.MaxK >= 3 {
 		lm.accum2 = mining.NewPairTable(0)
 	}
@@ -225,52 +198,9 @@ func (lm *localMiner) run() {
 	}
 }
 
-// sweepCrossover is the gate between pass 2's two generation paths: the
-// sweep steps per partner pair (entry pairs that share a slot list, over
-// C(present, 2)) above which the per-pair loop generates faster. The
-// sweep costs a step per pair of rows that share a slot list, the
-// per-pair loop a mask test per partner pair and a cascaded probe per
-// pair whose masks meet, so sparse tables sweep and tables whose rows
-// share most slot lists probe. BenchmarkPairGen measures the sweep 1.7×
-// faster at 4.3 steps per pair (paper-smoke) and 2.1× slower at 8.9
-// (e9dense). Between them, paper-scale corpus B on 4 and 2 nodes (4.4 and
-// 4.7) sweeps 1.7× and 3.2× faster, while the dense corpus on 4 nodes
-// (8.0) and at harness scale and 4% support (8.7) probes 1.9× and 1.1×
-// faster.
-const sweepCrossover = 6
-
-// preparePairs resolves the run's pass-2 pair state from the retained
-// tables: the universe positions, the pair scan, the locally present
-// positions and, when the gate picks the sweep, their slot postings.
-func (lm *localMiner) preparePairs(numItems int) {
-	lm.posOf = make([]int32, numItems)
-	for i, it := range lm.freqItems {
-		lm.posOf[it] = int32(i)
-	}
-	lm.pairScan = lm.global.NewPairScan(lm.freqItems)
-	lm.presentIdx = make([]int32, len(lm.freqItems))
-	for pos := range lm.freqItems {
-		lm.presentIdx[pos] = -1
-		if lm.pairScan.Present(lm.self, pos) {
-			lm.presentIdx[pos] = int32(len(lm.selfPresent))
-			lm.selfPresent = append(lm.selfPresent, int32(pos))
-		}
-	}
-	n := int64(len(lm.selfPresent))
-	lm.postings = lm.pairScan.NewSlotPostings(lm.selfPresent, sweepCrossover*n*(n-1)/2)
-}
-
-// newGenShard returns a generation worker's scratch: a fork of the pair
-// scan and, for the sweep, zeroed partner sums.
-func (lm *localMiner) newGenShard() *genShard {
-	g := &genShard{scan: lm.pairScan.Fork()}
-	if lm.postings != nil {
-		n := len(lm.selfPresent)
-		g.sums = make([]pairSums, n)
-		g.touched = make([]uint64, (n+63)/64)
-	}
-	return g
-}
+// itemRange is one past the largest frequent item. The working database
+// holds frequent items only, so the trimming hit counters need no more.
+func (lm *localMiner) itemRange() int { return int(lm.freqItems[len(lm.freqItems)-1]) + 1 }
 
 // passProbe snapshots the miner's metrics at the start of one counting
 // pass (candidate generation through scan) so the pass's observability
@@ -435,26 +365,23 @@ func (lm *localMiner) partitionWork(first itemset.Item) *txdb.Work {
 // partition in lexicographic order.
 func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]*itemset.Set) []itemset.Itemset {
 	probe := lm.beginPass()
-	inPart := lm.inPart
-	for _, it := range part {
-		inPart[it] = true
-	}
-	defer func() {
-		for _, it := range part {
-			inPart[it] = false
-		}
-	}()
-	// Candidate generation with IHP pair pruning (genOuter). The
-	// outer-item loop runs on the chunk-queue scheduler — each worker
-	// walks the chunks it claims with a forked scan and records each
-	// chunk's keys as a segment, and the merge re-orders segments by
-	// partition-range start, so the key sequence (and every tally, being
-	// a sum) is the serial one.
+	// The working database holds only frequent items at or above part[0],
+	// so an item is in the partition exactly when it is below end.
+	end := part[len(part)-1] + 1
+	// Candidate generation with IHP pair pruning (genOuter) over the
+	// partition's locally present items, present[lo:hi]: a locally absent
+	// item forms no countable pair. The outer-item loop runs on the
+	// chunk-queue scheduler — each worker records each chunk's keys as a
+	// segment, and the merge re-orders segments by range start, so the key
+	// sequence (and every tally, being a sum) is the serial one.
+	present := lm.pairs.Items()
+	lo, _ := slices.BinarySearch(present, part[0])
+	hi, _ := slices.BinarySearch(present, end)
 	lm.pairTab.Reset()
 	cands := lm.pairTab // pair key -> candidate index
-	nGen := mining.NumShards(len(part), lm.workers)
+	nGen := mining.NumShards(hi-lo, lm.workers)
 	for len(lm.genShards) < nGen {
-		lm.genShards = append(lm.genShards, lm.newGenShard())
+		lm.genShards = append(lm.genShards, &genShard{scratch: lm.pairs.NewScratch()})
 	}
 	for s := 0; s < nGen; s++ {
 		g := lm.genShards[s]
@@ -462,11 +389,11 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 		g.segs = g.segs[:0]
 		g.pairsConsidered, g.slotsTotal, g.prunedTHT = 0, 0, 0
 	}
-	mining.RunShards(len(part), lm.workers, func(s, glo, ghi int) {
+	mining.RunShards(hi-lo, lm.workers, func(s, glo, ghi int) {
 		g := lm.genShards[s]
 		segStart := len(g.keys)
-		for _, a := range part[glo:ghi] {
-			lm.genOuter(g, a)
+		for i := lo + glo; i < lo+ghi; i++ {
+			lm.genOuter(g, i)
 		}
 		g.segs = append(g.segs, keySeg{lo: glo, start: segStart, end: len(g.keys)})
 	})
@@ -482,7 +409,7 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 		slotsTotal += g.slotsTotal
 		lm.metrics.PrunedByTHT += g.prunedTHT
 	}
-	// Chunk range starts are unique and tile [0, len(part)), so the sorted
+	// Chunk range starts are unique and tile [0, hi-lo), so the sorted
 	// concatenation is the serial key order.
 	sort.Slice(segs, func(i, j int) bool { return segs[i].lo < segs[j].lo })
 	lm.genSegs = segs
@@ -512,7 +439,7 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 	}
 	counts = lm.counts2
 	probe.startScan()
-	lm.countPass2(cands, counts, inPart, work)
+	lm.countPass2(cands, counts, end, work)
 	probe.endScan()
 
 	var frequent []itemset.Itemset
@@ -534,152 +461,19 @@ func (lm *localMiner) pass2(part []itemset.Item, work *txdb.Work, accum map[int]
 }
 
 // genOuter appends to g's keys the pass-2 candidates whose first item is
-// a, ascending by second item, and tallies the work of deciding them. The
-// cost model prices the paper's loop: the self-segment bound of every
-// locally present partner above a, then the cascaded bound of the pairs
-// that pass it. With slot postings one sweep decides every partner
-// (sweepOuter); on a dense table each partner is probed in turn.
-func (lm *localMiner) genOuter(g *genShard, a itemset.Item) {
-	// Locally absent items cannot form a countable pair (the seed path
-	// skipped them pair by pair, uncharged); a itself is present, at
-	// selfPresent[i], and its partners are the positions after it.
-	aPos := int(lm.posOf[a])
-	i := int(lm.presentIdx[aPos])
-	if i < 0 {
-		return // item absent from the local database
+// the one at present index i, ascending by second item, and tallies the
+// work of deciding them. The cost model prices the paper's loop: the
+// self-segment bound of every locally present partner above it, then the
+// cascaded bound of the pairs that pass it.
+func (lm *localMiner) genOuter(g *genShard, i int) {
+	partners, considered, slots, pruned := lm.pairs.Partners(g.scratch, i)
+	g.pairsConsidered += considered
+	g.slotsTotal += slots
+	g.prunedTHT += pruned
+	present := lm.pairs.Items()
+	for _, b := range partners {
+		g.keys = append(g.keys, mining.PairKey(present[i], present[b]))
 	}
-	ps := g.scan
-	ps.Hoist(aPos)
-	g.pairsConsidered += int64(len(lm.selfPresent) - i - 1)
-	if lm.postings != nil {
-		lm.sweepOuter(g, a, i)
-		return
-	}
-	ss := ps.Seg(lm.self)
-	for _, bPos := range lm.selfPresent[i+1:] {
-		lm.tryPair(g, ss, a, int(bPos))
-	}
-}
-
-// sweepOuter decides the partners of a, selfPresent[i], from one sweep
-// over a's slot postings. The self segment's lists give every partner
-// that shares a self slot its self-segment bound and shared-slot count;
-// the peers' lists add, for those partners only, their bounds and shared
-// slots in every other segment. Walking the touched partners in bit order
-// then decides each pair ascending, and every untouched partner has
-// disjoint self masks: the per-pair loop rejects it at one mask test.
-//
-// Each decision charges what the per-pair loop (tryPair) charges. A bound
-// that stays below its threshold never exits early, so its charge is
-// closed-form: a mask test per segment where both items have a row plus
-// every shared slot; the mask tests are counted a word of pruned partners
-// at a time against the segments' row bitsets. A bound that reaches its
-// threshold on the shared-slot count alone costs the mask test; one that
-// reaches it part-way through the shared slots is probed once for the
-// point where it stops.
-func (lm *localMiner) sweepOuter(g *genShard, a itemset.Item, i int) {
-	x := lm.postings
-	sums, touched := g.sums, g.touched
-	disjoint := int64(len(lm.selfPresent) - i - 1)
-	met := false // a shares a self slot with some partner
-	g.tails = x.Tails(lm.self, i, g.tails)
-	for _, t := range g.tails {
-		ca, above := x.Above(t)
-		met = met || len(above) > 0
-		for _, e := range above {
-			sums[e.Item].self += slotMin(ca, e.Count)
-			touched[e.Item>>6] |= 1 << (e.Item & 63)
-		}
-	}
-	if !met {
-		g.slotsTotal += disjoint * int64(x.MaskCost())
-		g.prunedTHT += disjoint
-		return
-	}
-	nseg := lm.global.NumSegments()
-	outerRows := g.outerRows[:0] // the row bitsets of the segments where a has a row
-	for p := 0; p < nseg; p++ {
-		rows := x.Rows(p)
-		if rows[i/64]&(1<<(i%64)) == 0 {
-			continue
-		}
-		outerRows = append(outerRows, rows)
-		if p == lm.self {
-			continue
-		}
-		g.tails = x.Tails(p, i, g.tails)
-		for _, t := range g.tails {
-			ca, above := x.Above(t)
-			for _, e := range above {
-				if s := &sums[e.Item]; s.self != 0 {
-					s.peers += slotMin(ca, e.Count)
-				}
-			}
-		}
-	}
-	g.outerRows = outerRows
-
-	minLocal, minPrune := lm.minLocal, lm.minPrune
-	slots, tests, pruned := int64(0), int64(0), int64(0)
-	for k := (i + 1) / 64; k < len(touched); k++ {
-		cut := uint64(0) // partners the cascade's closed form prunes
-		for m := touched[k]; m != 0; m &= m - 1 {
-			b := k*64 + bits.TrailingZeros64(m)
-			s := sums[b]
-			sums[b] = pairSums{}
-			disjoint--
-			selfSum, selfSlots := int(s.self>>32), int64(uint32(s.self))
-			switch {
-			case selfSlots >= int64(minLocal):
-				tests++
-			case selfSum < minLocal:
-				tests++
-				slots += selfSlots
-				pruned++
-				continue
-			default:
-				_, n := g.scan.Seg(lm.self).BoundReaches(int(lm.selfPresent[b]), minLocal)
-				slots += int64(n)
-			}
-			if nseg > 1 {
-				if selfSum+int(s.peers>>32) < minPrune {
-					slots += selfSlots + int64(uint32(s.peers))
-					cut |= m & -m
-					pruned++
-					continue
-				}
-				_, n := g.scan.BoundReaches(int(lm.selfPresent[b]), minPrune)
-				slots += int64(n)
-			}
-			g.keys = append(g.keys, mining.PairKey(a, lm.freqItems[lm.selfPresent[b]]))
-		}
-		touched[k] = 0
-		if cut != 0 {
-			for _, rows := range outerRows {
-				tests += int64(bits.OnesCount64(cut & rows[k]))
-			}
-		}
-	}
-	g.slotsTotal += slots + (tests+disjoint)*int64(x.MaskCost())
-	g.prunedTHT += pruned + disjoint
-}
-
-// tryPair runs the self-segment bound and then the cascaded bound on the
-// pair of the hoisted item a and universe position bPos, keeping it as a
-// candidate when both reach their thresholds.
-func (lm *localMiner) tryPair(g *genShard, ss tht.SegScan, a itemset.Item, bPos int) {
-	ok, slots := ss.BoundReaches(bPos, lm.minLocal)
-	g.slotsTotal += int64(slots)
-	if ok && lm.global.NumSegments() > 1 {
-		var gslots int
-		ok, gslots = g.scan.BoundReaches(bPos, lm.minPrune)
-		g.slotsTotal += int64(gslots)
-	}
-	if !ok {
-		g.prunedTHT++
-		return
-	}
-	g.keys = append(g.keys, mining.PairKey(a, lm.freqItems[bPos]))
 }
 
 // countPass2 scans the working database once, counting candidate pairs and
@@ -688,10 +482,10 @@ func (lm *localMiner) tryPair(g *genShard, ss tht.SegScan, a itemset.Item, bPos 
 // pool; each worker accumulates into its private count array across every
 // chunk it claims, and per-worker arrays and tallies merge by integer sums,
 // so totals are identical to the serial scan at any worker count.
-func (lm *localMiner) countPass2(cands *mining.PairTable, counts []int32, inPart []bool, work *txdb.Work) {
+func (lm *localMiner) countPass2(cands *mining.PairTable, counts []int32, end itemset.Item, work *txdb.Work) {
 	lm.metrics.Passes++
 	trim := !lm.opts.DisableTrimming
-	numItems := lm.db.NumItems()
+	numItems := lm.itemRange()
 	n := work.Len()
 	nShards := mining.NumShards(n, lm.workers)
 	view := work.View()
@@ -719,10 +513,8 @@ func (lm *localMiner) countPass2(cands *mining.PairTable, counts []int32, inPart
 			sh.epoch++
 			matched := 0
 			txPairs := 0
-			for i := 0; i < len(items); i++ {
-				if !inPart[items[i]] {
-					continue
-				}
+			// Items ascend, so the partition's items come first.
+			for i := 0; i < len(items) && items[i] < end; i++ {
 				for j := i + 1; j < len(items); j++ {
 					txPairs++
 					idx, ok := cands.Get(mining.PairKey(items[i], items[j]))
@@ -744,7 +536,7 @@ func (lm *localMiner) countPass2(cands *mining.PairTable, counts []int32, inPart
 			flen := pairCountToFlen(txPairs)
 			sh.treeWork += mining.Pass2TreeCharge(flen, cands.Len())
 			if trim {
-				sh.applyTrim(ti, items, inPart, matched, 2, work)
+				sh.applyTrim(ti, items, end, matched, 2, work)
 			}
 		}
 	})
@@ -756,7 +548,7 @@ func (lm *localMiner) countPass2(cands *mining.PairTable, counts []int32, inPart
 func (lm *localMiner) countPassTree(tree *hashtree.Tree, work *txdb.Work, k int) {
 	lm.metrics.Passes++
 	trim := !lm.opts.DisableTrimming
-	numItems := lm.db.NumItems()
+	numItems := lm.itemRange()
 	n := work.Len()
 	nShards := mining.NumShards(n, lm.workers)
 	view := work.View()
@@ -798,7 +590,7 @@ func (lm *localMiner) countPassTree(tree *hashtree.Tree, work *txdb.Work, k int)
 				}
 			})
 			if trim {
-				sh.applyTrimTree(ti, items, matched, k, work)
+				sh.applyTrim(ti, items, 0, matched, k, work)
 			}
 		}
 	})
@@ -879,14 +671,16 @@ func (sh *minerShard) hitCount(it itemset.Item) int32 {
 }
 
 // applyTrim implements the weakened trimming rule after pass k over a
-// transaction: a current-partition item survives only as a member of at
-// least k matched candidates, any other item as a member of at least one;
-// the transaction itself survives only with at least k matched candidates
-// (every candidate of a partition pass contains a partition item, so the
-// paper's "candidates containing one or more partition items" is all of
-// them). The surviving items compact in place — the list is arena-backed
-// and owned by this transaction.
-func (sh *minerShard) applyTrim(ti int, items itemset.Itemset, inPart []bool, matched, k int, work *txdb.Work) {
+// transaction: an item below end (a current-partition item) survives only
+// as a member of at least k matched candidates, any other item as a member
+// of at least one; the transaction itself survives only with at least k
+// matched candidates (every candidate of a partition pass contains a
+// partition item, so the paper's "candidates containing one or more
+// partition items" is all of them). Tree passes trim with end 0: no item
+// is below it, so every item survives on one hit. The surviving items
+// compact in place — the list is arena-backed and owned by this
+// transaction.
+func (sh *minerShard) applyTrim(ti int, items itemset.Itemset, end itemset.Item, matched, k int, work *txdb.Work) {
 	if matched < k {
 		work.Prune(ti)
 		sh.prunedTx++
@@ -896,37 +690,10 @@ func (sh *minerShard) applyTrim(ti int, items itemset.Itemset, inPart []bool, ma
 	for _, it := range items {
 		h := sh.hitCount(it)
 		need := int32(1)
-		if inPart[it] {
+		if it < end {
 			need = int32(k)
 		}
 		if h >= need {
-			kept = append(kept, it)
-		} else {
-			sh.trimmed++
-		}
-	}
-	if len(kept) < k+1 {
-		work.Prune(ti)
-		sh.prunedTx++
-		return
-	}
-	work.Trim(ti, kept)
-}
-
-// applyTrimTree is applyTrim for tree passes, where partition membership of
-// an item is implied by it having accumulated k hits (only partition items
-// can be a candidate's minimum, but non-minimum items may also reach k; the
-// weak rule only requires one hit for them, so the membership test reduces
-// to hit count >= 1 plus the transaction-level check).
-func (sh *minerShard) applyTrimTree(ti int, items itemset.Itemset, matched, k int, work *txdb.Work) {
-	if matched < k {
-		work.Prune(ti)
-		sh.prunedTx++
-		return
-	}
-	kept := items[:0]
-	for _, it := range items {
-		if sh.hitCount(it) >= 1 {
 			kept = append(kept, it)
 		} else {
 			sh.trimmed++

@@ -96,7 +96,8 @@ type ParallelResult struct {
 
 	// ExchangeSecondsByPass records the modeled collective time of each
 	// per-pass count exchange, in pass order. Count Distribution fills it
-	// (one all-reduce per pass); PMIHP has no per-pass collectives. The
+	// (one all-reduce per pass), and Data Distribution adds each pass's
+	// database broadcast; PMIHP has no per-pass collectives. The
 	// multi-process runtime reports measured wall-clock per exchange phase
 	// alongside (mining.Metrics.WireSeconds), so model and measurement can
 	// be validated against each other.

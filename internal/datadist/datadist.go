@@ -67,9 +67,10 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	}
 
 	// Observability, as Count Distribution emits it: one pass event per
-	// node per counting pass. Each pass closes with one shared collective,
-	// so its modeled time and payload attach to node 0's event only, and
-	// trace replays reconcile with ExchangeSecondsByPass. Pass 1 scans
+	// node per counting pass. Each pass's communication is shared (from
+	// pass 2 on, the database broadcast plus the closing collective), so
+	// its modeled time and the collective's payload attach to node 0's
+	// event only, and trace replays reconcile with ExchangeSecondsByPass. Pass 1 scans
 	// every partition at its node; later passes scan the whole database
 	// once for every node's share, so that scan's time attaches to node 0
 	// as well. scanSec is only allocated when a recorder is live.
@@ -110,9 +111,10 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	// broadcastData models every node shipping its local partition to all
 	// peers — the per-pass cost DD pays so nodes can count their candidate
 	// shares over the full database. Each point-to-point transfer charges
-	// sender and receiver; the closing barrier makes it a collective.
-	broadcastData := func() {
-		fabric.Barrier()
+	// sender and receiver; the closing barrier makes it a collective, and
+	// it returns the modeled seconds from barrier to barrier.
+	broadcastData := func() float64 {
+		start := fabric.Barrier()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if j != i {
@@ -120,7 +122,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 				}
 			}
 		}
-		fabric.Barrier()
+		return fabric.Barrier() - start
 	}
 
 	// Pass 1: local item counts, all-reduced (same as CD).
@@ -158,7 +160,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	if opts.MemoryBudget > 0 && shareBytes > opts.MemoryBudget {
 		return finish(mining.ErrMemoryExceeded)
 	}
-	broadcastData()
+	broadcast := broadcastData()
 
 	pairCounts := make(map[uint64]int)
 	buf := make(itemset.Itemset, 0, 256)
@@ -198,7 +200,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 	// Frequent shares are exchanged so every node can generate the next
 	// candidate set.
 	wire = int64(12 * (len(prev)/n + 1))
-	emitPass(2, nPairs/n+1, fabric.AllGather(wire), wire)
+	emitPass(2, nPairs/n+1, broadcast+fabric.AllGather(wire), wire)
 
 	// Passes k >= 3: every node runs the whole candidate step, including
 	// one whose candidates all fail the subset check, and keeps its share.
@@ -224,7 +226,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		if opts.MemoryBudget > 0 && shareBytes > opts.MemoryBudget {
 			return finish(mining.ErrMemoryExceeded)
 		}
-		broadcastData()
+		broadcast := broadcastData()
 
 		tree := hashtree.Build(k, cands)
 		hits := int64(0)
@@ -244,7 +246,7 @@ func Mine(db *txdb.DB, cfg Config, opts mining.Options) (*core.ParallelResult, e
 		}
 		prev = apriori.FrequentCandidates(res, tree, minCount)
 		wire := int64((4*k + 8) * (len(prev)/n + 1))
-		emitPass(k, share, fabric.AllGather(wire), wire)
+		emitPass(k, share, broadcast+fabric.AllGather(wire), wire)
 	}
 	return finish(nil)
 }

@@ -4,9 +4,11 @@ import (
 	"testing"
 
 	"pmihp/internal/apriori"
+	"pmihp/internal/cluster"
 	"pmihp/internal/corpus"
 	"pmihp/internal/countdist"
 	"pmihp/internal/mining"
+	"pmihp/internal/obs"
 	"pmihp/internal/text"
 	"pmihp/internal/txdb"
 )
@@ -94,6 +96,57 @@ func TestShipsDatabaseEveryPass(t *testing.T) {
 	wantAtLeast := int64(passes-1) * 3 * dbBytes // (N-1)=3 transfers of each byte
 	if total < wantAtLeast {
 		t.Fatalf("DD traffic %d below the per-pass broadcast floor %d", total, wantAtLeast)
+	}
+}
+
+// TestBroadcastInExchangeSeconds: from pass 2 on, each pass's exchange
+// entry, and node 0's pass event, include the pass's database broadcast —
+// at least the slowest node's modeled sends and receives of it — besides
+// the closing collective.
+func TestBroadcastInExchangeSeconds(t *testing.T) {
+	docs, err := corpus.Generate(corpus.CorpusA(corpus.Small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, _ := text.ToDB(docs, nil)
+	const nodes = 8
+	rec := obs.New(obs.Config{Keep: true})
+	opts := mining.Options{MinSupFrac: 0.02, MaxK: 4, Obs: rec}
+	dd, err := Mine(db, Config{Nodes: nodes}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Node k sends its partition to every peer and receives every peer's.
+	net := cluster.FastEthernet
+	msg := make([]float64, nodes)
+	for i, p := range opts.WithDefaults().Partitioner.Split(db, nodes) {
+		msg[i] = net.MsgSec(int64(4*p.TotalItems() + 8*p.Len()))
+	}
+	broadcast := 0.0
+	for k := range msg {
+		sec := 0.0
+		for j := range msg {
+			if j != k {
+				sec += msg[k] + msg[j]
+			}
+		}
+		broadcast = max(broadcast, sec)
+	}
+
+	exch := dd.ExchangeSecondsByPass
+	if len(exch) < 3 {
+		t.Fatalf("%d passes, want at least 3", len(exch))
+	}
+	for k := 2; k <= len(exch); k++ {
+		if got := exch[k-1]; got < broadcast*(1-1e-9) {
+			t.Fatalf("pass %d: exchange %v s, below its %v s broadcast", k, got, broadcast)
+		}
+	}
+	for _, ev := range rec.Events() {
+		if p := ev.Pass; p != nil && p.Node == 0 && p.ExchangeSeconds != exch[p.K-1] {
+			t.Fatalf("pass %d: node 0's event carries %v s, the result %v s", p.K, p.ExchangeSeconds, exch[p.K-1])
+		}
 	}
 }
 

@@ -45,11 +45,14 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	m := &res.Metrics
 
 	// Pass 1: item counts plus the H2 bucket filter over all 2-itemsets of
-	// every transaction.
+	// every transaction. The run fills one bucket array: each level's
+	// filter is dead once its candidates are filtered, so the array is
+	// cleared and refilled with the next level's.
 	counts := db.ItemCounts()
 	m.Passes++
 	m.Work.Charge(int64(db.TotalItems()), mining.CostScanItem)
-	h2 := make([]int32, NumBuckets)
+	buckets := make([]int32, NumBuckets)
+	h2 := buckets
 	h2Valid := true
 	db.Each(func(t *txdb.Transaction) {
 		l := len(t.Items)
@@ -87,7 +90,6 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 			}
 		}
 	}
-	h2 = nil
 	m.AddCandidates(2, len(c2))
 	m.Work.Charge(int64(len(c2)), mining.CostCandidateGen)
 	m.NoteCandidateBytes(mining.CandidateBytes(2, len(c2)) + NumBuckets*4)
@@ -98,7 +100,8 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 	// Pass 2: count C2, hash 3-itemsets, trim/prune transactions.
 	work := txdb.NewWork(db)
 	c2Counts := make([]int32, len(c2))
-	h3 := make([]int32, NumBuckets)
+	clear(buckets)
+	h3 := buckets
 	h3Valid := true
 	m.Passes++
 	hits := make(map[itemset.Item]int32)
@@ -192,7 +195,8 @@ func Mine(db *txdb.DB, opts mining.Options) (*mining.Result, error) {
 		tree := hashtree.Build(k, cands)
 		m.Work.Charge(int64(len(cands)), mining.CostTreeInsert)
 		m.Passes++
-		next := make([]int32, NumBuckets)
+		clear(buckets)
+		next := buckets
 		nextValid := true
 		work.EachIndexed(func(ti int, _ txdb.TID, items itemset.Itemset) {
 			m.Work.Charge(int64(len(items)), mining.CostScanItem)

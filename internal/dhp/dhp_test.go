@@ -87,6 +87,37 @@ func TestMemoryBudget(t *testing.T) {
 	}
 }
 
+// TestOneBucketArrayPerRun: a run fills one NumBuckets array and clears
+// it between levels, so a run on a tiny database that reaches pass 3
+// allocates about one array (4 MiB), not one per level.
+func TestOneBucketArrayPerRun(t *testing.T) {
+	db := txdb.New([]txdb.Transaction{
+		{TID: 0, Items: itemset.New(1, 2, 3)},
+		{TID: 1, Items: itemset.New(1, 2, 3)},
+		{TID: 2, Items: itemset.New(1, 2, 3, 4)},
+		{TID: 3, Items: itemset.New(2, 3, 4)},
+	}, 5)
+	opts := mining.Options{MinSupCount: 2}
+	r, err := Mine(db, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Metrics.Passes < 3 || r.Metrics.CandidatesByK[3] == 0 {
+		t.Fatalf("the run stopped before pass 3: %d passes, %d 3-candidates", r.Metrics.Passes, r.Metrics.CandidatesByK[3])
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Mine(db, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 8<<20 {
+		t.Fatalf("a run allocates %d bytes, want below 8 MiB (one %d-bucket array is %d)", got, NumBuckets, 4*NumBuckets)
+	}
+}
+
 func TestLongTransactionsInvalidateFilterNotAnswer(t *testing.T) {
 	// A transaction whose pair count exceeds maxHashedSubsets must disable
 	// the filter, not corrupt the result.

@@ -11,17 +11,18 @@ func benchLocal(b *testing.B, entries int) *Local {
 	return retained(makeDB(1, 400, 2000, 60), entries)
 }
 
-// BenchmarkPairBound measures pass 2's pair-bound kernel on one segment.
+// BenchmarkPairBound measures pass 2's cascaded pair probe on one
+// segment.
 func BenchmarkPairBound(b *testing.B) {
 	l := benchLocal(b, 400)
-	ps := NewGlobal([]*Local{l}).NewPairScan(identityUniverse(2000))
+	pg := NewGlobal([]*Local{l}).NewPairGen(0, 2, 2)
+	n := len(pg.items)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, c := i%2000, (i*7+1)%2000
+		a, c := i%n, (i*7+1)%n
 		if a != c {
-			ps.Hoist(a)
-			ps.BoundReaches(c, 2)
+			pg.cascadeReaches(a, c, 2)
 		}
 	}
 }

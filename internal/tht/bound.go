@@ -272,116 +272,3 @@ func (l *Local) pairSumBits(ra, rb int32, m uint64, stop int) (sum, cost int) {
 	}
 	return sum, cost
 }
-
-// PairScan answers pair-bound queries over a fixed ascending item universe
-// (a mining run's globally frequent items) with every row lookup resolved
-// up front: per segment, the matrix row number of each universe position.
-// Row indexes stay valid until the next Retain, so a scan is built once per
-// run, after pass 1 built the kept rows, and reused for every partition.
-type PairScan struct {
-	g    *Global
-	rows [][]int32 // [segment][pos] row number of universe[pos], -1 absent
-	ra   []int32   // hoisted row numbers of the current outer item
-}
-
-// NewPairScan resolves the universe's row numbers across every segment.
-func (g *Global) NewPairScan(universe []itemset.Item) *PairScan {
-	ps := &PairScan{
-		g:    g,
-		rows: make([][]int32, len(g.segments)),
-		ra:   make([]int32, len(g.segments)),
-	}
-	for p, seg := range g.segments {
-		rows := make([]int32, len(universe))
-		for i, it := range universe {
-			rows[i] = seg.rowIndex(it)
-		}
-		ps.rows[p] = rows
-	}
-	return ps
-}
-
-// Fork returns a scan sharing this scan's resolved row tables but with a
-// private hoist register, so concurrent workers can Hoist different outer
-// items over the same universe. Forks stay valid exactly as long as the
-// parent (until the next Retain).
-func (ps *PairScan) Fork() *PairScan {
-	return &PairScan{g: ps.g, rows: ps.rows, ra: make([]int32, len(ps.ra))}
-}
-
-// Present reports whether the item at universe position pos has a row in
-// segment p.
-func (ps *PairScan) Present(p, pos int) bool { return ps.rows[p][pos] >= 0 }
-
-// Hoist fixes the outer item of subsequent Seg/BoundReaches calls by
-// universe position.
-func (ps *PairScan) Hoist(aPos int) {
-	for p := range ps.rows {
-		ps.ra[p] = ps.rows[p][aPos]
-	}
-}
-
-// SegScan is a PairScan pinned to one segment with the hoisted outer item
-// resolved, so the per-pair call carries no segment indirections. Re-take
-// after each Hoist.
-type SegScan struct {
-	l    *Local
-	rows []int32
-	ra   int32
-}
-
-// Seg pins the scan to segment p and the currently hoisted outer item.
-func (ps *PairScan) Seg(p int) SegScan {
-	return SegScan{l: ps.g.segments[p], rows: ps.rows[p], ra: ps.ra[p]}
-}
-
-// BoundReaches evaluates the segment's pair bound between the hoisted item
-// and universe position bPos, with the results and slot charges of
-// Local.BoundReaches over the same pair.
-func (s SegScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) {
-	sum, cost := s.l.pairBoundIdx(s.ra, s.rows[bPos], threshold)
-	return sum >= threshold, cost
-}
-
-// BoundReaches evaluates the cascaded pair bound between the hoisted item
-// and universe position bPos, with the results and slot charges of
-// Global.BoundReaches over the same pair. Single-word segments resolve in
-// the loop body without a call; wider geometries fall back to
-// pairBoundIdx.
-func (ps *PairScan) BoundReaches(bPos, threshold int) (reaches bool, slots int) {
-	if threshold <= 0 {
-		return true, 0
-	}
-	sum, total := 0, 0
-	for p, seg := range ps.g.segments {
-		ra, rb := ps.ra[p], ps.rows[p][bPos]
-		if ra < 0 || rb < 0 {
-			continue
-		}
-		if seg.fast1 {
-			m := seg.maskData[ra] & seg.maskData[rb]
-			total++
-			if m == 0 {
-				continue
-			}
-			stop := threshold - sum
-			if pc := bits.OnesCount64(m); pc >= stop {
-				return true, total
-			}
-			s, n := seg.pairSumBits(ra, rb, m, stop)
-			sum += s
-			total += n
-			if sum >= threshold {
-				return true, total
-			}
-			continue
-		}
-		s, n := seg.pairBoundIdx(ra, rb, threshold-sum)
-		sum += s
-		total += n
-		if sum >= threshold {
-			return true, total
-		}
-	}
-	return false, total
-}

@@ -155,8 +155,8 @@ func TestBoundReachesAgreesWithMaxPossible(t *testing.T) {
 
 // TestCascadeBoundSound: the global bound over a split database equals
 // the sum of per-segment bounds, and still upper-bounds the global support.
-// The pass-2 pair scan decides and charges every pair exactly as the
-// general cascade bound does.
+// Every node's pass-2 cascaded pair probe decides and charges every pair
+// it holds exactly as the general cascade bound does.
 func TestCascadeBoundSound(t *testing.T) {
 	db := makeDB(21, 100, 90, 10)
 	parts := db.SplitChronological(4)
@@ -165,7 +165,11 @@ func TestCascadeBoundSound(t *testing.T) {
 		locals[i] = retained(p, 16)
 	}
 	g := NewGlobal(locals)
-	ps := g.NewPairScan(identityUniverse(90))
+	gens := make([]*PairGen, len(locals))
+	for p := range gens {
+		gens[p] = g.NewPairGen(p, 1, 1)
+	}
+	probed := 0
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 400; trial++ {
 		k := 1 + rng.Intn(3)
@@ -190,20 +194,31 @@ func TestCascadeBoundSound(t *testing.T) {
 		if got != want {
 			t.Fatalf("cascade BoundReaches(%v, %d) = %v, want %v", x, threshold, got, want)
 		}
-		if k == 2 {
-			ps.Hoist(int(x[0]))
-			if pairGot, pairSlots := ps.BoundReaches(int(x[1]), threshold); pairGot != want || pairSlots != slots {
-				t.Fatalf("PairScan(%v, %d) = %v/%d slots, BoundReaches %v/%d", x, threshold, pairGot, pairSlots, want, slots)
+		if k != 2 {
+			continue
+		}
+		for self, pg := range gens {
+			i, iok := slices.BinarySearch(pg.items, x[0])
+			b, bok := slices.BinarySearch(pg.items, x[1])
+			if !iok || !bok {
+				continue
+			}
+			probed++
+			if pairGot, pairSlots := pg.cascadeReaches(i, b, threshold); pairGot != want || pairSlots != slots {
+				t.Fatalf("node %d: cascadeReaches(%v, %d) = %v/%d slots, BoundReaches %v/%d", self, x, threshold, pairGot, pairSlots, want, slots)
 			}
 		}
+	}
+	if probed == 0 {
+		t.Fatal("no pair was present at any node")
 	}
 }
 
 // TestSegScanMatchesBoundReaches: the pass-2 pair kernel on one segment
-// decides and charges every pair exactly as Local.BoundReaches does, in
-// the one-word geometry, in a multi-word one whose rows are mostly
-// saturated (the occupancy-counter shortcut), and at the paper's 400
-// entries.
+// (pairBoundIdx, over two row numbers) decides and charges every pair
+// exactly as Local.BoundReaches does, in the one-word geometry, in a
+// multi-word one whose rows are mostly saturated (the occupancy-counter
+// shortcut), and at the paper's 400 entries.
 func TestSegScanMatchesBoundReaches(t *testing.T) {
 	for _, tc := range []struct {
 		entries, docs, vocab, docLen int
@@ -222,11 +237,10 @@ func TestSegScanMatchesBoundReaches(t *testing.T) {
 		if tc.entries == 100 && saturated == 0 {
 			t.Fatal("no saturated row in the saturated geometry")
 		}
-		ps := NewGlobal([]*Local{local}).NewPairScan(identityUniverse(tc.vocab))
 		for a := 0; a < tc.vocab; a++ {
-			ps.Hoist(a)
-			seg := ps.Seg(0)
+			ra := local.rowIndex(itemset.Item(a))
 			for b := a + 1; b < tc.vocab; b++ {
+				rb := local.rowIndex(itemset.Item(b))
 				x := itemset.New(uint32(a), uint32(b))
 				for _, threshold := range []int{1, 2, 5, tc.entries / 2, tc.entries, 4 * tc.entries} {
 					want, wantSlots := local.BoundReaches(x, threshold)
@@ -234,9 +248,9 @@ func TestSegScanMatchesBoundReaches(t *testing.T) {
 						t.Fatalf("entries=%d: BoundReaches(%v, %d) = %v, maxPossible %d",
 							tc.entries, x, threshold, want, maxPossible(local, x))
 					}
-					if got, slots := seg.BoundReaches(b, threshold); got != want || slots != wantSlots {
-						t.Fatalf("entries=%d: SegScan(%v, %d) = %v/%d slots, BoundReaches %v/%d",
-							tc.entries, x, threshold, got, slots, want, wantSlots)
+					if sum, slots := local.pairBoundIdx(ra, rb, threshold); (sum >= threshold) != want || slots != wantSlots {
+						t.Fatalf("entries=%d: pairBoundIdx(%v, %d) = %d/%d slots, BoundReaches %v/%d",
+							tc.entries, x, threshold, sum, slots, want, wantSlots)
 					}
 				}
 			}
@@ -377,23 +391,31 @@ func TestNewLocalPanicsOnBadEntries(t *testing.T) {
 }
 
 // TestMissingRowBoundsZero: every bound entry point bounds an itemset
-// with an absent row at zero, and charges nothing for it.
+// with an absent row at zero, and charges nothing for it. The pass-2
+// cascaded pair probe charges nothing in a segment where a present item
+// has no row.
 func TestMissingRowBoundsZero(t *testing.T) {
 	const absent = 999
 	db := makeDB(9, 50, 60, 8)
 	local := retained(db, 16)
-	g := NewGlobal([]*Local{local, retained(db, 16)})
-	universe := append(identityUniverse(60), absent)
-	ps := g.NewPairScan(universe)
+	g := NewGlobal([]*Local{local, built(db, 16, func(it itemset.Item) bool { return it != 2 })})
 	x := itemset.New(1, absent)
-	for _, hoist := range [][2]int{{len(universe) - 1, 1}, {1, len(universe) - 1}} {
-		ps.Hoist(hoist[0])
-		if ok, slots := ps.BoundReaches(hoist[1], 1); ok || slots != 0 {
-			t.Fatalf("missing row admitted by the pair scan (%v/%d slots)", ok, slots)
+	r1 := local.rowIndex(1)
+	for _, rows := range [][2]int32{{local.rowIndex(absent), r1}, {r1, local.rowIndex(absent)}} {
+		if sum, slots := local.pairBoundIdx(rows[0], rows[1], 1); sum != 0 || slots != 0 {
+			t.Fatalf("missing row admitted by the pair kernel (%d/%d slots)", sum, slots)
 		}
-		if ok, slots := ps.Seg(0).BoundReaches(hoist[1], 1); ok || slots != 0 {
-			t.Fatalf("missing row admitted by the segment scan (%v/%d slots)", ok, slots)
-		}
+	}
+	pg := g.NewPairGen(0, 1, 1)
+	i, iok := slices.BinarySearch(pg.items, 1)
+	b, bok := slices.BinarySearch(pg.items, 2)
+	if !iok || !bok || pg.rows[1][b] >= 0 {
+		t.Fatal("items 1 and 2 must have rows in segment 0 only")
+	}
+	above := maxPossible(local, itemset.New(1, 2)) + 1
+	want, wantSlots := local.BoundReaches(itemset.New(1, 2), above)
+	if ok, slots := pg.cascadeReaches(i, b, above); ok != want || slots != wantSlots {
+		t.Fatalf("cascade over a missing peer row = %v/%d slots, self segment alone %v/%d", ok, slots, want, wantSlots)
 	}
 	if ok, slots := local.BoundReaches(x, 1); ok || slots != 0 {
 		t.Fatalf("missing row admitted by BoundReaches (%v/%d slots)", ok, slots)
@@ -404,16 +426,6 @@ func TestMissingRowBoundsZero(t *testing.T) {
 	if peers, slots := g.PollPeers(x, 0, nil); len(peers) != 0 || slots != 0 {
 		t.Fatalf("missing row polled peers %v (%d slots)", peers, slots)
 	}
-}
-
-// identityUniverse returns the items 0..n-1, so universe positions are
-// item ids.
-func identityUniverse(n int) []itemset.Item {
-	u := make([]itemset.Item, n)
-	for i := range u {
-		u[i] = itemset.Item(i)
-	}
-	return u
 }
 
 func TestGlobalAccessors(t *testing.T) {
@@ -441,14 +453,14 @@ func TestGlobalAccessors(t *testing.T) {
 	NewGlobal(nil)
 }
 
-// TestSlotPostingsInvertRows: the slot postings hold, for every segment
-// and slot, exactly the present rows that occupy the slot, ascending by
+// TestSlotPostingsInvertRows: the slot lists hold, for every segment and
+// slot, exactly the present rows that occupy the slot, ascending by
 // present index and with the matrix's counters, so the list lengths sum
 // to the rows' occupancy. Each row's tails name its occupied slots in
 // ascending order with the list entries above it, each segment's row
-// bitset names the items with a row there, and the build is refused when
-// sweeping would take one step more than allowed: the same-list entry
-// pairs. The cases cover one-word and multi-word
+// bitset names the present items with a row there, and the gate refuses
+// the lists when sweeping would take one step more than allowed: the
+// same-list entry pairs. The cases cover one-word and multi-word
 // geometries, one to three segments, saturated rows and items absent from
 // some segments.
 func TestSlotPostingsInvertRows(t *testing.T) {
@@ -469,36 +481,31 @@ func TestSlotPostingsInvertRows(t *testing.T) {
 			// Segment p misses every item whose id is p modulo 3.
 			locals[p] = built(part, tc.entries, func(it itemset.Item) bool { return int(it)%3 != p })
 		}
-		ps := NewGlobal(locals).NewPairScan(identityUniverse(tc.vocab))
-		var present []int32
-		for pos := 0; pos < tc.vocab; pos++ {
-			if ps.Present(0, pos) {
-				present = append(present, int32(pos))
-			}
-		}
+		g := NewGlobal(locals)
+		present := locals[0].rowItem
 		h, n := tc.entries, len(present)
 
 		// The reference lists, segment-major, and each row's tails.
-		var lists []Posting
-		tails := make([][]Tail, tc.segs*n)
+		var lists []posting
+		tails := make([][]tail, tc.segs*n)
 		occupancy, steps := 0, int64(0)
 		for p, l := range locals {
 			for j := 0; j < h; j++ {
 				start := int32(len(lists))
-				for i, pos := range present {
-					if row := l.row(itemset.Item(pos)); row != nil && row[j] > 0 {
-						lists = append(lists, Posting{Item: int32(i), Count: row[j]})
+				for i, it := range present {
+					if row := l.row(it); row != nil && row[j] > 0 {
+						lists = append(lists, posting{item: int32(i), count: row[j]})
 					}
 				}
 				end := int32(len(lists))
 				steps += int64(end-start) * int64(end-start-1) / 2
 				for at := start; at < end; at++ {
-					k := p*n + int(lists[at].Item)
-					tails[k] = append(tails[k], Tail{at: at, end: end})
+					k := p*n + int(lists[at].item)
+					tails[k] = append(tails[k], tail{at: at, end: end})
 				}
 			}
-			for _, pos := range present {
-				if r := l.rowIndex(itemset.Item(pos)); r >= 0 {
+			for _, it := range present {
+				if r := l.rowIndex(it); r >= 0 {
 					occupancy += int(l.occ[r])
 					if int(l.occ[r]) == h {
 						saturated++
@@ -506,41 +513,39 @@ func TestSlotPostingsInvertRows(t *testing.T) {
 				}
 			}
 		}
-		if ps.NewSlotPostings(present, steps-1) != nil {
-			t.Fatalf("entries=%d: postings built within %d steps, sweeping takes %d", h, steps-1, steps)
+		if g.newPairGen(0, 1, 1, steps-1).post != nil {
+			t.Fatalf("entries=%d: lists built within %d steps, sweeping takes %d", h, steps-1, steps)
 		}
-		x := ps.NewSlotPostings(present, steps)
+		pg := g.newPairGen(0, 1, 1, steps)
+		x := pg.post
 		if !slices.Equal(x.lists, lists) {
 			t.Fatalf("entries=%d: lists %v, want %v", h, x.lists, lists)
 		}
 		if len(x.lists) != occupancy {
 			t.Fatalf("entries=%d: %d list entries, rows occupy %d slots", h, len(x.lists), occupancy)
 		}
-		if x.MaskCost() != locals[0].mw {
-			t.Fatalf("entries=%d: MaskCost %d, want %d", h, x.MaskCost(), locals[0].mw)
-		}
 		for p := range locals {
 			for i := range present {
-				got := x.Tails(p, i, nil)
+				got := pg.tails(p, i, nil)
 				if !slices.Equal(got, tails[p*n+i]) {
-					t.Fatalf("entries=%d: Tails(%d, %d) = %v, want %v", h, p, i, got, tails[p*n+i])
+					t.Fatalf("entries=%d: tails(%d, %d) = %v, want %v", h, p, i, got, tails[p*n+i])
 				}
 				for _, tl := range got {
-					count, above := x.Above(tl)
-					if count != lists[tl.at].Count || !slices.Equal(above, lists[tl.at+1:tl.end]) {
-						t.Fatalf("entries=%d: Above(%v) = %d, %v", h, tl, count, above)
+					count, above := x.above(tl)
+					if count != lists[tl.at].count || !slices.Equal(above, lists[tl.at+1:tl.end]) {
+						t.Fatalf("entries=%d: above(%v) = %d, %v", h, tl, count, above)
 					}
 				}
 			}
 		}
-		for p := range locals {
-			rows := x.Rows(p)
+		for p, l := range locals {
+			rows := x.rowBits(p)
 			if len(rows) != (n+63)/64 {
-				t.Fatalf("entries=%d: Rows(%d) has %d words for %d items", h, p, len(rows), n)
+				t.Fatalf("entries=%d: rowBits(%d) has %d words for %d items", h, p, len(rows), n)
 			}
-			for i, pos := range present {
-				if got := rows[i/64]&(1<<(i%64)) != 0; got != ps.Present(p, int(pos)) {
-					t.Fatalf("entries=%d: Rows(%d) bit %d is %v", h, p, i, got)
+			for i, it := range present {
+				if got := rows[i/64]&(1<<(i%64)) != 0; got != (l.rowIndex(it) >= 0) {
+					t.Fatalf("entries=%d: rowBits(%d) bit %d is %v", h, p, i, got)
 				}
 			}
 		}

@@ -70,7 +70,10 @@ func (d *DB) Encode(w io.Writer) error {
 }
 
 // ReadDB deserializes a database written by Encode, building the CSR arrays
-// directly (no per-transaction item allocations).
+// directly (no per-transaction item allocations). It refuses transactions
+// whose TIDs do not strictly ascend, as every database's do: the posting
+// file and TID spans rely on it, and a daemon decodes its partition from
+// outside the process.
 func ReadDB(r io.Reader) (*DB, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -116,6 +119,9 @@ func ReadDB(r io.Reader) (*DB, error) {
 		tid, err := get()
 		if err != nil {
 			return nil, fmt.Errorf("txdb: tx %d: %w", i, err)
+		}
+		if i > 0 && tid <= d.tids[i-1] {
+			return nil, fmt.Errorf("txdb: tx %d: TID %d does not ascend past %d", i, tid, d.tids[i-1])
 		}
 		day, err := get()
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pmihp/internal/itemset"
@@ -88,6 +89,28 @@ func TestReadDBRejectsCorruption(t *testing.T) {
 		}
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 			t.Errorf("%s: allocated %d bytes before failing", name, alloc)
+		}
+	}
+}
+
+// TestReadDBRejectsUnorderedTIDs: a partition whose TIDs do not strictly
+// ascend is refused, naming the transaction. Decoded, three transactions
+// with TIDs 5, 3, 9, each holding items {1, 2}, would index the posting
+// file out of range on the daemon's first poll.
+func TestReadDBRejectsUnorderedTIDs(t *testing.T) {
+	for _, tids := range [][]uint32{{5, 3, 9}, {5, 5, 9}} {
+		payload := binary.LittleEndian.AppendUint32([]byte(dbMagic), dbVersion)
+		payload = binary.LittleEndian.AppendUint32(payload, 3) // items
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(tids)))
+		for _, tid := range tids {
+			// tid, day, item count, item deltas {1, 2}
+			for _, v := range []uint32{tid, 0, 2, 1, 1} {
+				payload = binary.LittleEndian.AppendUint32(payload, v)
+			}
+		}
+		_, err := ReadDB(bytes.NewReader(payload))
+		if err == nil || !strings.Contains(err.Error(), "tx 1:") {
+			t.Fatalf("TIDs %v: %v, want an error naming tx 1", tids, err)
 		}
 	}
 }
